@@ -238,13 +238,18 @@ class GnpRobberStrategy:
     def __init__(self, alpha: float, params: GnpRobberParams | None = None):
         self._alpha = alpha
         self._params = params
+        self._derived_for: tuple | None = None   # (n, m) of derived params
         self._prev: int | None = None
 
     def _params_for(self, G: Graph) -> GnpRobberParams:
-        if self._params is None or self._params.n != G.n:
+        """Explicit params serve every graph of their size; params derived
+        from a graph's density serve only graphs of the same (n, m)."""
+        if (self._params is None or self._params.n != G.n
+                or self._derived_for not in (None, (G.n, G.m))):
             p = 2.0 * G.m / (G.n * (G.n - 1)) if G.n > 1 else 0.5
             p = min(max(p, 1e-9), 1.0 - 1e-9)
             self._params = gnp_params(G.n, p, self._alpha)
+            self._derived_for = (G.n, G.m)
         return self._params
 
     def place(self, G: Graph, cops) -> int:

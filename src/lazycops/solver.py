@@ -3,14 +3,15 @@
 States are (sorted cop multiset, robber vertex, side to move); sorting the
 multiset exploits cop interchangeability.  Capture states get distance 0;
 the labeling propagates backwards: a cops-to-move state is cop-win as soon
-as one successor is, a robber-to-move state once every successor is.  The
-BFS order yields exact minimax distance-to-capture in half-moves.
+as one successor is, a robber-to-move state once every successor is.
+Labeling level by level yields exact minimax distance-to-capture in
+half-moves.  Cop-side moves come from a table built once per multiset.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -24,12 +25,22 @@ CLASSIC = "classic"
 COP_TURN = 0
 ROBBER_TURN = 1
 
+# States count both sides, so the cap allows 25 M (multiset, robber) pairs.
+# Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
+# 17.5-23 bytes per pair (grid 7x7 and Q5 with k=3), 12-17 bytes retained by
+# the result: up to about 0.6 GB at the cap.
 DEFAULT_STATE_CAP = 50_000_000
 
 
 @dataclass
 class SolveResult:
-    """Winner and optimal-move table for one (graph, cop count, mode)."""
+    """Winner and optimal-move table for one (graph, cop count, mode).
+
+    Cop multisets are ranked in lexicographic order (the order of
+    `combinations_with_replacement`), so comparing ranks compares tuples.
+    Only cops-to-move distances are stored, robber-major at `r * M + mi`
+    with `M` multisets; a robber-to-move distance is derived from them.
+    """
 
     G: Graph
     k: int
@@ -40,45 +51,57 @@ class SolveResult:
     seconds: float
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
-    _dist: list = field(repr=False, default_factory=list)
+    _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves
+    _closed: list = field(repr=False, default_factory=list)   # per vertex: closed nbhd
+    _dist: list = field(repr=False, default_factory=list)     # cops to move; -1 = robber-win
 
-    def _sid(self, cops, robber: int, side: int) -> int:
+    def _rank(self, cops) -> int:
         mi = self._mindex.get(tuple(cops))
         if mi is None:
             raise KeyError(f"cop multiset {cops!r} not in state table")
+        return mi
+
+    def _robber_dist(self, mi: int, robber: int) -> int:
+        """Robber-to-move distance: 0 on capture, -1 if some robber move
+        reaches a robber-win state, else 1 + the worst robber move."""
+        if robber in self._msets[mi]:
+            return 0
+        dist, M = self._dist, len(self._msets)
+        worst = 0
+        for t in self._closed[robber]:
+            d = dist[t * M + mi]
+            if d < 0:
+                return -1
+            if d > worst:
+                worst = d
+        return worst + 1
+
+    def _state_dist(self, cops, robber: int, side: int) -> int:
+        mi = self._rank(cops)
         if not 0 <= robber < self.G.n:
             raise KeyError(f"robber vertex {robber} out of range")
-        return (mi * self.G.n + robber) * 2 + side
+        if side == COP_TURN:
+            return self._dist[robber * len(self._msets) + mi]
+        return self._robber_dist(mi, robber)
 
     def is_cop_win(self, cops, robber: int, side: int) -> bool:
-        return self._dist[self._sid(cops, robber, side)] >= 0
+        return self._state_dist(cops, robber, side) >= 0
 
     def distance(self, cops, robber: int, side: int):
         """Half-moves to capture under optimal play; None on robber-win states."""
-        d = self._dist[self._sid(cops, robber, side)]
+        d = self._state_dist(cops, robber, side)
         return d if d >= 0 else None
-
-    def label(self, cops, robber: int, side: int) -> str:
-        return "cop-win" if self.is_cop_win(cops, robber, side) else "robber-win"
-
-    def state_table(self) -> dict:
-        out = {}
-        for mi, cops in enumerate(self._msets):
-            for r in range(self.G.n):
-                for side, name in ((COP_TURN, "cops"), (ROBBER_TURN, "robber")):
-                    d = self._dist[(mi * self.G.n + r) * 2 + side]
-                    key = (cops, r, name)
-                    out[key] = ("cop-win", d) if d >= 0 else ("robber-win", None)
-        return out
 
     def robber_placement_response(self, cops) -> int:
         """Robber's optimal placement given a cop placement."""
         cops = tuple(sorted(cops))
+        mi = self._rank(cops)
+        M = len(self._msets)
         best_v, best_d = None, -1
         for v in range(self.G.n):
             if v in cops:
                 continue
-            d = self._dist[self._sid(cops, v, COP_TURN)]
+            d = self._dist[v * M + mi]
             if d < 0:
                 return v  # robber-win placement, lowest id
             if d > best_d:
@@ -98,10 +121,33 @@ class SolveResult:
         }
 
 
+def _move_table(msets: list, mindex: dict, closed: list, mode: str) -> list:
+    """Per multiset rank, the sorted ranks one cop-side move away.
+
+    Lazy: one cop steps within its closed neighborhood (staying covers the
+    pass).  Classic: every cop does, independently.  Both relations are
+    symmetric, so the table lists predecessors as well as successors.
+    """
+    moves = []
+    for cops in msets:
+        if mode == LAZY:
+            succ = set()
+            for pos, t in enumerate(cops):
+                if pos and t == cops[pos - 1]:
+                    continue
+                rest = cops[:pos] + cops[pos + 1:]
+                for u in closed[t]:
+                    succ.add(mindex[tuple(sorted(rest + (u,)))])
+        else:
+            succ = {mindex[tuple(sorted(c))] for c in product(*(closed[t] for t in cops))}
+        moves.append(tuple(sorted(succ)))
+    return moves
+
+
 def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
     n = G.n
-    nmsets = comb(n + k - 1, k)
-    total = nmsets * n * 2
+    M = comb(n + k - 1, k)
+    total = M * n * 2
     if total > state_cap:
         raise CapExceededError(
             f"state count {total} exceeds cap {state_cap} (n={n}, k={k})"
@@ -110,92 +156,72 @@ def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
     msets = list(combinations_with_replacement(range(n), k))
     mindex = {ms: i for i, ms in enumerate(msets)}
     closed = [G.closed_neighbors(v) for v in range(n)]
+    moves = _move_table(msets, mindex, closed, mode)
 
-    dist = [-1] * total
-    # robber-to-move counters: number of legal robber moves (closed degree)
-    cnt = [0] * (nmsets * n)
-    q: deque = deque()
+    # Cops-to-move distances and robber-to-move counters (robber moves not
+    # yet known to be cop-win), both at r * M + mi.  Capture counters are 0,
+    # so decrements drive them negative and they never reach 0 again.
+    # Frontiers are C-int arrays: a list would keep one int object per entry,
+    # which dominated peak memory.
+    dist = [-1] * (n * M)
+    cnt = array("i")
+    for r in range(n):
+        cnt.extend(array("i", (len(closed[r]),)) * M)
+    frontier = array("i")
     for mi, cops in enumerate(msets):
-        base = mi * n
-        cset = set(cops)
-        for r in range(n):
-            if r in cset:
-                s = (base + r) * 2
-                dist[s] = 0
-                dist[s + 1] = 0
-                q.append(s)
-                q.append(s + 1)
-            else:
-                cnt[base + r] = len(closed[r])
+        for r in set(cops):
+            p = r * M + mi
+            dist[p] = 0
+            cnt[p] = 0
+            frontier.append(p)
+    offsets = [[t * M for t in closed[r]] for r in range(n)]
 
-    while q:
-        s = q.popleft()
-        d = dist[s]
-        side = s & 1
-        mi, r = divmod(s >> 1, n)
-        cops = msets[mi]
-        if side == COP_TURN:
-            # predecessors: robber moved into r from rp in N[r] (or stayed)
-            base = mi * n
-            for rp in closed[r]:
-                p = (base + rp) * 2 + 1
-                if dist[p] >= 0:
-                    continue
-                ci = base + rp
-                cnt[ci] -= 1
-                if cnt[ci] == 0:
-                    dist[p] = d + 1
-                    q.append(p)
-        else:
-            # predecessors: cop-side states that can move into this multiset
-            preds = set()
-            if mode == LAZY:
-                for pos in range(k):
-                    if pos and cops[pos] == cops[pos - 1]:
-                        continue
-                    t = cops[pos]
-                    for u in closed[t]:
-                        new = list(cops)
-                        new[pos] = u
-                        new.sort()
-                        preds.add(tuple(new))
-            else:
-                for combo in product(*(closed[t] for t in cops)):
-                    preds.add(tuple(sorted(combo)))
-            for pm in preds:
-                if r in pm:
-                    continue  # captured predecessor, already labeled
-                p = (mindex[pm] * n + r) * 2
+    # Level d: cops-to-move states at distance d release robber-to-move
+    # predecessors (distance d + 1 once every robber move is cop-win);
+    # robber-to-move states at distance d label cops-to-move predecessors.
+    cop_front, robber_front = frontier, frontier
+    d = 0
+    while cop_front or robber_front:
+        d += 1
+        next_robber = array("i")
+        for s in cop_front:
+            r = s // M
+            mi = s - r * M
+            for base in offsets[r]:
+                p = base + mi
+                c = cnt[p] - 1
+                cnt[p] = c
+                if c == 0:
+                    next_robber.append(p)
+        next_cop = array("i")
+        for s in robber_front:
+            r = s // M
+            base = r * M
+            for pm in moves[s - base]:
+                p = base + pm
                 if dist[p] < 0:
-                    dist[p] = d + 1
-                    q.append(p)
+                    dist[p] = d
+                    next_cop.append(p)
+        cop_front, robber_front = next_cop, next_robber
+    del cnt
 
-    # placement game: cops pick a multiset, robber answers seeing it
+    # placement game: cops pick a multiset, robber answers seeing it;
+    # captured robber placements read 0 and never decide the worst case
     cop_win = False
     best = None
-    for mi, cops in enumerate(msets):
-        base = mi * n
-        worst = 0
-        ok = True
-        for r in range(n):
-            if r in cops:
-                continue
-            d = dist[(base + r) * 2]
-            if d < 0:
-                ok = False
-                break
-            if d > worst:
-                worst = d
-        if ok:
+    for mi in range(M):
+        col = dist[mi::M]
+        if min(col) >= 0:
             cop_win = True
-            if best is None or (worst, cops) < best:
-                best = (worst, cops)
-    placement = best[1] if best is not None else msets[0]
+            worst = max(col)
+            if best is None or worst < best[0]:
+                best = (worst, mi)
+    placement = msets[best[1]] if best is not None else msets[0]
 
     return SolveResult(
         G=G, k=k, mode=mode, cop_win=cop_win, placement=placement,
         states=total, seconds=time.perf_counter() - t0,
-        _msets=msets, _mindex=mindex, _dist=dist,
+        _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _dist=dist,
     )
 
 
@@ -276,12 +302,9 @@ def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> di
 
     Returns a report asserting that play realizes the declared winner and,
     on cop wins, that capture occurs within the stored distance-to-capture.
-    Works for both lazy and classic mode (classic successors are enumerated
-    directly on state keys).
+    Works for both lazy and classic mode: cop-side successors come from the
+    solver's move table.
     """
-    G = result.G
-    n = G.n
-    closed = [G.closed_neighbors(v) for v in range(n)]
     cops = result.placement
     robber = result.robber_placement_response(cops)
     side = COP_TURN
@@ -296,33 +319,17 @@ def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> di
             ok = result.cop_win and half <= (start_d or 0)
             return {"ok": ok, "half_moves": half, "budget": start_d}
         if side == COP_TURN:
-            succs = set()
-            if result.mode == LAZY:
-                succs.add(cops)  # pass
-                for pos in range(result.k):
-                    if pos and cops[pos] == cops[pos - 1]:
-                        continue
-                    for u in closed[cops[pos]]:
-                        new = list(cops)
-                        new[pos] = u
-                        succs.add(tuple(sorted(new)))
-            else:
-                for combo in product(*(closed[t] for t in cops)):
-                    succs.add(tuple(sorted(combo)))
-            scored = []
-            for pm in sorted(succs):
-                if robber in pm:
-                    scored.append((0, pm))
-                    continue
-                d = result.distance(pm, robber, ROBBER_TURN)
-                scored.append((d if d is not None else float("inf"), pm))
+            # in robber-win states the cops pass
             if result.is_cop_win(cops, robber, COP_TURN):
-                cops = min(scored, key=lambda t: (t[0], t[1]))[1]
-            # in robber-win states the cops pass (first successor is cops itself)
+                scored = []
+                for pm in result._moves[result._mindex[cops]]:
+                    d = result._robber_dist(pm, robber)
+                    scored.append((d if d >= 0 else float("inf"), pm))
+                cops = result._msets[min(scored)[1]]
             side = ROBBER_TURN
         else:
             scored = []
-            for t in closed[robber]:
+            for t in result._closed[robber]:
                 if t in cops:
                     scored.append((0, t, False))
                     continue

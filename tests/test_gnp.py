@@ -226,3 +226,22 @@ def test_strategy_is_deterministic():
     a = play(G, GreedyCopStrategy(), GnpRobberStrategy(0.4), 1, 200)
     b = play(G, GreedyCopStrategy(), GnpRobberStrategy(0.4), 1, 200)
     assert a.transcript == b.transcript
+
+
+def test_reused_strategy_rederives_params_on_new_density():
+    sparse, dense = gen_gnp(60, 0.05, 1), gen_gnp(60, 0.3, 1)
+    assert sparse.n == dense.n and sparse.m != dense.m
+    reused = GnpRobberStrategy(0.4)
+    reused.place(sparse, (0,))
+    reused.place(dense, (0,))
+    derived = GnpRobberStrategy(0.4)._params_for(dense)
+    assert derived.thresholds != GnpRobberStrategy(0.4)._params_for(sparse).thresholds
+    assert reused._params_for(dense) == derived
+
+
+def test_explicit_params_kept_for_graphs_of_their_size():
+    G = gen_gnp(60, 0.3, 1)
+    explicit = gnp_params(60, 0.05, 0.4)
+    strat = GnpRobberStrategy(0.4, explicit)
+    strat.place(G, (0,))
+    assert strat._params_for(G) is explicit

@@ -94,12 +94,12 @@ def test_optimal_play_realizes_distance():
 def test_self_consistency_helper():
     for G in (gen_named("path", 6), gen_named("cycle", 8), gen_named("petersen", None)):
         for k in (1, 2):
-            verify_self_consistency(solve_lazy(G, k))
+            assert verify_self_consistency(solve_lazy(G, k))["ok"]
 
 
 def test_self_consistency_classic():
-    verify_self_consistency(solve_classic(gen_named("cycle", 6), 1))
-    verify_self_consistency(solve_classic(gen_named("cycle", 6), 2))
+    assert verify_self_consistency(solve_classic(gen_named("cycle", 6), 1))["ok"]
+    assert verify_self_consistency(solve_classic(gen_named("cycle", 6), 2))["ok"]
 
 
 def test_disconnected_rejected():

@@ -1,0 +1,90 @@
+"""Differential test: the move-table solver against the reference solver.
+
+Every (cop multiset, robber, side) distance, the winner, the placement and
+the state count must agree with `reference_solver.reference_solve`.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lazycops.graph import Graph, gen_gnp, gen_named
+from lazycops.solver import (
+    CLASSIC,
+    COP_TURN,
+    LAZY,
+    ROBBER_TURN,
+    solve_classic,
+    solve_lazy,
+    verify_self_consistency,
+)
+from reference_solver import reference_solve
+
+
+def _connected_gnp(n, p, count):
+    seed = 0
+    while count:
+        G = gen_gnp(n, p, seed)
+        if G.is_connected():
+            count -= 1
+            yield seed, G
+        seed += 1
+
+
+def _corpus():
+    petersen = gen_named("petersen")
+    for k in (1, 2, 3):
+        yield f"petersen-lazy-k{k}", petersen, k, LAZY
+    for n in range(4, 13):
+        yield f"C{n}-lazy-k2", gen_named("cycle", n), 2, LAZY
+    for seed in range(20):
+        yield f"tree{seed}-lazy-k1", gen_named("random_tree", 2 + seed % 11, seed), 1, LAZY
+    for seed, G in _connected_gnp(10, 0.3, 15):
+        for mode in (LAZY, CLASSIC):
+            yield f"gnp10-seed{seed}-{mode}-k2", G, 2, mode
+    yield "grid5-lazy-k2", gen_named("grid2d", 5), 2, LAZY
+    for k in (2, 3):
+        yield f"Q4-lazy-k{k}", gen_named("hypercube", 4), k, LAZY
+    yield "K6-lazy-k2", gen_named("complete", 6), 2, LAZY
+    yield "C6-classic-k1", gen_named("cycle", 6), 1, CLASSIC
+    yield "petersen-classic-k3", petersen, 3, CLASSIC
+
+
+CORPUS = list(_corpus())
+
+
+def _assert_matches_reference(G, k, mode):
+    res = solve_lazy(G, k) if mode == LAZY else solve_classic(G, k)
+    cop_win, placement, states, distance = reference_solve(G, k, mode)
+    assert (res.cop_win, res.placement, res.states) == (cop_win, placement, states)
+    mismatches = [
+        (cops, r, side, res.distance(cops, r, side), distance(cops, r, side))
+        for cops in combinations_with_replacement(range(G.n), k)
+        for r in range(G.n)
+        for side in (COP_TURN, ROBBER_TURN)
+        if res.distance(cops, r, side) != distance(cops, r, side)
+    ]
+    assert not mismatches, f"{len(mismatches)} distances differ, first {mismatches[:3]}"
+    assert verify_self_consistency(res)["ok"]
+
+
+@pytest.mark.parametrize("G,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_matches_reference(G, k, mode):
+    _assert_matches_reference(G, k, mode)
+
+
+@st.composite
+def _small_connected_graphs(draw):
+    n = draw(st.integers(1, 8))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return Graph(n, tree + extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_connected_graphs(), st.integers(1, 2), st.sampled_from([LAZY, CLASSIC]))
+def test_matches_reference_on_small_graphs(G, k, mode):
+    _assert_matches_reference(G, k, mode)
