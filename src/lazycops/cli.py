@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"lazycops: limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, GraphFormatError, OSError, KeyError) as exc:
+    except (UsageError, GraphFormatError, OSError) as exc:
         print(f"lazycops: error: {exc}", file=sys.stderr)
         return 1
     except LazyCopsError as exc:

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import UsageError
+from .gnp import _level_count
 from .graph import Graph, count_cycles_through_edge, count_paths, kth_neighborhood
 
 
@@ -62,15 +63,6 @@ class ExpansionReport:
         }
 
 
-def _largest_ell(alpha: float) -> int:
-    """Largest integer strictly below 1/alpha."""
-    inv = 1.0 / alpha
-    ell = math.ceil(inv) - 1
-    if abs(inv - round(inv)) < 1e-9:
-        ell = round(inv) - 1
-    return max(ell, 1)
-
-
 def _summarize(name, values, bound, note="") -> PropertyCheck:
     if not values:
         return PropertyCheck(name, True, bound, 0.0, 0.0, 0.0, 0, note or "no samples")
@@ -109,7 +101,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     if d <= 1:
         raise UsageError(f"average degree d={d:.3f} too small to verify expansion")
     logn = math.log(n)
-    ell = _largest_ell(alpha)
+    ell = _level_count(alpha)
     rng = random.Random(seed)
 
     report = ExpansionReport(n=n, d=d, alpha=alpha, eps=eps, tau=tau, ell=ell)

@@ -65,6 +65,9 @@ class ExperimentConfig:
 def _build_graph(cfg: ExperimentConfig, seed: int):
     fp = cfg.family_params
     if cfg.family == "gnp":
+        for key in ("n", "p"):
+            if key not in fp:
+                raise UsageError(f"gnp family_params needs {key!r}")
         return gen_gnp(fp["n"], fp["p"], seed)
     return gen_named(cfg.family, fp.get("n"), seed)
 
@@ -73,6 +76,8 @@ def _resolve_k(cfg: ExperimentConfig) -> int:
     if cfg.k is not None:
         return cfg.k
     query = dict(cfg.bounds_query)
+    if "which" not in query:
+        raise UsageError("bounds_query needs a 'which' key")
     which = query.pop("which")
     return theoretical_bounds(which, **query).integer_budget()
 

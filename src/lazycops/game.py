@@ -107,7 +107,6 @@ class GameRecord:
     outcome: str                 # "capture" | "survival"
     rounds_played: int
     transcript: list = field(default_factory=list)
-    half_moves: int = 0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -141,29 +140,26 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
 
     state = GameState(cops, robber, COPS, 0)
     if captured(state):
-        return GameRecord("capture", 0, transcript, 0)
+        return GameRecord("capture", 0, transcript)
 
-    half = 0
     while state.round < max_rounds:
         m = cop_strategy.move(G, state)
         prev = state
         state = apply_move(G, state, m)
-        half += 1
         if record_transcript:
             if m is PASS:
                 transcript.append({"side": COPS, "from": None, "to": None})
             else:
                 transcript.append({"side": COPS, "from": prev.cops[m.cop], "to": m.target})
         if captured(state):
-            return GameRecord("capture", state.round + 1, transcript, half)
+            return GameRecord("capture", state.round + 1, transcript)
 
         m = robber_strategy.move(G, state)
         prev = state
         state = apply_move(G, state, m)
-        half += 1
         if record_transcript:
             transcript.append({"side": ROBBER, "from": prev.robber, "to": m.target})
         if captured(state):
-            return GameRecord("capture", state.round, transcript, half)
+            return GameRecord("capture", state.round, transcript)
 
-    return GameRecord("survival", max_rounds, transcript, half)
+    return GameRecord("survival", max_rounds, transcript)

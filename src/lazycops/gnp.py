@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import UsageError
 from .game import GameState, RobberMove
-from .graph import Graph
+from .graph import Graph, bfs
 
 MAIN = "main"
 BOUNDARY_DENSE = "boundary-dense"
@@ -112,26 +113,12 @@ def _cop_level_counts(G: Graph, cop_counter: Counter, source: int,
     source in the graph induced on V minus `deleted`."""
     if source in deleted:
         raise ValueError("source vertex was deleted")
-    out = [0] * (max_level + 1)
-    seen = {source}
-    frontier = [source]
-    out[0] = cop_counter.get(source, 0)
-    for depth in range(1, max_level + 1):
-        nxt = []
-        for u in frontier:
-            for w in G.neighbors(u):
-                if w in seen or w in deleted:
-                    continue
-                seen.add(w)
-                nxt.append(w)
-                out[depth] += cop_counter.get(w, 0)
-        out[depth] += out[depth - 1]
-        frontier = nxt
-        if not frontier:
-            for rest in range(depth + 1, max_level + 1):
-                out[rest] = out[depth]
-            break
-    return out
+    dist = bfs(G, (source,), deleted, max_level)
+    per_level = [0] * (max_level + 1)
+    for c, mult in cop_counter.items():
+        if dist[c] is not math.inf:
+            per_level[dist[c]] += mult
+    return list(accumulate(per_level))
 
 
 def is_safe(G: Graph, cops, v: int, x: int, params: GnpRobberParams) -> bool:
@@ -158,23 +145,6 @@ def is_dangerous(G: Graph, cops, v: int, x: int | None, y: int, r: int,
     return levels[r] > params.thresholds[r]
 
 
-def _truncated_dists(G: Graph, source: int, deleted, max_level: int) -> dict:
-    dist = {source: 0}
-    frontier = [source]
-    for depth in range(1, max_level + 1):
-        nxt = []
-        for u in frontier:
-            for w in G.neighbors(u):
-                if w in dist or w in deleted:
-                    continue
-                dist[w] = depth
-                nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return dist
-
-
 def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
                     prev: int | None) -> int:
     """Next vertex for the robber; `prev` plays the deadly-neighbour role.
@@ -196,22 +166,17 @@ def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
     max_level = params.max_level
     deleted = {v} if prev is None else {v, prev}
     cop_positions = sorted(c for c in set(s.cops) if c not in deleted)
-    cop_dists = [_truncated_dists(G, c, deleted, max_level) for c in cop_positions]
+    cop_dists = [bfs(G, (c,), deleted, max_level) for c in cop_positions]
     cop_mult = Counter(s.cops)
     far = max_level + 1
-
-    excluded = set()
-    if prev is not None:
-        reach = _truncated_dists(G, prev, {v}, params.j)
-        excluded = set(reach)
 
     ranked = []
     for y in cands:
         counts = [0] * (max_level + 1)
         nearest = far
-        for c, dmap in zip(cop_positions, cop_dists):
-            dy = dmap.get(y)
-            if dy is None:
+        for c, dist in zip(cop_positions, cop_dists):
+            dy = dist[y]
+            if dy is math.inf:
                 continue
             nearest = min(nearest, dy)
             for r in range(dy, max_level + 1):
@@ -221,7 +186,8 @@ def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
         )
         ranked.append((violations, -nearest, y))
 
-    survivors = [y for viol, _, y in ranked if viol == 0 and y not in excluded]
+    reach = bfs(G, () if prev is None else (prev,), (v,), params.j)
+    survivors = [y for viol, _, y in ranked if viol == 0 and reach[y] is math.inf]
     if survivors:
         return min(survivors)
     return min(ranked)[2]
@@ -255,7 +221,7 @@ class GnpRobberStrategy:
     def place(self, G: Graph, cops) -> int:
         self._prev = None
         self._params_for(G)
-        dist = _multi_source_distances(G, cops)
+        dist = bfs(G, cops)
         best_v, best_d = 0, -1.0
         for v in range(G.n):
             if v in cops:
@@ -270,20 +236,3 @@ class GnpRobberStrategy:
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
 
-
-def _multi_source_distances(G: Graph, sources) -> list:
-    from collections import deque
-
-    dist = [math.inf] * G.n
-    q = deque()
-    for s in set(sources):
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for w in G.neighbors(u):
-            if dist[w] is math.inf:
-                dist[w] = du
-                q.append(w)
-    return dist

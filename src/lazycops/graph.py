@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from itertools import combinations
 
 from .errors import CapExceededError, GraphFormatError
@@ -86,17 +85,7 @@ class Graph:
             return cached
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
-        dist = [INF] * self.n
-        dist[v] = 0
-        q = deque([v])
-        while q:
-            u = q.popleft()
-            du = dist[u] + 1
-            for w in self._adj[u]:
-                if dist[w] is INF:
-                    dist[w] = du
-                    q.append(w)
-        out = tuple(dist)
+        out = tuple(bfs(self, (v,)))
         self._dist_cache[v] = out
         return out
 
@@ -105,9 +94,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return all(d is not INF for d in self.distances_from(0))
-
-    def components(self) -> list:
-        return components_without(self, ())
 
     def induced_subgraph(self, vertices):
         """Subgraph on `vertices`; returns (subgraph, new->old vertex map)."""
@@ -146,7 +132,42 @@ class HypercubeGraph(Graph):
         return cached
 
 
-# -- component utilities ---------------------------------------------------
+# -- breadth-first search ----------------------------------------------------
+
+def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
+    """Hop distance from the nearest of `sources` in G minus `deleted`.
+
+    Level-synchronous search from all sources at once, stopped after
+    `radius` levels when one is given.  Entry v of the returned list (of
+    length G.n) is math.inf when v is deleted, unreached or farther than
+    `radius`; deleted sources are ignored.  `deleted` must be a collection,
+    not an iterator: it is read twice.
+    """
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be >= 0")
+    adj = G._adj
+    dist = [INF] * G.n
+    for x in deleted:
+        dist[x] = -1  # not INF, so the search never enters x
+    frontier = []
+    for s in sources:
+        if dist[s] is INF:
+            dist[s] = 0
+            frontier.append(s)
+    depth = 0
+    while frontier and depth != radius:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] is INF:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    for x in deleted:
+        dist[x] = INF
+    return dist
+
 
 def components_without(G: Graph, removed) -> list:
     """Connected components of G minus `removed`, as sorted vertex lists."""
@@ -154,38 +175,20 @@ def components_without(G: Graph, removed) -> list:
     seen = set(removed)
     comps = []
     for s in range(G.n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in G.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    q.append(w)
-        comps.append(sorted(comp))
+        if s not in seen:
+            # every vertex below s is removed or in a component s cannot reach
+            dist = bfs(G, (s,), removed)
+            comp = [u for u in range(s, G.n) if dist[u] is not INF]
+            comps.append(comp)
+            seen.update(comp)
     return comps
 
 
 def component_of(G: Graph, v: int, removed) -> list:
     """Sorted component of v in G minus `removed` (v must not be removed)."""
-    removed = set(removed)
     if v in removed:
         raise ValueError("v is in the removed set")
-    seen = {v} | removed
-    comp = [v]
-    q = deque([v])
-    while q:
-        u = q.popleft()
-        for w in G.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                comp.append(w)
-                q.append(w)
-    return sorted(comp)
+    return [u for u, d in enumerate(bfs(G, (v,), removed)) if d is not INF]
 
 
 # -- generators --------------------------------------------------------------
@@ -275,30 +278,9 @@ def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
 
 # -- neighbourhood / path / cycle counting -----------------------------------
 
-def distances_from(G: Graph, v: int) -> tuple:
-    return G.distances_from(v)
-
-
 def kth_neighborhood(G: Graph, v: int, i: int) -> set:
     """Closed i-th neighborhood: all vertices within distance i of v."""
-    if i < 0:
-        raise ValueError("radius must be >= 0")
-    if i == 0:
-        return {v}
-    # truncated BFS; cheaper than a full distance vector on large graphs
-    dist = {v: 0}
-    frontier = [v]
-    for depth in range(1, i + 1):
-        nxt = []
-        for u in frontier:
-            for w in G.neighbors(u):
-                if w not in dist:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return set(dist)
+    return {u for u, d in enumerate(bfs(G, (v,), radius=i)) if d is not INF}
 
 
 def count_paths(G: Graph, v: int, w: int, i: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import UsageError
-from .game import COPS, GameState, RobberMove
+from .game import GameState, RobberMove
 from .graph import HypercubeGraph
 
 _FLOAT_SLACK = 1e-12

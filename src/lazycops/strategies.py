@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
-from .game import COPS, PASS, CopMove, GameState, RobberMove
-from .gnp import GnpRobberStrategy, _multi_source_distances
-from .graph import Graph, component_of, find_balanced_separator, greedy_dominating_set
+from .game import PASS, CopMove, GameState, RobberMove
+from .gnp import GnpRobberStrategy
+from .graph import Graph, bfs, component_of, find_balanced_separator, greedy_dominating_set
 from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move
 
@@ -84,11 +84,11 @@ class GreedyRobberStrategy:
     """Maximize the distance to the nearest cop; stay if no cop can reach."""
 
     def place(self, G: Graph, cops) -> int:
-        dist = _multi_source_distances(G, cops)
+        dist = bfs(G, cops)
         return max(range(G.n), key=lambda v: (dist[v], -v) if v not in cops else (-1, -v))
 
     def move(self, G: Graph, state: GameState):
-        dist = _multi_source_distances(G, state.cops)
+        dist = bfs(G, state.cops)
         v = state.robber
         if dist[v] is math.inf:
             return RobberMove(v)
@@ -110,12 +110,8 @@ class RandomRobberStrategy:
         return RobberMove(self._rng.choice(G.closed_neighbors(state.robber)))
 
 
-class StationaryRobberStrategy:
+class StationaryRobberStrategy(GreedyRobberStrategy):
     """Places at the vertex farthest from the cops and never moves."""
-
-    def place(self, G: Graph, cops) -> int:
-        dist = _multi_source_distances(G, cops)
-        return max(range(G.n), key=lambda v: (dist[v], -v) if v not in cops else (-1, -v))
 
     def move(self, G: Graph, state: GameState):
         return RobberMove(state.robber)
@@ -144,10 +140,6 @@ class DominatingCopStrategy:
             if G.has_edge(u, r):
                 return CopMove(i, r)
         return PASS  # unreachable after a dominating placement
-
-
-def dominating_cop_strategy(G: Graph) -> DominatingCopStrategy:
-    return DominatingCopStrategy(G)
 
 
 # -- separator cops --------------------------------------------------------------
@@ -205,14 +197,10 @@ class SeparatorCopStrategy:
         for v in sorted(rest):
             if v in seen:
                 continue
-            comp = component_of(self._G, v, set(self._G_vertices()) - rest | set(sep))
-            comp = [u for u in comp if u in rest]
+            comp = component_of(self._G, v, set(range(self._G.n)) - rest)
             seen.update(comp)
-            sub_best = max(sub_best, self._required(sorted(comp)))
+            sub_best = max(sub_best, self._required(comp))
         return len(sep) + sub_best
-
-    def _G_vertices(self):
-        return range(self._G.n)
 
     def separator_report(self) -> dict:
         """Budget audit: required cop count and whether every separator in
@@ -287,10 +275,6 @@ class SeparatorCopStrategy:
             # and take a real step with the next pending work this turn
             return self.move(G, state)
         return move
-
-
-def separator_cop_strategy(G: Graph, mode: str = "heuristic") -> SeparatorCopStrategy:
-    return SeparatorCopStrategy(G, mode)
 
 
 # -- solver-optimal wrappers ------------------------------------------------------

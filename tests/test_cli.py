@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from lazycops import cli
+
 
 def _run(*args, **kw):
     return subprocess.run(
@@ -107,3 +111,20 @@ def test_identical_invocations_byte_identical(tmp_path):
         assert r.returncode == 0
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_missing_family_param_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "gnp", "family_params": {"p": 0.2}, "k": 1}))
+    r = _run("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+    assert r.returncode == 1
+    assert "'n'" in r.stderr
+
+
+def test_internal_key_error_propagates(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", broken)
+    with pytest.raises(KeyError):
+        cli.main(["bounds", "--which", "genus"])

@@ -8,6 +8,7 @@ from lazycops.errors import CapExceededError, GraphFormatError, UsageError
 from lazycops.graph import (
     Graph,
     HypercubeGraph,
+    bfs,
     component_of,
     components_without,
     count_cycles_through_edge,
@@ -18,6 +19,7 @@ from lazycops.graph import (
     gen_gnp,
     gen_named,
     greedy_dominating_set,
+    kth_neighborhood,
     parse_graph,
     serialize_graph,
 )
@@ -147,6 +149,56 @@ def test_components_without():
     comps = components_without(G, {2})
     assert sorted(sorted(c) for c in comps) == [[0, 1], [3, 4]]
     assert sorted(component_of(G, 0, {2})) == [0, 1]
+
+
+@st.composite
+def _searches(draw):
+    """A graph with n <= 12 plus random sources, deleted set and radius."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vertex = st.integers(0, n - 1)
+    sources = draw(st.lists(vertex, max_size=4))
+    deleted = draw(st.sets(vertex, max_size=4))
+    radius = draw(st.none() | st.integers(0, 5))
+    return Graph(n, edges), sources, deleted, radius
+
+
+def test_searches_match_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_searches())
+    def check(case):
+        G, sources, deleted, radius = case
+        H = nx.Graph()
+        H.add_nodes_from(v for v in range(G.n) if v not in deleted)
+        H.add_edges_from(e for e in G.edges() if not deleted.intersection(e))
+
+        live = {s for s in sources if s not in deleted}
+        lengths = nx.multi_source_dijkstra_path_length(H, live, cutoff=radius) if live else {}
+        got = bfs(G, sources, deleted, radius)
+        assert got == [lengths.get(v, math.inf) for v in range(G.n)]
+        assert [d is math.inf for d in got] == [v not in lengths for v in range(G.n)]
+
+        full = nx.Graph(G.edges())
+        full.add_nodes_from(range(G.n))
+        r = G.n if radius is None else radius
+        for s in sources:
+            ball = nx.single_source_shortest_path_length(full, s, cutoff=r)
+            assert kth_neighborhood(G, s, r) == set(ball)
+
+        expected = sorted(sorted(c) for c in nx.connected_components(H))
+        assert components_without(G, deleted) == expected
+        for v in H:
+            assert component_of(G, v, deleted) == sorted(nx.node_connected_component(H, v))
+
+    check()
+
+
+def test_bfs_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        bfs(gen_named("path", 3), (0,), radius=-1)
 
 
 # -- path and cycle counting ----------------------------------------------------
