@@ -25,7 +25,20 @@ CSV_COLUMNS = (
     "cop_strategy", "robber_strategy", "outcome", "rounds",
 )
 
-_RANDOM_FAMILIES = ("gnp", "random_tree")
+# config field -> (JSON type, whether null is allowed); bool is never an int
+_FIELD_TYPES = {
+    "family": (str, False),
+    "family_params": (dict, False),
+    "cop_strategy": (str, False),
+    "robber_strategy": (str, False),
+    "k": (int, True),
+    "bounds_query": (dict, True),
+    "trials": (int, False),
+    "max_rounds": (int, False),
+    "master_seed": (int, False),
+    "workers": (int, False),
+    "json_out": (str, True),
+}
 
 
 def _fmt(x) -> str:
@@ -50,10 +63,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise UsageError("config must be a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        if "family" not in data:
+            raise UsageError("config needs a 'family'")
+        for name, value in data.items():
+            kind, nullable = _FIELD_TYPES[name]
+            ok = (value is None and nullable) or (
+                isinstance(value, kind) and not isinstance(value, bool))
+            if not ok:
+                raise UsageError(f"config field {name!r} must be {kind.__name__}"
+                                 f"{' or null' if nullable else ''}, got {value!r}")
         cfg = cls(**data)
         if cfg.k is None and cfg.bounds_query is None:
             raise UsageError("config needs an explicit k or a bounds_query")

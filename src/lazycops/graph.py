@@ -401,10 +401,43 @@ def _separator_ok(G: Graph, s, limit: int) -> bool:
 
 
 def _prune_separator(G: Graph, s: set, limit: int) -> set:
+    """Visit the valid separator `s` in increasing order, dropping each
+    vertex whose removal from it leaves every component within `limit`.
+
+    Putting v back changes only v's own component: it joins v with the
+    components next to it.  One component search labels the vertices, and
+    a union-find over the labels then tracks the merged sizes.
+    """
+    label = [-1] * G.n  # -1 for vertices still in the separator
+    size = []
+    for c in components_without(G, s):
+        for u in c:
+            label[u] = len(size)
+        size.append(len(c))
+    parent = list(range(len(size)))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
     out = set(s)
     for v in sorted(s):
-        if _separator_ok(G, out - {v}, limit):
+        roots = {find(label[w]) for w in G._adj[v] if label[w] >= 0}
+        merged = 1 + sum(size[c] for c in roots)
+        if merged <= limit:
             out.discard(v)
+            if roots:
+                root = roots.pop()
+            else:
+                root = len(size)
+                parent.append(root)
+                size.append(0)
+            for c in roots:
+                parent[c] = root
+            size[root] = merged
+            label[v] = root
     return out
 
 
@@ -438,12 +471,16 @@ def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
         levels: dict = {}
         for v, d in enumerate(dist):
             levels.setdefault(d, []).append(v)
-        for lvl in levels.values():
-            if len(lvl) == n:
-                continue
-            s = set(lvl)
-            if _separator_ok(G, s, limit):
-                candidates.append(_prune_separator(G, s, limit))
+        # the vertices nearer than level d form one connected ball, so only
+        # the part beyond it can hold more than one component
+        inside = 0
+        for d in range(len(levels)):
+            lvl = levels[d]
+            outside = n - inside - len(lvl)
+            if len(lvl) < n and inside <= limit and (
+                    outside <= limit or _separator_ok(G, lvl, limit)):
+                candidates.append(_prune_separator(G, set(lvl), limit))
+            inside += len(lvl)
 
     removed: set = set()
     while not _separator_ok(G, removed, limit):

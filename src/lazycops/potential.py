@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, isqrt
 
 from .errors import UsageError
@@ -44,7 +45,9 @@ class PotentialParams:
     eps_i: tuple
     w: tuple
 
+    @cached_property
     def weight_floats(self) -> tuple:
+        """float(w[i]) for i >= 1 after a 0.0 placeholder; computed once."""
         return (0.0,) + tuple(float(x) for x in self.w[1:])
 
 
@@ -137,7 +140,7 @@ def hypercube_robber_move(params: PotentialParams, G: HypercubeGraph,
     cands = [u for u in G.neighbors(v) if u not in cop_set]
     if not cands:
         return v
-    wf = params.weight_floats()
+    wf = params.weight_floats
     L = params.max_level
     vals = [(_potential_float(wf, L, s.cops, u), u) for u in cands]
     best = min(vals)[0]
@@ -168,7 +171,7 @@ class PotentialRobberStrategy:
 
     def place(self, G, cops) -> int:
         params = self._params_for(G)
-        wf = params.weight_floats()
+        wf = params.weight_floats
         L = params.max_level
         best_v, best_val = 0, float("inf")
         for v in range(G.n):

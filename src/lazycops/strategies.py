@@ -167,6 +167,8 @@ class SeparatorCopStrategy:
         self._mode = mode
         self._G = G
         self.root_separator = sorted(find_balanced_separator(G, mode))
+        # region tuple -> its separator; planning fills it, play reads it
+        self._plan: dict = {tuple(range(G.n)): tuple(self.root_separator)}
         self._sep_log: list = []
         self.required_cops = self._required(sorted(range(G.n)))
         # per-game cursors
@@ -177,20 +179,22 @@ class SeparatorCopStrategy:
         self._walker: int | None = None
         self._walk_dist: tuple | None = None
 
-    def _separator_of(self, region: list) -> list:
-        if len(region) == 1:
-            return list(region)
-        sub, order = self._G.induced_subgraph(region)
-        s = find_balanced_separator(sub, self._mode)
-        return sorted(order[i] for i in s)
+    def _separator_of(self, region: list) -> tuple:
+        key = tuple(region)
+        sep = self._plan.get(key)
+        if sep is None:
+            if len(region) == 1:
+                sep = key
+            else:
+                sub, order = self._G.induced_subgraph(region)
+                sep = tuple(sorted(order[i] for i in find_balanced_separator(sub, self._mode)))
+            self._plan[key] = sep
+        return sep
 
     def _required(self, region: list) -> int:
-        if len(region) == 1:
-            self._sep_log.append(SeparatorPlanNode(tuple(region), tuple(region), True))
-            return 1
         sep = self._separator_of(region)
         ok = len(sep) <= ght_separator_bound(len(region), 0)
-        self._sep_log.append(SeparatorPlanNode(tuple(region), tuple(sep), ok))
+        self._sep_log.append(SeparatorPlanNode(tuple(region), sep, ok))
         rest = set(region) - set(sep)
         sub_best = 0
         seen: set = set()
@@ -245,36 +249,32 @@ class SeparatorCopStrategy:
             if G.has_edge(u, r):
                 return self._emit(state, idx, r)
 
-        if self._walker is None and not self._targets:
-            region = component_of(G, r, self._posted)
-            self._targets = self._separator_of(region) if len(region) > 1 else list(region)
+        # a walker that already stands on its target (e.g. stacked at
+        # placement) is posted, and the next pending work moves this turn
+        while True:
+            if self._walker is None:
+                if not self._targets:
+                    region = component_of(G, r, self._posted)
+                    self._targets = list(self._separator_of(region))
+                if not self._unposted:
+                    return PASS  # budget exhausted; cannot happen at required_cops
+                self._walker = self._unposted[0]
+                self._walk_dist = G.distances_from(self._targets[0])
 
-        if self._walker is None:
-            if not self._unposted:
-                return PASS  # budget exhausted; cannot happen at required_cops
-            self._walker = self._unposted[0]
             target = self._targets[0]
-            self._walk_dist = G.distances_from(target)
-
-        target = self._targets[0]
-        u = self._cops[self._walker]
-        if u == target:
+            u = self._cops[self._walker]
             move = PASS
-        else:
-            step = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
-            move = self._emit(state, self._walker, step)
-            u = step
-        if u == target:
-            self._posted.add(target)
-            self._unposted.remove(self._walker)
-            self._walker = None
-            self._walk_dist = None
-            self._targets.pop(0)
-        if move is PASS:
-            # walker already on target (e.g. stacked at placement): post it
-            # and take a real step with the next pending work this turn
-            return self.move(G, state)
-        return move
+            if u != target:
+                u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
+                move = self._emit(state, self._walker, u)
+            if u == target:
+                self._posted.add(target)
+                self._unposted.remove(self._walker)
+                self._walker = None
+                self._walk_dist = None
+                self._targets.pop(0)
+            if move is not PASS:
+                return move
 
 
 # -- solver-optimal wrappers ------------------------------------------------------

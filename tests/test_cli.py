@@ -128,3 +128,49 @@ def test_internal_key_error_propagates(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "bounds", broken)
     with pytest.raises(KeyError):
         cli.main(["bounds", "--which", "genus"])
+
+
+_GOOD = {"family": "path", "family_params": {"n": 4}, "k": 1}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"k": 1}),
+    json.dumps({**_GOOD, "trials": "3"}),
+    json.dumps({**_GOOD, "trials": True}),
+    json.dumps({**_GOOD, "trials": 2.0}),
+    json.dumps({**_GOOD, "k": "1"}),
+    json.dumps({**_GOOD, "k": False}),
+    json.dumps({**_GOOD, "max_rounds": [100]}),
+    json.dumps({**_GOOD, "master_seed": 1.5}),
+    json.dumps({**_GOOD, "workers": "2"}),
+    json.dumps({**_GOOD, "family_params": [4]}),
+    json.dumps({**_GOOD, "family_params": None}),
+    json.dumps([_GOOD]),
+    "3",
+    "{not json",
+])
+def test_malformed_config_is_usage_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lazycops: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_without_family_exits_one_line(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k": 1}))
+    r = _run("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+    assert r.returncode == 1
+    assert r.stderr == "lazycops: error: config needs a 'family'\n"
+
+
+def test_config_null_k_with_bounds_query_accepted(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_GOOD, "k": None, "trials": 2,
+                                    "bounds_query": {"which": "genus", "n": 4, "g": 0}}))
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lazycops.errors import CapExceededError, GraphFormatError, UsageError
@@ -23,6 +23,7 @@ from lazycops.graph import (
     parse_graph,
     serialize_graph,
 )
+from reference_separator import reference_separator
 
 
 # -- generators ---------------------------------------------------------------
@@ -313,6 +314,58 @@ def test_separator_grid_size():
         sep = find_balanced_separator(G, "heuristic")
         _check_balanced(G, sep)
         assert len(sep) <= 2 * math.sqrt(2 * G.n) + 1
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A connected G(n,p) with n <= 16, random tree, cycle or grid."""
+    kind = draw(st.sampled_from(["gnp", "tree", "cycle", "grid"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "gnp":
+        G = gen_gnp(draw(st.integers(1, 16)), draw(st.floats(0.2, 0.9)), seed)
+        assume(G.is_connected())
+        return G
+    if kind == "tree":
+        return gen_named("random_tree", draw(st.integers(1, 20)), seed)
+    if kind == "cycle":
+        return gen_named("cycle", draw(st.integers(3, 20)))
+    return gen_named("grid2d", draw(st.integers(1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_graphs())
+def test_separator_matches_reference(G):
+    assert find_balanced_separator(G, "heuristic") == reference_separator(G)
+
+
+def test_separator_matches_reference_on_fixed_graphs():
+    graphs = [gen_named("grid2d", side) for side in (6, 7, 8)]
+    graphs += [gen_named("hypercube", 4), gen_named("petersen"), gen_named("complete", 7)]
+    graphs += [gen_named("random_tree", 40, seed) for seed in range(3)]
+    for G in graphs:
+        assert find_balanced_separator(G, "heuristic") == reference_separator(G)
+
+
+def test_separator_balanced_and_minimal_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=150, deadline=None)
+    @given(_connected_graphs())
+    def check(G):
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(G.n))
+        limit = (2 * G.n) // 3
+
+        def largest(removed):
+            rest = H.subgraph(set(range(G.n)) - removed)
+            return max((len(c) for c in nx.connected_components(rest)), default=0)
+
+        sep = find_balanced_separator(G, "heuristic")
+        assert largest(sep) <= limit
+        for v in sep:
+            assert largest(sep - {v}) > limit
+
+    check()
 
 
 # -- parse / serialize ----------------------------------------------------------

@@ -123,6 +123,23 @@ def test_separator_captures_optimal_robber_small():
         assert rec.outcome == "capture"
 
 
+def test_separator_play_reads_the_plan(monkeypatch):
+    import lazycops.strategies as strategies
+
+    for G in (gen_named("grid2d", 6), gen_named("random_tree", 30, 4)):
+        replanned = SeparatorCopStrategy(G)
+        k = replanned.required_cops
+        for robber in (GreedyRobberStrategy, lambda: RandomRobberStrategy(2)):
+            replanned._plan.clear()  # every region is searched again during play
+            expected = play(G, replanned, robber(), k, 10 * G.n * k)
+            planned = SeparatorCopStrategy(G)
+            with monkeypatch.context() as m:
+                m.setattr(strategies, "find_balanced_separator", None)
+                rec = play(G, planned, robber(), k, 10 * G.n * k)
+            assert rec.outcome == "capture"
+            assert rec.transcript == expected.transcript
+
+
 def test_separator_report_structure():
     G = gen_named("grid2d", 5)
     strat = SeparatorCopStrategy(G)
