@@ -16,12 +16,18 @@ from .errors import CapExceededError, GraphFormatError
 
 INF = math.inf
 
+# Graph._dist_cache keeps at most this many distance entries (rows of n),
+# about 8 MB of tuple slots per graph.
+DIST_CACHE_ENTRIES = 1 << 20
+
 
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    BFS distance vectors are memoised per source vertex; since the graph
-    never mutates this is safe to share across threads.
+    BFS distance vectors are memoised per source vertex, up to
+    DIST_CACHE_ENTRIES distances (at least one row): beyond that the oldest
+    row is evicted first.  Readers may share a graph across threads, but
+    eviction assumes one thread fills the cache at a time.
     """
 
     __slots__ = ("n", "_adj", "_m", "_dist_cache")
@@ -85,9 +91,15 @@ class Graph:
             return cached
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range")
-        out = tuple(bfs(self, (v,)))
-        self._dist_cache[v] = out
-        return out
+        return self._remember(v, tuple(bfs(self, (v,))))
+
+    def _remember(self, v: int, dists: tuple) -> tuple:
+        cache = self._dist_cache
+        # the cache holds at most n rows, so eviction starts only at n > 1024
+        while cache and (len(cache) + 1) * self.n > DIST_CACHE_ENTRIES:
+            del cache[next(iter(cache))]
+        cache[v] = dists
+        return dists
 
     def distance(self, u: int, v: int):
         return self.distances_from(u)[v]
@@ -127,8 +139,7 @@ class HypercubeGraph(Graph):
     def distances_from(self, v: int) -> tuple:
         cached = self._dist_cache.get(v)
         if cached is None:
-            cached = tuple((v ^ u).bit_count() for u in range(self.n))
-            self._dist_cache[v] = cached
+            cached = self._remember(v, tuple((v ^ u).bit_count() for u in range(self.n)))
         return cached
 
 
@@ -142,11 +153,22 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     length G.n) is math.inf when v is deleted, unreached or farther than
     `radius`; deleted sources are ignored.  `deleted` must be a collection,
     not an iterator: it is read twice.
+
+    Each level runs in one of two directions (Beamer, Asanovic and
+    Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
+    Top-down scans the frontier's edges for unreached vertices; bottom-up
+    scans the unreached vertices for a neighbour in the frontier, which is
+    cheaper once the frontier is large and few vertices are left.  With
+    `left` the number of vertices neither deleted nor reached yet, a level
+    runs bottom-up iff len(frontier) > n*n // (2*m) and
+    2*m*len(frontier) > n*n + left*(3*n + m).  The result does not depend
+    on the direction: BFS distances are unique.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
     adj = G._adj
-    dist = [INF] * G.n
+    n = G.n
+    dist = [INF] * n
     for x in deleted:
         dist[x] = -1  # not INF, so the search never enters x
     frontier = []
@@ -154,15 +176,29 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
         if dist[s] is INF:
             dist[s] = 0
             frontier.append(s)
+    m = G._m
+    cut = n * n // (2 * m or 1)  # implied by the second test; a cheap filter
+    left = n - len(deleted)  # minus every level so far, this one included
     depth = 0
     while frontier and depth != radius:
         depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if dist[w] is INF:
-                    dist[w] = depth
-                    nxt.append(w)
+        size = len(frontier)
+        left -= size
+        if size > cut and 2 * m * size > n * n + left * (3 * n + m):
+            # only `disjoint` is free in the comprehension, so `dist` and
+            # `adj` stay fast locals for the top-down loop
+            disjoint = set(frontier).isdisjoint
+            nxt = [w for w, d, nbrs in zip(range(n), dist, adj)
+                   if d is INF and not disjoint(nbrs)]
+            for w in nxt:
+                dist[w] = depth
+        else:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] is INF:
+                        dist[w] = depth
+                        nxt.append(w)
         frontier = nxt
     for x in deleted:
         dist[x] = INF

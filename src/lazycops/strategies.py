@@ -249,32 +249,28 @@ class SeparatorCopStrategy:
             if G.has_edge(u, r):
                 return self._emit(state, idx, r)
 
-        # a walker that already stands on its target (e.g. stacked at
-        # placement) is posted, and the next pending work moves this turn
-        while True:
-            if self._walker is None:
-                if not self._targets:
-                    region = component_of(G, r, self._posted)
-                    self._targets = list(self._separator_of(region))
-                if not self._unposted:
-                    return PASS  # budget exhausted; cannot happen at required_cops
-                self._walker = self._unposted[0]
-                self._walk_dist = G.distances_from(self._targets[0])
+        if self._walker is None:
+            if not self._targets:
+                region = component_of(G, r, self._posted)
+                self._targets = list(self._separator_of(region))
+            if not self._unposted:
+                return PASS  # budget exhausted; cannot happen at required_cops
+            self._walker = self._unposted[0]
+            self._walk_dist = G.distances_from(self._targets[0])
 
-            target = self._targets[0]
-            u = self._cops[self._walker]
-            move = PASS
-            if u != target:
-                u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
-                move = self._emit(state, self._walker, u)
-            if u == target:
-                self._posted.add(target)
-                self._unposted.remove(self._walker)
-                self._walker = None
-                self._walk_dist = None
-                self._targets.pop(0)
-            if move is not PASS:
-                return move
+        # an unposted cop stands on a posted root vertex or on its way, and a
+        # target lies in the robber's region, off every posted vertex: the
+        # walker is never on its target, so it always has a step to take
+        u = self._cops[self._walker]
+        u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
+        move = self._emit(state, self._walker, u)
+        if u == self._targets[0]:
+            self._posted.add(u)
+            self._unposted.remove(self._walker)
+            self._walker = None
+            self._walk_dist = None
+            self._targets.pop(0)
+        return move
 
 
 # -- solver-optimal wrappers ------------------------------------------------------

@@ -1,11 +1,14 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lazycops.errors import CapExceededError, GraphFormatError, UsageError
+from lazycops.expansion import verify_expansion
 from lazycops.graph import (
+    DIST_CACHE_ENTRIES,
     Graph,
     HypercubeGraph,
     bfs,
@@ -23,6 +26,7 @@ from lazycops.graph import (
     parse_graph,
     serialize_graph,
 )
+from reference_bfs import reference_bfs
 from reference_separator import reference_separator
 
 
@@ -165,19 +169,55 @@ def _searches(draw):
     return Graph(n, edges), sources, deleted, radius
 
 
+# Dense graphs send the large levels of `bfs` bottom-up; `reference_bfs` is
+# the top-down search alone, and networkx is independent of both.
+
+@st.composite
+def _dense_searches(draw):
+    """G(n, p) with n <= 60 and p in [0.15, 0.9], plus random sources,
+    deleted set and radius."""
+    n = draw(st.integers(2, 60))
+    G = gen_gnp(n, draw(st.floats(0.15, 0.9)), draw(st.integers(0, 10**6)))
+    vertex = st.integers(0, n - 1)
+    sources = draw(st.lists(vertex, min_size=1, max_size=n))
+    deleted = draw(st.sets(vertex, max_size=n // 2))
+    radius = draw(st.none() | st.integers(0, 4))
+    return G, sources, deleted, radius
+
+
+def _fixed_searches():
+    """Searches whose bottom-up levels carry a mistake into the result: a
+    vertex hanging behind a deleted one, and levels that run bottom-up from
+    the first step on (many sources); G(2000, 2000^-0.52) at radii 1-4 and
+    at full depth."""
+    K = Graph(41, [*combinations(range(40), 2), (39, 40)])
+    G = gen_gnp(2000, 2000 ** -0.52, 5)
+    cases = [(K, (0,), {39}, None), (K, (0,), {39}, 2), (K, range(0, 40, 2), {39}, None)]
+    for radius in (1, 2, 3, 4, None):
+        cases += [(G, (0,), set(), radius), (G, (7, 1999), {3, 500, 1234}, radius)]
+    cases += [(G, range(0, 2000, 2), set(range(1, 400, 2)), None)]
+    return cases
+
+
+def _networkx_search(nx, G, sources, deleted, radius):
+    """G minus `deleted` as a networkx graph, and the hop distance of each
+    vertex the search from `sources` reaches in it."""
+    H = nx.Graph()
+    H.add_nodes_from(v for v in range(G.n) if v not in deleted)
+    H.add_edges_from(e for e in G.edges() if not deleted.intersection(e))
+    live = {s for s in sources if s not in deleted}
+    lengths = nx.multi_source_dijkstra_path_length(H, live, cutoff=radius) if live else {}
+    return H, lengths
+
+
 def test_searches_match_networkx():
     nx = pytest.importorskip("networkx")
 
-    @settings(max_examples=300, deadline=None)
-    @given(_searches())
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_searches(), _dense_searches()))
     def check(case):
         G, sources, deleted, radius = case
-        H = nx.Graph()
-        H.add_nodes_from(v for v in range(G.n) if v not in deleted)
-        H.add_edges_from(e for e in G.edges() if not deleted.intersection(e))
-
-        live = {s for s in sources if s not in deleted}
-        lengths = nx.multi_source_dijkstra_path_length(H, live, cutoff=radius) if live else {}
+        H, lengths = _networkx_search(nx, G, sources, deleted, radius)
         got = bfs(G, sources, deleted, radius)
         assert got == [lengths.get(v, math.inf) for v in range(G.n)]
         assert [d is math.inf for d in got] == [v not in lengths for v in range(G.n)]
@@ -197,9 +237,50 @@ def test_searches_match_networkx():
     check()
 
 
+def test_fixed_searches_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for G, sources, deleted, radius in _fixed_searches():
+        _, lengths = _networkx_search(nx, G, sources, deleted, radius)
+        assert bfs(G, sources, deleted, radius) == [lengths.get(v, math.inf) for v in range(G.n)]
+
+
 def test_bfs_rejects_negative_radius():
     with pytest.raises(ValueError):
         bfs(gen_named("path", 3), (0,), radius=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_searches())
+def test_bfs_matches_reference_on_dense_gnp(case):
+    G, sources, deleted, radius = case
+    assert bfs(G, sources, deleted, radius) == reference_bfs(G, sources, deleted, radius)
+
+
+def test_bfs_matches_reference_on_fixed_searches():
+    for G, sources, deleted, radius in _fixed_searches():
+        assert bfs(G, sources, deleted, radius) == reference_bfs(G, sources, deleted, radius)
+
+
+def test_expansion_report_independent_of_bfs_direction(monkeypatch):
+    import lazycops.graph as graph
+
+    def report():
+        return verify_expansion(gen_gnp(600, 600 ** -0.48, 2), 0.48, 0.05, seed=4).to_dict()
+
+    expected_report = report()
+    monkeypatch.setattr(graph, "bfs", reference_bfs)
+    assert report() == expected_report
+
+
+def test_distance_cache_is_bounded():
+    for G in (gen_named("cycle", 1100), HypercubeGraph(11)):
+        rows = DIST_CACHE_ENTRIES // G.n
+        for v in range(G.n):
+            G.distances_from(v)
+            assert len(G._dist_cache) * G.n <= DIST_CACHE_ENTRIES
+        assert list(G._dist_cache) == list(range(G.n - rows, G.n))  # oldest out first
+        for v in (0, 1, G.n - rows - 1, G.n - 1):
+            assert list(G.distances_from(v)) == bfs(G, (v,))
 
 
 # -- path and cycle counting ----------------------------------------------------
