@@ -61,6 +61,13 @@ def captured(s: GameState) -> bool:
     return s.robber is not None and s.robber in s.cops
 
 
+def _require_live(s: GameState) -> None:
+    if s.robber is None:
+        raise IllegalMoveError("both sides must be placed before querying moves")
+    if captured(s):
+        raise IllegalMoveError("game is over")
+
+
 def legal_moves(G: Graph, s: GameState) -> list:
     """All legal moves for the side to move.
 
@@ -69,10 +76,7 @@ def legal_moves(G: Graph, s: GameState) -> list:
     t in N[robber], stay included.  Robber moves onto cops are legal (they
     are immediate capture).
     """
-    if s.robber is None:
-        raise IllegalMoveError("both sides must be placed before querying moves")
-    if captured(s):
-        raise IllegalMoveError("game is over")
+    _require_live(s)
     if s.to_move == COPS:
         moves: list = [PASS]
         for i, u in enumerate(s.cops):

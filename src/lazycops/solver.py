@@ -5,7 +5,8 @@ multiset exploits cop interchangeability.  Capture states get distance 0;
 the labeling propagates backwards: a cops-to-move state is cop-win as soon
 as one successor is, a robber-to-move state once every successor is.
 Labeling level by level yields exact minimax distance-to-capture in
-half-moves.  Cop-side moves come from a table built once per multiset.
+half-moves.  Cop-side moves come from a table built once per multiset;
+optimal play and the self-consistency replay read the same table.
 """
 
 from __future__ import annotations
@@ -76,10 +77,15 @@ class SolveResult:
                 worst = d
         return worst + 1
 
-    def _state_dist(self, cops, robber: int, side: int) -> int:
+    def _locate(self, cops, robber: int) -> int:
+        """Rank of `cops`, after checking that the robber vertex exists."""
         mi = self._rank(cops)
         if not 0 <= robber < self.G.n:
             raise KeyError(f"robber vertex {robber} out of range")
+        return mi
+
+    def _state_dist(self, cops, robber: int, side: int) -> int:
+        mi = self._locate(cops, robber)
         if side == COP_TURN:
             return self._dist[robber * len(self._msets) + mi]
         return self._robber_dist(mi, robber)
@@ -93,22 +99,10 @@ class SolveResult:
         return d if d >= 0 else None
 
     def robber_placement_response(self, cops) -> int:
-        """Robber's optimal placement given a cop placement."""
-        cops = tuple(sorted(cops))
-        mi = self._rank(cops)
-        M = len(self._msets)
-        best_v, best_d = None, -1
-        for v in range(self.G.n):
-            if v in cops:
-                continue
-            d = self._dist[v * M + mi]
-            if d < 0:
-                return v  # robber-win placement, lowest id
-            if d > best_d:
-                best_v, best_d = v, d
-        if best_v is None:  # every vertex is cop-occupied
-            return 0
-        return best_v
+        """Robber's optimal placement given a cop placement: the robber's
+        reply with every vertex as a step.  Cop vertices read 0, so one is
+        chosen (vertex 0) only when every vertex is occupied."""
+        return _robber_reply(self, tuple(sorted(cops)), range(self.G.n))
 
     def summary(self) -> dict:
         return {
@@ -263,38 +257,58 @@ def classic_cop_number(G: Graph, k_max: int, **caps) -> int:
     return cop_number(G, k_max, CLASSIC, **caps)
 
 
+def _cop_replies(result: SolveResult, mi: int, robber: int) -> list:
+    """Ranks in `result._moves[mi]` with the least robber-to-move distance,
+    ascending; empty on a robber-win state, where the cops pass."""
+    if result._dist[robber * len(result._msets) + mi] < 0:
+        return []
+    scored = [(result._robber_dist(pm, robber), pm) for pm in result._moves[mi]]
+    least = min(d for d, _ in scored if d >= 0)
+    return [pm for d, pm in scored if d == least]
+
+
+def _robber_reply(result: SolveResult, cops, steps) -> int:
+    """The robber's optimal step among `steps` (ascending vertex ids): the
+    first escape to a robber-win state, else the lowest id with the greatest
+    distance to capture."""
+    best, best_d = None, -1
+    for t in steps:
+        d = result.distance(cops, t, COP_TURN)  # 0 on a cop
+        if d is None:
+            return t
+        if d > best_d:
+            best, best_d = t, d
+    return best
+
+
 def optimal_move(result: SolveResult, s):
     """Optimal move (game.Move) for the side to move, lazy mode only.
 
-    Cop side in a cop-win state: minimize successor distance.  Robber side:
-    move to a robber-win state if one exists, else maximize successor
-    distance.  Ties broken by smallest (index, target); Pass sorts first.
+    Cop side: the smallest CopMove(index, target) to the least successor
+    distance; Pass in a robber-win state, where every move ties and Pass
+    sorts first.  (In a cop-win state Pass is never optimal: it leaves the
+    cops facing a free robber move.)  Robber side: the first escape to a
+    robber-win state, else the lowest-id step with the greatest distance.
     """
     from . import game
 
     if result.mode != LAZY:
         raise UsageError("optimal_move emits lazy-game moves; use mode='lazy'")
-    G = result.G
-    if s.to_move == game.COPS:
-        ranked = []
-        for m in game.legal_moves(G, s):
-            succ = game.apply_move(G, s, m)
-            d = result.distance(succ.cops, succ.robber, ROBBER_TURN)
-            key = (-1, -1) if m is game.PASS else (m.cop, m.target)
-            ranked.append((d, key, m))
-        wins = [(d, key, m) for d, key, m in ranked if d is not None]
-        if result.is_cop_win(s.cops, s.robber, COP_TURN) and wins:
-            return min(wins, key=lambda t: (t[0], t[1]))[2]
-        return min(ranked, key=lambda t: t[1])[2]
-    ranked = []
-    for m in game.legal_moves(G, s):
-        succ = game.apply_move(G, s, m)
-        d = result.distance(succ.cops, succ.robber, COP_TURN)
-        ranked.append((d, m.target, m))
-    escapes = [t for t in ranked if t[0] is None]
-    if escapes:
-        return min(escapes, key=lambda t: t[1])[2]
-    return max(ranked, key=lambda t: (t[0], -t[1]))[2]
+    game._require_live(s)
+    mi = result._locate(s.cops, s.robber)
+    if s.to_move != game.COPS:
+        return game.RobberMove(_robber_reply(result, s.cops, result._closed[s.robber]))
+    best = _cop_replies(result, mi, s.robber)
+    if not best:
+        return game.PASS
+    moves = []
+    for pm in best:
+        new = result._msets[pm]
+        # one cop leaves u for t: the multiset difference of the two ranks
+        u = next(v for v in s.cops if s.cops.count(v) > new.count(v))
+        t = next(v for v in new if new.count(v) > s.cops.count(v))
+        moves.append(game.CopMove(s.cops.index(u), t))
+    return min(moves)
 
 
 def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> dict:
@@ -319,27 +333,12 @@ def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> di
             ok = result.cop_win and half <= (start_d or 0)
             return {"ok": ok, "half_moves": half, "budget": start_d}
         if side == COP_TURN:
-            # in robber-win states the cops pass
-            if result.is_cop_win(cops, robber, COP_TURN):
-                scored = []
-                for pm in result._moves[result._mindex[cops]]:
-                    d = result._robber_dist(pm, robber)
-                    scored.append((d if d >= 0 else float("inf"), pm))
-                cops = result._msets[min(scored)[1]]
+            best = _cop_replies(result, result._mindex[cops], robber)
+            if best:  # smallest rank; in robber-win states the cops pass
+                cops = result._msets[best[0]]
             side = ROBBER_TURN
         else:
-            scored = []
-            for t in result._closed[robber]:
-                if t in cops:
-                    scored.append((0, t, False))
-                    continue
-                d = result.distance(cops, t, COP_TURN)
-                scored.append((d if d is not None else float("inf"), t, d is None))
-            escapes = [s for s in scored if s[2]]
-            if escapes:
-                robber = min(escapes, key=lambda t: t[1])[1]
-            else:
-                robber = max(scored, key=lambda t: (t[0], -t[1]))[1]
+            robber = _robber_reply(result, cops, result._closed[robber])
             side = COP_TURN
         half += 1
         if not result.cop_win and half >= evasion_steps:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
-from .game import PASS, CopMove, GameState, RobberMove
+from .game import PASS, CopMove, GameState, RobberMove, legal_moves
 from .gnp import GnpRobberStrategy
 from .graph import Graph, bfs, component_of, find_balanced_separator, greedy_dominating_set
 from .potential import PotentialRobberStrategy
@@ -73,11 +73,7 @@ class RandomCopStrategy:
         return [self._rng.randrange(G.n) for _ in range(k)]
 
     def move(self, G: Graph, state: GameState):
-        choices = [(-1, -1)]  # pass
-        for i, u in enumerate(state.cops):
-            choices.extend((i, t) for t in G.neighbors(u))
-        i, t = self._rng.choice(choices)
-        return PASS if i < 0 else CopMove(i, t)
+        return self._rng.choice(legal_moves(G, state))
 
 
 class GreedyRobberStrategy:

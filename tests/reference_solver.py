@@ -1,14 +1,24 @@
-"""Reference retrograde solver for the differential tests.
+"""Reference retrograde solver and optimal play for the differential tests.
 
-A queue-driven labeling over (cop multiset, robber, side) states that
-re-enumerates the predecessor multisets of every labelled robber-to-move
-state.  It is slow, but shares no code with `lazycops.solver` beyond the
-graph, so it can catch mistakes in the move table or the level-by-level
-labeling there.
+`reference_solve` is a queue-driven labeling over (cop multiset, robber,
+side) states that re-enumerates the predecessor multisets of every labelled
+robber-to-move state.  It is slow, but shares no code with `lazycops.solver`
+beyond the graph, so it can catch mistakes in the move table or the
+level-by-level labeling there.
+
+`reference_optimal_move` and `reference_robber_placement` read a solved
+result only through its public `distance` and `is_cop_win` (which the
+differential tests check against `reference_solve`).  The cop moves come
+from `game.legal_moves` and `game.apply_move`, not from the solver's move
+table, so they can catch mistakes in the tie-breaks of optimal play there.
 """
 
 from collections import deque
 from itertools import combinations_with_replacement, product
+
+from lazycops import game
+from lazycops.errors import UsageError
+from lazycops.solver import COP_TURN, LAZY, ROBBER_TURN
 
 
 def reference_solve(G, k: int, mode: str):
@@ -73,3 +83,50 @@ def reference_solve(G, k: int, mode: str):
         return d if d >= 0 else None
 
     return best is not None, placement, total, distance
+
+
+def reference_optimal_move(result, s):
+    """Optimal move (game.Move) for the side to move, lazy mode only.
+
+    Cop side in a cop-win state: minimize successor distance.  Robber side:
+    move to a robber-win state if one exists, else maximize successor
+    distance.  Ties broken by smallest (index, target); Pass sorts first.
+    """
+    if result.mode != LAZY:
+        raise UsageError("optimal_move emits lazy-game moves; use mode='lazy'")
+    G = result.G
+    if s.to_move == game.COPS:
+        ranked = []
+        for m in game.legal_moves(G, s):
+            succ = game.apply_move(G, s, m)
+            d = result.distance(succ.cops, succ.robber, ROBBER_TURN)
+            key = (-1, -1) if m is game.PASS else (m.cop, m.target)
+            ranked.append((d, key, m))
+        wins = [(d, key, m) for d, key, m in ranked if d is not None]
+        if result.is_cop_win(s.cops, s.robber, COP_TURN) and wins:
+            return min(wins, key=lambda t: (t[0], t[1]))[2]
+        return min(ranked, key=lambda t: t[1])[2]
+    ranked = []
+    for m in game.legal_moves(G, s):
+        succ = game.apply_move(G, s, m)
+        d = result.distance(succ.cops, succ.robber, COP_TURN)
+        ranked.append((d, m.target, m))
+    escapes = [t for t in ranked if t[0] is None]
+    if escapes:
+        return min(escapes, key=lambda t: t[1])[2]
+    return max(ranked, key=lambda t: (t[0], -t[1]))[2]
+
+
+def reference_robber_placement(result, cops) -> int:
+    """Robber's optimal placement given a cop placement: the lowest-id
+    unoccupied robber-win vertex, else the unoccupied vertex with the
+    greatest distance (lowest id on ties), else 0."""
+    cops = tuple(sorted(cops))
+    free = [v for v in range(result.G.n) if v not in cops]
+    if not free:
+        return 0
+    scored = [(result.distance(cops, v, COP_TURN), v) for v in free]
+    escapes = [v for d, v in scored if d is None]
+    if escapes:
+        return escapes[0]
+    return max(scored, key=lambda t: (t[0], -t[1]))[1]

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -334,6 +335,38 @@ def test_greedy_dominating_set_valid():
         G = gen_gnp(30, 0.2, seed)
         S = greedy_dominating_set(G)
         assert dominates(G, set(S))
+
+
+def test_domination_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @st.composite
+    def graphs_and_subsets(draw):
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return Graph(n, edges), draw(st.sets(st.integers(0, n - 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_subsets())
+    def check(case):
+        G, S = case
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(G.n))
+        assert dominates(G, S) == nx.is_dominating_set(H, S)
+        assert nx.is_dominating_set(H, greedy_dominating_set(G))
+
+    check()
+
+
+def test_random_tree_matches_networkx_pruefer():
+    nx = pytest.importorskip("networkx")
+    for n in range(3, 20):
+        for seed in range(5):
+            rng = random.Random(seed)
+            T = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+            assert gen_named("random_tree", n, seed).edges() == sorted(
+                tuple(sorted(e)) for e in T.edges()), (n, seed)
 
 
 def test_exact_domination_matches_brute_force():

@@ -1,6 +1,6 @@
 import pytest
 
-from lazycops.errors import UsageError
+from lazycops.errors import IllegalMoveError, UsageError
 from lazycops.game import COPS, ROBBER, GameState, apply_move, captured
 from lazycops.graph import gen_gnp, gen_named
 from lazycops.solver import (
@@ -89,6 +89,20 @@ def test_optimal_play_realizes_distance():
         steps += 1
         assert steps <= budget
     assert steps <= budget
+
+
+def test_optimal_move_error_paths():
+    G = gen_named("path", 4)
+    res = solve_lazy(G, 1)
+    for side in (COPS, ROBBER):
+        with pytest.raises(IllegalMoveError):
+            optimal_move(res, GameState((1,), 1, side))  # captured
+        with pytest.raises(IllegalMoveError):
+            optimal_move(res, GameState((1,), None, side))  # robber not placed
+        with pytest.raises(KeyError):
+            optimal_move(res, GameState((1, 2), 3, side))  # multiset not in table
+    with pytest.raises(UsageError):
+        optimal_move(solve_classic(G, 1), GameState((0,), 3, COPS))
 
 
 def test_self_consistency_helper():

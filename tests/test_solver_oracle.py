@@ -1,7 +1,10 @@
 """Differential test: the move-table solver against the reference solver.
 
 Every (cop multiset, robber, side) distance, the winner, the placement and
-the state count must agree with `reference_solver.reference_solve`.
+the state count must agree with `reference_solver.reference_solve`.  On
+lazy results, `optimal_move` must choose the move of
+`reference_solver.reference_optimal_move` in every live state, for both
+sides, and the robber's placement reply must match too.
 """
 
 from itertools import combinations_with_replacement
@@ -10,17 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lazycops.game import COPS, ROBBER, GameState
 from lazycops.graph import Graph, gen_gnp, gen_named
 from lazycops.solver import (
     CLASSIC,
     COP_TURN,
     LAZY,
     ROBBER_TURN,
+    optimal_move,
     solve_classic,
     solve_lazy,
     verify_self_consistency,
 )
-from reference_solver import reference_solve
+from reference_solver import reference_optimal_move, reference_robber_placement, reference_solve
 
 
 def _connected_gnp(n, p, count):
@@ -53,6 +58,7 @@ def _corpus():
 
 
 CORPUS = list(_corpus())
+LAZY_CORPUS = [c for c in CORPUS if c[3] == LAZY]
 
 
 def _assert_matches_reference(G, k, mode):
@@ -88,3 +94,32 @@ def _small_connected_graphs(draw):
 @given(_small_connected_graphs(), st.integers(1, 2), st.sampled_from([LAZY, CLASSIC]))
 def test_matches_reference_on_small_graphs(G, k, mode):
     _assert_matches_reference(G, k, mode)
+
+
+def _assert_optimal_play_matches_reference(G, k):
+    res = solve_lazy(G, k)
+    mismatches = []
+    for cops in combinations_with_replacement(range(G.n), k):
+        got, want = res.robber_placement_response(cops), reference_robber_placement(res, cops)
+        if got != want:
+            mismatches.append((cops, "placement", got, want))
+        for r in range(G.n):
+            if r in cops:
+                continue
+            for side in (COPS, ROBBER):
+                s = GameState(cops, r, side)
+                got, want = optimal_move(res, s), reference_optimal_move(res, s)
+                if got != want:
+                    mismatches.append((cops, r, side, got, want))
+    assert not mismatches, f"{len(mismatches)} moves differ, first {mismatches[:3]}"
+
+
+@pytest.mark.parametrize("G,k", [c[1:3] for c in LAZY_CORPUS], ids=[c[0] for c in LAZY_CORPUS])
+def test_optimal_move_matches_reference(G, k):
+    _assert_optimal_play_matches_reference(G, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_connected_graphs(), st.integers(1, 2))
+def test_optimal_move_matches_reference_on_small_graphs(G, k):
+    _assert_optimal_play_matches_reference(G, k)
