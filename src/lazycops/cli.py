@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapExceededError, GraphFormatError, LazyCopsError, UsageError
+from .errors import CapExceededError, LazyCopsError, UsageError
 from .expansion import verify_expansion
 from .experiments import ExperimentConfig, run_experiment
 from .game import play
@@ -172,10 +172,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"lazycops: limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, GraphFormatError, OSError) as exc:
-        print(f"lazycops: error: {exc}", file=sys.stderr)
-        return 1
-    except LazyCopsError as exc:
+    except (LazyCopsError, OSError) as exc:
         print(f"lazycops: error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,11 @@ PASS = _Pass()
 
 @dataclass(frozen=True)
 class GameState:
-    """Cop multiset (sorted), robber vertex, side to move, round counter."""
+    """Cop multiset, robber vertex, side to move, round counter.
+
+    The cops may be given in any order, as any iterable; they are stored as
+    a sorted tuple.
+    """
 
     cops: tuple
     robber: int | None
@@ -53,8 +57,7 @@ class GameState:
     round: int = 0
 
     def __post_init__(self):
-        if tuple(sorted(self.cops)) != self.cops:
-            object.__setattr__(self, "cops", tuple(sorted(self.cops)))
+        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
 
 
 def captured(s: GameState) -> bool:
@@ -98,7 +101,7 @@ def apply_move(G: Graph, s: GameState, m, check: bool = True) -> GameState:
             raise IllegalMoveError(f"cop at {u} cannot reach {m.target}")
         cops = list(s.cops)
         cops[m.cop] = m.target
-        return GameState(tuple(sorted(cops)), s.robber, ROBBER, s.round)
+        return GameState(cops, s.robber, ROBBER, s.round)
     if not isinstance(m, RobberMove):
         raise IllegalMoveError(f"robber side cannot play {m!r}")
     if check and m.target != s.robber and not G.has_edge(s.robber, m.target):

@@ -2,31 +2,21 @@
 
 The potential assigns weight w_i to each cop at Hamming distance i from
 the robber, for 1 <= i <= n/2 - rho, and ignores cops farther away.  The
-weights are exact rationals; move selection compares in floating point
-first and falls back to exact arithmetic only among near-ties (documented
-slack 1e-12), so the returned move is the true argmin.
+weights are exact rationals.  Scaled by `scale`, the lcm of their
+denominators, they are integers, so the potential is an integer number of
+1/scale units: moves, placement and the exact value all come from one
+integer sum, and the returned move is the true argmin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .errors import UsageError
 from .game import GameState, RobberMove
 from .graph import HypercubeGraph
-
-_FLOAT_SLACK = 1e-12
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    # str() round-trip keeps 0.5, 1.25 etc. exact instead of inheriting
-    # binary-float noise
-    return Fraction(str(x))
 
 
 @dataclass(frozen=True)
@@ -35,6 +25,9 @@ class PotentialParams:
 
     Arrays are 1-indexed conceptually; index 0 is a None placeholder so
     w[i] is the weight of a cop at distance i.  max_level = n/2 - rho.
+    scale is the lcm of the denominators of w[1..max_level], and w_int,
+    indexed by distance 0..n, holds w[i] * scale for 1 <= i <= max_level
+    and 0 at every distance the potential ignores.
     """
 
     n: int
@@ -44,11 +37,8 @@ class PotentialParams:
     max_level: int
     eps_i: tuple
     w: tuple
-
-    @cached_property
-    def weight_floats(self) -> tuple:
-        """float(w[i]) for i >= 1 after a 0.0 placeholder; computed once."""
-        return (0.0,) + tuple(float(x) for x in self.w[1:])
+    scale: int
+    w_int: tuple
 
 
 def potential_params(n: int, eps) -> PotentialParams:
@@ -58,7 +48,9 @@ def potential_params(n: int, eps) -> PotentialParams:
     half-integer for odd n); requires n large enough that at least level 1
     exists, i.e. n/2 - sqrt(n) >= 1.
     """
-    eps = _to_fraction(eps)
+    # str() round-trip keeps a float eps such as 0.5 exact instead of
+    # inheriting binary-float noise; ints, Fractions and strings pass through
+    eps = Fraction(str(eps))
     if eps <= 0:
         raise UsageError("eps must be positive")
     if n < 6:
@@ -86,9 +78,13 @@ def potential_params(n: int, eps) -> PotentialParams:
     for i in range(1, hard_max + 1):
         prod *= 1 + eps_i[i]
         w.append(A * prod / comb(n - 1, i))
+    weighted = w[1:max_level + 1]
+    scale = lcm(*(x.denominator for x in weighted))
+    w_int = ((0,) + tuple(x.numerator * (scale // x.denominator) for x in weighted)
+             + (0,) * (n - max_level))
     return PotentialParams(
         n=n, eps=eps, rho=rho, A=A, max_level=max_level,
-        eps_i=tuple(eps_i), w=tuple(w),
+        eps_i=tuple(eps_i), w=tuple(w), scale=scale, w_int=w_int,
     )
 
 
@@ -104,26 +100,15 @@ def potential(params: PotentialParams, G: HypercubeGraph, s: GameState) -> Fract
     _check_hypercube(params, G)
     if s.robber is None:
         raise UsageError("robber must be placed")
-    return potential_at(params, s.cops, s.robber)
+    return Fraction(potential_at(params, s.cops, s.robber), params.scale)
 
 
-def potential_at(params: PotentialParams, cops, robber: int) -> Fraction:
-    total = Fraction(0)
-    w = params.w
-    L = params.max_level
+def potential_at(params: PotentialParams, cops, robber: int) -> int:
+    """The potential of a robber at `robber`, in units of 1/params.scale."""
+    w_int = params.w_int
+    total = 0
     for c in cops:
-        d = (c ^ robber).bit_count()
-        if 1 <= d <= L:
-            total += w[d]
-    return total
-
-
-def _potential_float(wf, L: int, cops, robber: int) -> float:
-    total = 0.0
-    for c in cops:
-        d = (c ^ robber).bit_count()
-        if 1 <= d <= L:
-            total += wf[d]
+        total += w_int[(c ^ robber).bit_count()]
     return total
 
 
@@ -140,15 +125,7 @@ def hypercube_robber_move(params: PotentialParams, G: HypercubeGraph,
     cands = [u for u in G.neighbors(v) if u not in cop_set]
     if not cands:
         return v
-    wf = params.weight_floats
-    L = params.max_level
-    vals = [(_potential_float(wf, L, s.cops, u), u) for u in cands]
-    best = min(vals)[0]
-    near = [u for val, u in vals if val <= best + _FLOAT_SLACK * (1.0 + abs(best))]
-    if len(near) == 1:
-        return near[0]
-    exact = [(potential_at(params, s.cops, u), u) for u in sorted(near)]
-    return min(exact)[1]
+    return min((potential_at(params, s.cops, u), u) for u in cands)[1]
 
 
 class PotentialRobberStrategy:
@@ -171,16 +148,14 @@ class PotentialRobberStrategy:
 
     def place(self, G, cops) -> int:
         params = self._params_for(G)
-        wf = params.weight_floats
-        L = params.max_level
-        best_v, best_val = 0, float("inf")
+        best_v, best_val = 0, None
         for v in range(G.n):
             if v in cops:
                 continue
-            val = _potential_float(wf, L, cops, v)
-            if val == 0.0:
+            val = potential_at(params, cops, v)
+            if val == 0:
                 return v
-            if val < best_val:
+            if best_val is None or val < best_val:
                 best_v, best_val = v, val
         return best_v
 

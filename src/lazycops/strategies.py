@@ -20,10 +20,6 @@ from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move
 
 
-def _cop_index(state: GameState, vertex: int) -> int:
-    return state.cops.index(vertex)
-
-
 # -- baselines ----------------------------------------------------------------
 
 class GreedyCopStrategy:
@@ -234,7 +230,7 @@ class SeparatorCopStrategy:
 
     def _emit(self, state: GameState, internal_idx: int, target: int):
         u = self._cops[internal_idx]
-        move = CopMove(_cop_index(state, u), target)
+        move = CopMove(state.cops.index(u), target)
         self._cops[internal_idx] = target
         return move
 

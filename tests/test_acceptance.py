@@ -24,7 +24,7 @@ from lazycops.graph import (
     gen_gnp,
     gen_named,
 )
-from lazycops.potential import hypercube_robber_move, potential_at, potential_params
+from lazycops.potential import hypercube_robber_move, potential, potential_at, potential_params
 from lazycops.solver import (
     classic_cop_number,
     lazy_cop_number,
@@ -41,6 +41,7 @@ from lazycops.strategies import (
     RandomRobberStrategy,
     SeparatorCopStrategy,
 )
+from reference_potential import reference_potential_at
 
 
 def _report(num, ok, detail=""):
@@ -132,6 +133,10 @@ def test_criterion_4_potential_system():
             assert p.w[1] == 1, (n, eps)
             for i in range(2, p.max_level):
                 assert p.w[i - 1] > p.w[i + 1], (n, eps, i)
+            # integer weights on the common denominator, zero outside 1..max_level
+            assert len(p.w_int) == n + 1, (n, eps)
+            for d, wi in enumerate(p.w_int):
+                assert wi == (p.w[d] * p.scale if 1 <= d <= p.max_level else 0), (n, eps, d)
 
     # potential is zero when every cop sits beyond the weighted range
     n = 12
@@ -140,21 +145,30 @@ def test_criterion_4_potential_system():
     antipode = (1 << n) - 1
     assert potential_at(p, [antipode] * 5, 0) == 0
 
-    # robber move equals the exhaustive argmin on random states
-    p10 = potential_params(10, 1)
-    Q10 = gen_named("hypercube", 10)
-    rng = random.Random(0)
+    # the exact potential equals the Fraction sum of the weights
+    rng = random.Random(12)
     from lazycops.game import ROBBER, GameState
 
     for _ in range(1000):
-        cops = tuple(rng.randrange(1 << 10) for _ in range(4))
-        r = rng.randrange(1 << 10)
+        r = rng.randrange(1 << n)
+        cops = tuple(r ^ (rng.randrange(1 << n) & rng.randrange(1 << n)) for _ in range(5))
         s = GameState(cops=cops, robber=r, to_move=ROBBER, round=1)
-        chosen = hypercube_robber_move(p10, Q10, s)
-        cands = [u for u in Q10.neighbors(r) if u not in set(cops)]
-        if cands:
-            best = min(potential_at(p10, cops, u) for u in cands)
-            assert potential_at(p10, cops, chosen) == best
+        assert potential(p, G, s) == reference_potential_at(p, cops, r)
+
+    # robber move equals the exhaustive argmin on random states
+    for n in (10, 12, 16):
+        p = potential_params(n, 1)
+        Q = gen_named("hypercube", n)
+        rng = random.Random(0)
+        for _ in range(1000):
+            r = rng.randrange(1 << n)
+            cops = tuple(r ^ (rng.randrange(1 << n) & rng.randrange(1 << n)) for _ in range(4))
+            s = GameState(cops=cops, robber=r, to_move=ROBBER, round=1)
+            chosen = hypercube_robber_move(p, Q, s)
+            cands = [u for u in Q.neighbors(r) if u not in set(cops)]
+            if cands:
+                best = min(reference_potential_at(p, cops, u) for u in cands)
+                assert reference_potential_at(p, cops, chosen) == best, (n, s)
 
     # behavioral check: the potential robber outlasts 5 greedy cops on Q_12
     Q12 = gen_named("hypercube", 12)
@@ -166,7 +180,7 @@ def test_criterion_4_potential_system():
             survived += 1
     elapsed = time.perf_counter() - t0
     _report(4, survived == 20 and elapsed < 120,
-            f"weights exact, argmin exact, {survived}/20 survivals on Q_12, {elapsed:.1f}s")
+            f"weights exact, integer weights exact, argmin exact, {survived}/20 survivals on Q_12, {elapsed:.1f}s")
 
 
 def test_criterion_5_gnp_robber():

@@ -121,6 +121,18 @@ def test_missing_family_param_is_usage_error(tmp_path):
     assert "'n'" in r.stderr
 
 
+def test_strategy_error_exits_one_line(tmp_path, capsys):
+    # a LazyCopsError that is neither a usage nor a format error
+    graph = tmp_path / "grid.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "4", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--graph", str(graph), "--cops", "separator",
+                     "--robber", "greedy", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lazycops: error: ") and err.count("\n") == 1
+    assert "needs 8 cops" in err
+
+
 def test_internal_key_error_propagates(monkeypatch):
     def broken(args):
         raise KeyError("internal")

@@ -16,6 +16,9 @@ def _state(cops, robber, to_move=COPS, rnd=1):
 def test_cops_stored_sorted():
     s = _state([3, 1, 2], 0)
     assert s.cops == (1, 2, 3)
+    # on the 6-cycle cop 0 steps from 0 to 5, past the cop at 3
+    t = apply_move(gen_named("cycle", 6), _state([0, 3], 1), CopMove(0, 5))
+    assert t.cops == (3, 5)
 
 
 def test_captured():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lazycops.errors import UsageError
-from lazycops.game import COPS, ROBBER, GameState
+from lazycops.game import COPS, ROBBER, GameState, play
 from lazycops.graph import gen_named
 from lazycops.potential import (
     PotentialRobberStrategy,
@@ -13,6 +13,8 @@ from lazycops.potential import (
     potential_at,
     potential_params,
 )
+from lazycops.strategies import GreedyCopStrategy
+from reference_potential import reference_place, reference_potential_at, reference_robber_move
 
 
 def _state(cops, robber, to_move=ROBBER):
@@ -128,6 +130,7 @@ def test_move_excludes_cop_occupied():
 
 
 def test_move_is_exhaustive_argmin():
+    # candidates are scored by the Fraction weights p.w[d], not potential_at
     n = 10
     G = gen_named("hypercube", n)
     p = potential_params(n, 1)
@@ -141,27 +144,95 @@ def test_move_is_exhaustive_argmin():
         if not cands:
             assert chosen == r
             continue
-        chosen_val = potential_at(p, cops, chosen)
-        best = min(potential_at(p, cops, u) for u in cands)
-        assert chosen_val == best
+        vals = {u: reference_potential_at(p, cops, u) for u in cands}
+        best = min(vals.values())
+        assert vals[chosen] == best
         # lowest-id tie-break
-        assert chosen == min(u for u in cands if potential_at(p, cops, u) == best)
+        assert chosen == min(u for u in cands if vals[u] == best)
 
 
 def test_move_at_most_mean():
-    n = 10
-    G = gen_named("hypercube", n)
-    p = potential_params(n, 1)
     rng = random.Random(7)
-    for _ in range(100):
-        cops = [rng.randrange(1 << n) for _ in range(3)]
-        r = rng.randrange(1 << n)
-        cands = [u for u in G.neighbors(r) if u not in set(cops)]
-        if not cands:
-            continue
-        chosen = hypercube_robber_move(p, G, _state(cops, r))
-        vals = [potential_at(p, cops, u) for u in cands]
-        assert potential_at(p, cops, chosen) <= sum(vals) / len(vals)
+    for n in (10, 12, 16):
+        G = gen_named("hypercube", n)
+        p = potential_params(n, 1)
+        for _ in range(300):
+            r = rng.randrange(1 << n)
+            cops = [r ^ (rng.randrange(1 << n) & rng.randrange(1 << n)) for _ in range(3)]
+            cands = [u for u in G.neighbors(r) if u not in set(cops)]
+            if not cands:
+                continue
+            chosen = hypercube_robber_move(p, G, _state(cops, r))
+            vals = [reference_potential_at(p, cops, u) for u in cands]
+            assert reference_potential_at(p, cops, chosen) <= sum(vals) / len(vals), (n, cops, r)
+
+
+def _near(rng, n, center, radius):
+    """A vertex at Hamming distance at most `radius` from `center`."""
+    for bit in rng.sample(range(n), rng.randint(0, radius)):
+        center ^= 1 << bit
+    return center
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_move_matches_reference(n):
+    # cops mostly within a level or two of the weighted range, so that the
+    # candidates differ in potential as well as tie
+    G = gen_named("hypercube", n)
+    rng = random.Random(n)
+    for eps in (Fraction(1, 2), 1, 2):
+        p = potential_params(n, eps)
+        for _ in range(300):
+            r = rng.randrange(1 << n)
+            cops = [_near(rng, n, r, p.max_level + 2) for _ in range(rng.randint(1, n))]
+            s = _state(cops, r)
+            assert hypercube_robber_move(p, G, s) == reference_robber_move(p, G, s), (eps, s)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_place_matches_reference(n):
+    # half the cops packed around vertex 0 cover the low ids, so the scan
+    # runs past them
+    G = gen_named("hypercube", n)
+    rng = random.Random(n)
+    p = potential_params(n, 1)
+    strategy = PotentialRobberStrategy(eps=1)
+    for k in (1, 4, 16, 64, 256):
+        if k * G.n > 1 << 20:
+            break
+        cops = tuple(sorted([_near(rng, n, 0, n // 2) for _ in range(k // 2 + 1)]
+                            + [rng.randrange(1 << n) for _ in range(k // 2)]))
+        assert strategy.place(G, cops) == reference_place(p, G, cops), (k, cops)
+    if n <= 10:
+        # a cop on every even vertex leaves no vertex of potential zero; the
+        # random extra cops make the odd vertices' potentials differ
+        even = [v for v in range(G.n) if v.bit_count() % 2 == 0]
+        cops = tuple(sorted(even + [rng.randrange(1 << n) for _ in range(G.n // 4)]))
+        v = strategy.place(G, cops)
+        assert v == reference_place(p, G, cops)
+        assert reference_potential_at(p, cops, v) > 0
+
+
+class _CheckedPotentialRobber(PotentialRobberStrategy):
+    """Asserts every placement and move equals the reference's."""
+
+    def place(self, G, cops):
+        v = super().place(G, cops)
+        assert v == reference_place(self._params_for(G), G, cops)
+        return v
+
+    def move(self, G, state):
+        m = super().move(G, state)
+        assert m.target == reference_robber_move(self._params_for(G), G, state)
+        return m
+
+
+def test_greedy_games_match_reference():
+    Q12 = gen_named("hypercube", 12)
+    for seed in range(3):
+        rec = play(Q12, GreedyCopStrategy(seed=seed), _CheckedPotentialRobber(eps=1),
+                   5, 5_000, record_transcript=False)
+        assert rec.outcome == "survival"
 
 
 def test_strategy_requires_hypercube():
