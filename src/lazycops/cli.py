@@ -140,15 +140,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    params = {
-        k: v
-        for k, v in (
-            ("n", args.n), ("g", args.g), ("alpha", args.alpha),
-            ("p", args.p), ("eps", args.eps), ("delta", args.delta),
-            ("constant", args.constant),
-        )
-        if v is not None
-    }
+    names = ("n", "g", "alpha", "p", "eps", "delta", "constant")
+    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     report = theoretical_bounds(args.which, **params)
     print(json.dumps(report.to_dict()))
     return 0

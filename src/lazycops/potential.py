@@ -50,7 +50,10 @@ def potential_params(n: int, eps) -> PotentialParams:
     """
     # str() round-trip keeps a float eps such as 0.5 exact instead of
     # inheriting binary-float noise; ints, Fractions and strings pass through
-    eps = Fraction(str(eps))
+    try:
+        eps = Fraction(str(eps))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"eps must be a number, got {eps!r}") from None
     if eps <= 0:
         raise UsageError("eps must be positive")
     if n < 6:

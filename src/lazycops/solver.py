@@ -5,8 +5,9 @@ multiset exploits cop interchangeability.  Capture states get distance 0;
 the labeling propagates backwards: a cops-to-move state is cop-win as soon
 as one successor is, a robber-to-move state once every successor is.
 Labeling level by level yields exact minimax distance-to-capture in
-half-moves.  Cop-side moves come from a table built once per multiset;
-optimal play and the self-consistency replay read the same table.
+half-moves; a level's cops-to-move candidates come from one C-level set
+union per robber vertex.  Cop-side moves come from a table built once per
+multiset; optimal play and the self-consistency replay read the same table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ ROBBER_TURN = 1
 
 # States count both sides, so the cap allows 25 M (multiset, robber) pairs.
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
-# 17.5-23 bytes per pair (grid 7x7 and Q5 with k=3), 12-17 bytes retained by
+# 17.5-24.5 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
 # the result: up to about 0.6 GB at the cap.
 DEFAULT_STATE_CAP = 50_000_000
 
@@ -50,17 +51,13 @@ class SolveResult:
     placement: tuple          # best cop placement (worst-case optimal if cop_win)
     states: int
     seconds: float
+    stats: dict = field(default_factory=dict)   # phase times, levels, labeled states
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
     _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves
     _closed: list = field(repr=False, default_factory=list)   # per vertex: closed nbhd
-    _dist: list = field(repr=False, default_factory=list)     # cops to move; -1 = robber-win
-
-    def _rank(self, cops) -> int:
-        mi = self._mindex.get(tuple(cops))
-        if mi is None:
-            raise KeyError(f"cop multiset {cops!r} not in state table")
-        return mi
+    # cops-to-move distances, -1 on robber-win states
+    _dist: array = field(repr=False, default_factory=lambda: array("i"))
 
     def _robber_dist(self, mi: int, robber: int) -> int:
         """Robber-to-move distance: 0 on capture, -1 if some robber move
@@ -79,7 +76,9 @@ class SolveResult:
 
     def _locate(self, cops, robber: int) -> int:
         """Rank of `cops`, after checking that the robber vertex exists."""
-        mi = self._rank(cops)
+        mi = self._mindex.get(tuple(cops))
+        if mi is None:
+            raise KeyError(f"cop multiset {cops!r} not in state table")
         if not 0 <= robber < self.G.n:
             raise KeyError(f"robber vertex {robber} out of range")
         return mi
@@ -122,16 +121,17 @@ def _move_table(msets: list, mindex: dict, closed: list, mode: str) -> list:
     pass).  Classic: every cop does, independently.  Both relations are
     symmetric, so the table lists predecessors as well as successors.
     """
+    if mode == LAZY:
+        # rows[rest][u]: rank of rest + (u,), for each (k-1)-multiset rest
+        n = len(closed)
+        rows = {rest: [mindex[tuple(sorted(rest + (u,)))] for u in range(n)]
+                for rest in combinations_with_replacement(range(n), len(msets[0]) - 1)}
     moves = []
     for cops in msets:
         if mode == LAZY:
             succ = set()
-            for pos, t in enumerate(cops):
-                if pos and t == cops[pos - 1]:
-                    continue
-                rest = cops[:pos] + cops[pos + 1:]
-                for u in closed[t]:
-                    succ.add(mindex[tuple(sorted(rest + (u,)))])
+            for i, t in enumerate(cops):
+                succ.update(map(rows[cops[:i] + cops[i + 1:]].__getitem__, closed[t]))
         else:
             succ = {mindex[tuple(sorted(c))] for c in product(*(closed[t] for t in cops))}
         moves.append(tuple(sorted(succ)))
@@ -151,70 +151,69 @@ def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
     mindex = {ms: i for i, ms in enumerate(msets)}
     closed = [G.closed_neighbors(v) for v in range(n)]
     moves = _move_table(msets, mindex, closed, mode)
+    t1 = time.perf_counter()
 
-    # Cops-to-move distances and robber-to-move counters (robber moves not
-    # yet known to be cop-win), both at r * M + mi.  Capture counters are 0,
-    # so decrements drive them negative and they never reach 0 again.
-    # Frontiers are C-int arrays: a list would keep one int object per entry,
-    # which dominated peak memory.
-    dist = [-1] * (n * M)
-    cnt = array("i")
-    for r in range(n):
-        cnt.extend(array("i", (len(closed[r]),)) * M)
-    frontier = array("i")
+    # Cops-to-move distances at r * M + mi, and one row per robber vertex of
+    # robber-to-move counters (robber moves not yet known to be cop-win).
+    # Capture counters are 0, so decrements drive them negative and they
+    # never reach 0 again.
+    dist = array("i", (-1,)) * (n * M)
+    cnt = [array("i", (len(closed[r]),)) * M for r in range(n)]
+    front = {}
     for mi, cops in enumerate(msets):
         for r in set(cops):
-            p = r * M + mi
-            dist[p] = 0
-            cnt[p] = 0
-            frontier.append(p)
-    offsets = [[t * M for t in closed[r]] for r in range(n)]
+            dist[r * M + mi] = 0
+            cnt[r][mi] = 0
+            front.setdefault(r, []).append(mi)
+    robber_labeled = sum(map(len, front.values()))
 
-    # Level d: cops-to-move states at distance d release robber-to-move
-    # predecessors (distance d + 1 once every robber move is cop-win);
-    # robber-to-move states at distance d label cops-to-move predecessors.
-    cop_front, robber_front = frontier, frontier
+    # Level d: cops-to-move states at distance d - 1 release robber-to-move
+    # predecessors (distance d once every robber move is cop-win); robber-
+    # to-move states at distance d - 1 label cops-to-move predecessors.
+    # Frontiers map a robber vertex to its ranks labeled at distance d - 1.
+    # Per robber vertex, one set union, built in C, gives the distinct
+    # cops-to-move candidates; each frontier decrements the counter rows of
+    # its vertex's closed neighbourhood.
+    cop_front = robber_front = front
     d = 0
     while cop_front or robber_front:
         d += 1
-        next_robber = array("i")
-        for s in cop_front:
-            r = s // M
-            mi = s - r * M
-            for base in offsets[r]:
-                p = base + mi
-                c = cnt[p] - 1
-                cnt[p] = c
-                if c == 0:
-                    next_robber.append(p)
-        next_cop = array("i")
-        for s in robber_front:
-            r = s // M
+        next_robber = {}
+        for r, ranks in cop_front.items():
+            for t in closed[r]:
+                row = cnt[t]
+                for mi in ranks:
+                    c = row[mi] - 1
+                    row[mi] = c
+                    if c == 0:
+                        next_robber.setdefault(t, []).append(mi)
+        next_cop = {}
+        for r, ranks in robber_front.items():
             base = r * M
-            for pm in moves[s - base]:
-                p = base + pm
-                if dist[p] < 0:
-                    dist[p] = d
-                    next_cop.append(p)
+            cands = set().union(*map(moves.__getitem__, ranks))
+            new = [pm for pm in cands if dist[base + pm] < 0]
+            for pm in new:
+                dist[base + pm] = d
+            if new:
+                next_cop[r] = new
         cop_front, robber_front = next_cop, next_robber
+        robber_labeled += sum(map(len, next_robber.values()))
     del cnt
+    t2 = time.perf_counter()
 
     # placement game: cops pick a multiset, robber answers seeing it;
     # captured robber placements read 0 and never decide the worst case
-    cop_win = False
-    best = None
-    for mi in range(M):
-        col = dist[mi::M]
-        if min(col) >= 0:
-            cop_win = True
-            worst = max(col)
-            if best is None or worst < best[0]:
-                best = (worst, mi)
-    placement = msets[best[1]] if best is not None else msets[0]
+    wins = [(max(col), mi) for mi in range(M) if min(col := dist[mi::M]) >= 0]
+    cop_win = bool(wins)
+    placement = msets[min(wins)[1]] if wins else msets[0]
+    t3 = time.perf_counter()
 
     return SolveResult(
         G=G, k=k, mode=mode, cop_win=cop_win, placement=placement,
-        states=total, seconds=time.perf_counter() - t0,
+        states=total, seconds=t3 - t0,
+        stats={"table_s": t1 - t0, "label_s": t2 - t1, "placement_s": t3 - t2, "levels": d,
+               "cop_states_labeled": n * M - dist.count(-1),
+               "robber_states_labeled": robber_labeled},
         _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _dist=dist,
     )
 

@@ -267,28 +267,24 @@ class SeparatorCopStrategy:
 
 # -- solver-optimal wrappers ------------------------------------------------------
 
-class OptimalCopStrategy:
+class _OptimalStrategy:
     def __init__(self, result: SolveResult):
         self._result = result
 
+    def move(self, G: Graph, state: GameState):
+        return optimal_move(self._result, state)
+
+
+class OptimalCopStrategy(_OptimalStrategy):
     def place(self, G: Graph, k: int) -> list:
         if k != self._result.k:
             raise UsageError("solve result is for a different cop count")
         return list(self._result.placement)
 
-    def move(self, G: Graph, state: GameState):
-        return optimal_move(self._result, state)
 
-
-class OptimalRobberStrategy:
-    def __init__(self, result: SolveResult):
-        self._result = result
-
+class OptimalRobberStrategy(_OptimalStrategy):
     def place(self, G: Graph, cops) -> int:
         return self._result.robber_placement_response(cops)
-
-    def move(self, G: Graph, state: GameState):
-        return optimal_move(self._result, state)
 
 
 # -- registry -----------------------------------------------------------------
@@ -305,6 +301,15 @@ def _parse_spec(spec: str):
     return name, kwargs
 
 
+def _option(spec: str, kw: dict, key: str, convert, default=None):
+    """Option `key` through `convert`, or `default` if absent; a value that
+    does not convert is a usage error."""
+    try:
+        return convert(kw[key]) if key in kw else default
+    except ValueError:
+        raise UsageError(f"bad {key} {kw[key]!r} in strategy {spec!r}") from None
+
+
 def make_cop_strategy(spec: str, G: Graph | None = None,
                       solve_result: SolveResult | None = None,
                       default_seed: int | None = 0):
@@ -312,10 +317,9 @@ def make_cop_strategy(spec: str, G: Graph | None = None,
     "separator", "dominating", "optimal"."""
     name, kw = _parse_spec(spec)
     if name == "greedy":
-        seed = int(kw["seed"]) if "seed" in kw else None
-        return GreedyCopStrategy(seed)
+        return GreedyCopStrategy(_option(spec, kw, "seed", int))
     if name == "random":
-        return RandomCopStrategy(int(kw.get("seed", default_seed)))
+        return RandomCopStrategy(_option(spec, kw, "seed", int, default_seed))
     if name == "dominating":
         return DominatingCopStrategy(G)
     if name == "separator":
@@ -336,13 +340,13 @@ def make_robber_strategy(spec: str, G: Graph | None = None,
     if name == "greedy":
         return GreedyRobberStrategy()
     if name == "random":
-        return RandomRobberStrategy(int(kw.get("seed", default_seed)))
+        return RandomRobberStrategy(_option(spec, kw, "seed", int, default_seed))
     if name == "stationary":
         return StationaryRobberStrategy()
     if name == "gnp":
         if "alpha" not in kw:
             raise UsageError("gnp robber needs alpha, e.g. gnp:alpha=0.4")
-        return GnpRobberStrategy(float(kw["alpha"]))
+        return GnpRobberStrategy(_option(spec, kw, "alpha", float))
     if name == "potential":
         return PotentialRobberStrategy(kw.get("eps", 1))
     if name == "optimal":

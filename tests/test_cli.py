@@ -186,3 +186,29 @@ def test_config_null_k_with_bounds_query_accepted(tmp_path, capsys):
     assert cli.main(["experiment", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["trials"] == 2
+
+
+@pytest.mark.parametrize("command,cops,robber", [
+    ("experiment", "greedy", "potential:eps=abc"),
+    ("experiment", "greedy", "potential:eps=1/0"),
+    ("simulate", "greedy:seed=x", "greedy"),
+    ("simulate", "random:seed=1.5", "greedy"),
+    ("simulate", "greedy", "random:seed=1.5"),
+    ("simulate", "greedy", "gnp:alpha=zz"),
+])
+def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, robber):
+    if command == "experiment":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "family": "hypercube", "family_params": {"n": 6}, "k": 2,
+            "cop_strategy": cops, "robber_strategy": robber, "trials": 1,
+        }))
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
+    else:
+        graph = tmp_path / "p6.txt"
+        assert cli.main(["gen", "--kind", "path", "--n", "6", "--out", str(graph)]) == 0
+        argv = ["simulate", "--graph", str(graph), "--cops", cops, "--robber", robber, "--k", "1"]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lazycops: error: ") and err.count("\n") == 1

@@ -1,9 +1,16 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from lazycops.errors import IllegalMoveError, UsageError
-from lazycops.game import COPS, ROBBER, GameState, apply_move, captured
-from lazycops.graph import gen_gnp, gen_named
+from lazycops.game import COPS, ROBBER, GameState, apply_move, captured, legal_moves
+from lazycops.graph import Graph, gen_gnp, gen_named
 from lazycops.solver import (
+    CLASSIC,
+    COP_TURN,
+    LAZY,
+    ROBBER_TURN,
+    _move_table,
     classic_cop_number,
     cop_number,
     lazy_cop_number,
@@ -135,3 +142,66 @@ def test_state_count_reported():
     res = solve_lazy(G, 1)
     # 4 cop positions x 4 robber positions x 2 sides
     assert res.states == 32
+
+
+@pytest.mark.parametrize("G,k,cop_win", [(gen_named("grid2d", 4), 2, True),
+                                          (gen_named("cycle", 7), 1, False)])
+def test_stats_count_phases_levels_and_labels(G, k, cop_win):
+    res = solve_lazy(G, k)
+    assert res.cop_win is cop_win
+    assert set(res.summary()) == {"n", "k", "mode", "cop_win", "states", "seconds"}
+    st = res.stats
+    assert set(st) == {"table_s", "label_s", "placement_s", "levels",
+                       "cop_states_labeled", "robber_states_labeled"}
+    phases = (st["table_s"], st["label_s"], st["placement_s"])
+    assert min(phases) >= 0 and sum(phases) <= res.seconds + 1e-9
+    labeled = {side: [d for cops in combinations_with_replacement(range(G.n), k)
+                      for r in range(G.n)
+                      if (d := res.distance(cops, r, side)) is not None]
+               for side in (COP_TURN, ROBBER_TURN)}
+    assert st["cop_states_labeled"] == len(labeled[COP_TURN])
+    assert st["robber_states_labeled"] == len(labeled[ROBBER_TURN])
+    assert (st["cop_states_labeled"] == res.states // 2) is cop_win
+    # the greatest distance is levels - 1: the last level labels nothing
+    assert st["levels"] == 1 + max(max(ds) for ds in labeled.values())
+
+
+def _table_by_rules(G, k, mode):
+    """Per multiset rank, the ranks one cop-side move away: lazy from
+    `legal_moves` and `apply_move` (robber on a free vertex), classic from
+    the product of the cops' closed neighbourhoods."""
+    msets = list(combinations_with_replacement(range(G.n), k))
+    rank = {ms: i for i, ms in enumerate(msets)}
+    rows = []
+    for cops in msets:
+        if mode == LAZY:
+            s = GameState(cops, next(v for v in range(G.n) if v not in cops), COPS)
+            succ = {rank[apply_move(G, s, m).cops] for m in legal_moves(G, s)}
+        else:
+            steps = [(u, *G.neighbors(u)) for u in cops]
+            succ = {rank[tuple(sorted(c))] for c in product(*steps)}
+        rows.append(tuple(sorted(succ)))
+    return msets, rank, rows
+
+
+_TABLE_CASES = (
+    [("petersen", gen_named("petersen"), k) for k in (1, 2, 3)]
+    + [("Q4", gen_named("hypercube", 4), k) for k in (1, 2, 3, 4)]
+    + [("grid4", gen_named("grid2d", 4), 3), ("tree12", gen_named("random_tree", 12, 5), 2)]
+)
+
+
+# the classic product at k = 4 is 5^4 moves per multiset of Q4: left out
+_TABLE_PARAMS = ([(*c, LAZY) for c in _TABLE_CASES]
+                 + [(*c, CLASSIC) for c in _TABLE_CASES if c[2] < 4])
+
+
+@pytest.mark.parametrize("name,G,k,mode", _TABLE_PARAMS,
+                         ids=[f"{c[0]}-k{c[2]}-{c[3]}" for c in _TABLE_PARAMS])
+def test_move_table_matches_rules(name, G, k, mode):
+    msets, rank, rows = _table_by_rules(G, k, mode)
+    closed = [G.closed_neighbors(v) for v in range(G.n)]
+    table = _move_table(msets, rank, closed, mode)
+    bad = [(msets[mi], got, want)
+           for mi, (got, want) in enumerate(zip(table, rows)) if got != want]
+    assert not bad, f"{len(bad)} rows differ, first {bad[:2]}"

@@ -55,10 +55,24 @@ def _corpus():
     yield "K6-lazy-k2", gen_named("complete", 6), 2, LAZY
     yield "C6-classic-k1", gen_named("cycle", 6), 1, CLASSIC
     yield "petersen-classic-k3", petersen, 3, CLASSIC
+    # many levels, or large frontiers per robber vertex
+    yield "P20-lazy-k2", gen_named("path", 20), 2, LAZY
+    yield "C14-lazy-k3", gen_named("cycle", 14), 3, LAZY
+    triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for k in (1, 2):
+        yield f"two-triangles-lazy-k{k}", triangles, k, LAZY
 
+
+# Large frontiers per robber vertex, checked for distances only: comparing
+# optimal play in all their 48 k and 34 k states would add about 5 s
+_LABELING_ONLY = [
+    ("grid6-lazy-k2", gen_named("grid2d", 6), 2, LAZY),
+    ("Q5-lazy-k2", gen_named("hypercube", 5), 2, LAZY),
+]
 
 CORPUS = list(_corpus())
 LAZY_CORPUS = [c for c in CORPUS if c[3] == LAZY]
+CORPUS += _LABELING_ONLY
 
 
 def _assert_matches_reference(G, k, mode):
