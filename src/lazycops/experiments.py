@@ -1,9 +1,10 @@
 """Batch experiment runner with reproducible CSV/JSON output.
 
-Trial i uses seed master_seed + i, so runs are reproducible under any
-parallelism; rows are buffered and written in trial order regardless of
-completion order.  Floats are formatted at 6 significant digits and the
-column order is fixed, making identical configs byte-identical on disk.
+Trial i uses seed master_seed + i.  Trials run in trial order on the
+calling thread; the `workers` config field is accepted and type-checked
+but does not change how trials run.  Floats are formatted at 6
+significant digits and the column order is fixed, making identical
+configs byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -138,11 +138,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list:
     """All trial rows plus the aggregate row; optionally written as CSV."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            rows = list(ex.map(lambda i: run_trial(cfg, i), range(cfg.trials)))
-    else:
-        rows = [run_trial(cfg, i) for i in range(cfg.trials)]
+    rows = [run_trial(cfg, i) for i in range(cfg.trials)]
 
     survivals = sum(1 for r in rows if r["outcome"] == "survival")
     rate = survivals / len(rows)
@@ -175,6 +171,5 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(row[col]) if col == "rounds" and isinstance(row[col], float)
-                         else row[col] for col in CSV_COLUMNS])
+        writer.writerow([row[col] for col in CSV_COLUMNS])
     return buf.getvalue()

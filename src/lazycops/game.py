@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import IllegalMoveError
+from .errors import IllegalMoveError, UsageError
 from .graph import Graph
 
 COPS = "cops"
@@ -88,7 +88,7 @@ def legal_moves(G: Graph, s: GameState) -> list:
     return [RobberMove(t) for t in G.closed_neighbors(s.robber)]
 
 
-def apply_move(G: Graph, s: GameState, m, check: bool = True) -> GameState:
+def apply_move(G: Graph, s: GameState, m) -> GameState:
     if s.to_move == COPS:
         if m is PASS:
             return GameState(s.cops, s.robber, ROBBER, s.round)
@@ -97,14 +97,14 @@ def apply_move(G: Graph, s: GameState, m, check: bool = True) -> GameState:
         if not 0 <= m.cop < len(s.cops):
             raise IllegalMoveError(f"cop index {m.cop} out of range")
         u = s.cops[m.cop]
-        if check and m.target != u and not G.has_edge(u, m.target):
+        if m.target != u and not G.has_edge(u, m.target):
             raise IllegalMoveError(f"cop at {u} cannot reach {m.target}")
         cops = list(s.cops)
         cops[m.cop] = m.target
         return GameState(cops, s.robber, ROBBER, s.round)
     if not isinstance(m, RobberMove):
         raise IllegalMoveError(f"robber side cannot play {m!r}")
-    if check and m.target != s.robber and not G.has_edge(s.robber, m.target):
+    if m.target != s.robber and not G.has_edge(s.robber, m.target):
         raise IllegalMoveError(f"robber at {s.robber} cannot reach {m.target}")
     return GameState(s.cops, m.target, COPS, s.round + 1)
 
@@ -132,6 +132,10 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     Strategies must provide place()/move(); an illegal move aborts with a
     diagnostic rather than being silently corrected.
     """
+    if k < 1:
+        raise UsageError(f"cop count must be >= 1, got {k}")
+    if max_rounds < 0:
+        raise UsageError(f"max_rounds must be >= 0, got {max_rounds}")
     placement = cop_strategy.place(G, k)
     if len(placement) != k or any(not 0 <= v < G.n for v in placement):
         raise IllegalMoveError(f"cop placement {placement!r} is not {k} valid vertices")

@@ -12,7 +12,7 @@ import math
 import random
 from itertools import combinations
 
-from .errors import CapExceededError, GraphFormatError
+from .errors import CapExceededError, GraphFormatError, UsageError
 
 INF = math.inf
 
@@ -302,7 +302,7 @@ def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
     given (n, p, seed).
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0,1], got {p}")
+        raise UsageError(f"p must lie in [0,1], got {p}")
     rng = random.Random(seed)
     edges = []
     for u in range(n):

@@ -239,6 +239,8 @@ def solve_classic(G: Graph, k: int, n_cap: int = 12, k_cap: int = 3,
 
 def cop_number(G: Graph, k_max: int, mode: str = LAZY, **caps) -> int:
     """Smallest k <= k_max winning for the cops; raises if none."""
+    if k_max < 1:
+        raise UsageError(f"k_max must be >= 1, got {k_max}")
     if not G.is_connected():
         raise UsageError("cop number is only defined here for connected graphs")
     for k in range(1, k_max + 1):

@@ -15,7 +15,8 @@ from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
 from .game import PASS, CopMove, GameState, RobberMove, legal_moves
 from .gnp import GnpRobberStrategy
-from .graph import Graph, bfs, component_of, find_balanced_separator, greedy_dominating_set
+from .graph import (Graph, bfs, component_of, components_without, find_balanced_separator,
+                    greedy_dominating_set)
 from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move
 
@@ -188,15 +189,8 @@ class SeparatorCopStrategy:
         ok = len(sep) <= ght_separator_bound(len(region), 0)
         self._sep_log.append(SeparatorPlanNode(tuple(region), sep, ok))
         rest = set(region) - set(sep)
-        sub_best = 0
-        seen: set = set()
-        for v in sorted(rest):
-            if v in seen:
-                continue
-            comp = component_of(self._G, v, set(range(self._G.n)) - rest)
-            seen.update(comp)
-            sub_best = max(sub_best, self._required(comp))
-        return len(sep) + sub_best
+        subs = components_without(self._G, set(range(self._G.n)) - rest)
+        return len(sep) + max((self._required(comp) for comp in subs), default=0)
 
     def separator_report(self) -> dict:
         """Budget audit: required cop count and whether every separator in

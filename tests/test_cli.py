@@ -212,3 +212,37 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("lazycops: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,extra,needle", [
+    ("gen", ["--kind", "gnp", "--n", "10", "--p", "1.5"], "p must lie in [0,1]"),
+    ("experiment", {"family": "gnp", "family_params": {"n": 10, "p": -0.5}, "k": 1},
+     "p must lie in [0,1]"),
+    ("simulate", ["--k", "1", "--max-rounds", "-5"], "max_rounds must be >= 0"),
+    ("experiment", {**_GOOD, "max_rounds": -3}, "max_rounds must be >= 0"),
+    ("simulate", ["--k", "0"], "cop count must be >= 1"),
+    ("experiment", {**_GOOD, "k": 0}, "cop count must be >= 1"),
+    ("copnum", ["--kmax", "0"], "k_max must be >= 1"),
+])
+def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
+    graph = tmp_path / "p6.txt"
+    assert cli.main(["gen", "--kind", "path", "--n", "6", "--out", str(graph)]) == 0
+    out = tmp_path / "x.csv"
+    if command == "gen":
+        argv = ["gen", *extra, "--out", str(out)]
+    elif command == "experiment":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(extra))
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
+    elif command == "simulate":
+        argv = ["simulate", "--graph", str(graph), "--cops", "greedy",
+                "--robber", "greedy", *extra]
+    else:
+        argv = ["copnum", "--graph", str(graph), *extra]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lazycops: error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+    assert not out.exists()

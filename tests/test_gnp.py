@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -207,6 +208,57 @@ def test_classifiers_match_oracle():
         assert is_dangerous(G, cops, v, x, y, r, params) == \
             _oracle_is_dangerous(G, cops, v, x, y, r, params)
         checked += 1
+
+
+def _oracle_robber_move(G, cops, v, prev, params):
+    """The rule of `gnp_robber_move`, rebuilt from brute-force searches
+    around each candidate instead of one search per cop; also says whether
+    some candidate survived."""
+    cands = [y for y in G.neighbors(v) if y != prev] or list(G.neighbors(v))
+    deleted = {v} if prev is None else {v, prev}
+    top = params.max_level
+    survivors, ranked = [], []
+    for y in cands:
+        dist = _oracle_counts(G, deleted, y, top)
+        cop_dists = [dist[c] for c in cops if c in dist]
+        violations = sum(1 for r in range(top + 1)
+                         if sum(1 for d in cop_dists if d <= r) > params.thresholds[r])
+        near_prev = prev is not None and prev in _oracle_counts(G, {v}, y, params.j)
+        if violations == 0 and not near_prev:
+            survivors.append(y)
+        ranked.append((violations, -min(cop_dists, default=top + 1), y))
+    if survivors:
+        return min(survivors), True
+    return min(ranked)[2], False
+
+
+def test_robber_move_matches_oracle():
+    rng = random.Random(11)
+    branches = {True: 0, False: 0}
+    prevs = {True: 0, False: 0}
+    while sum(branches.values()) < 300:
+        n = rng.randrange(8, 31)
+        G = gen_gnp(n, 0.25, rng.randrange(10_000))
+        v = rng.randrange(n)
+        nbrs = list(G.neighbors(v))
+        if not nbrs:
+            continue
+        prev = rng.choice(nbrs) if rng.random() < 0.5 else None
+        # 1-4 cops, often sharing a vertex
+        spots = rng.sample([u for u in range(n) if u != v], rng.randrange(1, 5))
+        cops = rng.choices(spots, k=len(spots))
+        params = _params_for(G, rng.choice([0.4, 0.3, 0.6]))
+        if rng.random() < 0.5:
+            # desk-scale thresholds are below 1 past level 1, so the violation
+            # count alone fixes the nearest cop; looser ones make ties
+            loose = sorted(rng.choice([0.5, 1.5, 2.5]) for _ in params.thresholds[2:])
+            params = dataclasses.replace(params, thresholds=(0.0, 0.0, *loose))
+        want, survived = _oracle_robber_move(G, cops, v, prev, params)
+        assert gnp_robber_move(G, GameState(cops, v, ROBBER), params, prev) == want
+        branches[survived] += 1
+        prevs[prev is None] += 1
+    # both the survivor rule and the fallback ranking were exercised
+    assert min(branches.values()) >= 30 and min(prevs.values()) >= 30
 
 
 def test_strategy_survives_on_sparse_graph():
