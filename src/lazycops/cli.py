@@ -45,6 +45,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--graph", required=True)
     s.add_argument("--mode", choices=["lazy", "classic"], default="lazy")
     s.add_argument("--k", type=int, required=True)
+    s.add_argument("--stats", action="store_true",
+                   help="print the solver's phase times and labeling counts "
+                        "as one JSON line on stderr")
 
     c = sub.add_parser("copnum", help="compute the (lazy) cop number")
     c.add_argument("--graph", required=True)
@@ -100,6 +103,8 @@ def _cmd_solve(args) -> int:
     G = _load_graph(args.graph)
     res = solve_lazy(G, args.k) if args.mode == "lazy" else solve_classic(G, args.k)
     print(json.dumps(res.summary()))
+    if args.stats:
+        print(json.dumps(res.stats), file=sys.stderr)
     return 0
 
 
@@ -123,6 +128,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_expansion(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"n must be >= 2, got {args.n}")
     p = args.n ** (args.alpha - 1.0)
     G = gen_gnp(args.n, p, args.seed)
     report = verify_expansion(G, args.alpha, args.eps, tau=args.tolerance,

@@ -5,17 +5,20 @@ multiset exploits cop interchangeability.  Capture states get distance 0;
 the labeling propagates backwards: a cops-to-move state is cop-win as soon
 as one successor is, a robber-to-move state once every successor is.
 Labeling level by level yields exact minimax distance-to-capture in
-half-moves; a level's cops-to-move candidates come from one C-level set
-union per robber vertex.  Cop-side moves come from a table built once per
-multiset; optimal play and the self-consistency replay read the same table.
+half-moves.  A level releases robber-to-move states with one AND of
+big-integer rows of labeled multisets, one row per robber vertex, and
+finds cops-to-move candidates with one C-level set union per robber
+vertex.  Cop-side moves come from a table built once per multiset; optimal
+play and the self-consistency replay read the same table.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 
 from .errors import CapExceededError, UsageError
@@ -29,9 +32,11 @@ ROBBER_TURN = 1
 
 # States count both sides, so the cap allows 25 M (multiset, robber) pairs.
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
-# 17.5-24.5 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
-# the result: up to about 0.6 GB at the cap.
+# 14.3-18.4 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
+# the result: up to about 0.5 GB at the cap.
 DEFAULT_STATE_CAP = 50_000_000
+
+_ONES = re.compile(b"\x01").finditer   # flagged ranks of a row, as matches
 
 
 @dataclass
@@ -153,52 +158,60 @@ def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
     moves = _move_table(msets, mindex, closed, mode)
     t1 = time.perf_counter()
 
-    # Cops-to-move distances at r * M + mi, and one row per robber vertex of
-    # robber-to-move counters (robber moves not yet known to be cop-win).
-    # Capture counters are 0, so decrements drive them negative and they
-    # never reach 0 again.
+    # Cops-to-move distances at r * M + mi.  Per robber vertex r, lab[r]
+    # flags the labeled cops-to-move ranks (one byte each), labi[r] is its
+    # int form, and rel[r] flags the released robber-to-move ranks in the
+    # same form, captures included.
     dist = array("i", (-1,)) * (n * M)
-    cnt = [array("i", (len(closed[r]),)) * M for r in range(n)]
-    front = {}
+    lab = [bytearray(M) for _ in range(n)]
     for mi, cops in enumerate(msets):
         for r in set(cops):
             dist[r * M + mi] = 0
-            cnt[r][mi] = 0
-            front.setdefault(r, []).append(mi)
-    robber_labeled = sum(map(len, front.values()))
+            lab[r][mi] = 1
+    rel = [int.from_bytes(row, "little") for row in lab]
+    labi = rel[:]
+    cop_per = [sum(map(int.bit_count, rel))]
+    robber_per = cop_per[:]
 
     # Level d: cops-to-move states at distance d - 1 release robber-to-move
     # predecessors (distance d once every robber move is cop-win); robber-
     # to-move states at distance d - 1 label cops-to-move predecessors.
-    # Frontiers map a robber vertex to its ranks labeled at distance d - 1.
-    # Per robber vertex, one set union, built in C, gives the distinct
-    # cops-to-move candidates; each frontier decrements the counter rows of
-    # its vertex's closed neighbourhood.
-    cop_front = robber_front = front
+    # The cops-to-move frontier is the set of robber vertices with a rank
+    # labeled at distance d - 1; the robber-to-move frontier maps a robber
+    # vertex to its ranks released at distance d - 1, in the form of rel.
+    # Robber side: at each vertex t next to the cops-to-move frontier, the
+    # AND of the labeled rows of t's closed neighbours, less rel[t], gives
+    # the newly released ranks.  Cop side: per robber vertex, one set union,
+    # built in C, gives the cops-to-move candidates, filtered through lab.
+    robber_front = {r: row for r, row in enumerate(rel) if row}
+    cop_front = set(robber_front)
     d = 0
     while cop_front or robber_front:
         d += 1
         next_robber = {}
-        for r, ranks in cop_front.items():
-            for t in closed[r]:
-                row = cnt[t]
-                for mi in ranks:
-                    c = row[mi] - 1
-                    row[mi] = c
-                    if c == 0:
-                        next_robber.setdefault(t, []).append(mi)
-        next_cop = {}
-        for r, ranks in robber_front.items():
-            base = r * M
-            cands = set().union(*map(moves.__getitem__, ranks))
-            new = [pm for pm in cands if dist[base + pm] < 0]
+        for t in set().union(*map(closed.__getitem__, cop_front)):
+            new = ~rel[t]
+            for u in closed[t]:
+                new &= labi[u]
+            if new:
+                rel[t] |= new
+                next_robber[t] = new
+        next_cop, labeled = set(), 0
+        for r, released in robber_front.items():
+            base, row = r * M, lab[r]
+            ranks = map(re.Match.start, _ONES(released.to_bytes(M, "little")))
+            new = list(filterfalse(row.__getitem__, set().union(*map(moves.__getitem__, ranks))))
             for pm in new:
                 dist[base + pm] = d
+                row[pm] = 1
             if new:
-                next_cop[r] = new
+                next_cop.add(r)
+                labi[r] = int.from_bytes(row, "little")
+                labeled += len(new)
         cop_front, robber_front = next_cop, next_robber
-        robber_labeled += sum(map(len, next_robber.values()))
-    del cnt
+        cop_per.append(labeled)
+        robber_per.append(sum(map(int.bit_count, next_robber.values())))
+    del lab, labi, rel
     t2 = time.perf_counter()
 
     # placement game: cops pick a multiset, robber answers seeing it;
@@ -213,7 +226,8 @@ def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
         states=total, seconds=t3 - t0,
         stats={"table_s": t1 - t0, "label_s": t2 - t1, "placement_s": t3 - t2, "levels": d,
                "cop_states_labeled": n * M - dist.count(-1),
-               "robber_states_labeled": robber_labeled},
+               "robber_states_labeled": sum(robber_per),
+               "cop_labeled_per_level": cop_per[:d], "robber_labeled_per_level": robber_per[:d]},
         _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _dist=dist,
     )
 

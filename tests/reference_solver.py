@@ -6,6 +6,12 @@ robber-to-move state.  It is slow, but shares no code with `lazycops.solver`
 beyond the graph, so it can catch mistakes in the move table or the
 level-by-level labeling there.
 
+`reference_counter_labeling` is the earlier level-by-level labeling of
+`lazycops.solver`, which keeps one robber-to-move counter per state and
+decrements it once per (labeled state, closed neighbour) pair.  It reads
+the solver's move table, and must give the same distance array, level
+count, labeled counts and placement as the row-AND labeling there.
+
 `reference_optimal_move` and `reference_robber_placement` read a solved
 result only through its public `distance` and `is_cop_win` (which the
 differential tests check against `reference_solve`).  The cop moves come
@@ -13,12 +19,13 @@ from `game.legal_moves` and `game.apply_move`, not from the solver's move
 table, so they can catch mistakes in the tie-breaks of optimal play there.
 """
 
+from array import array
 from collections import deque
 from itertools import combinations_with_replacement, product
 
 from lazycops import game
 from lazycops.errors import UsageError
-from lazycops.solver import COP_TURN, LAZY, ROBBER_TURN
+from lazycops.solver import COP_TURN, LAZY, ROBBER_TURN, _move_table
 
 
 def reference_solve(G, k: int, mode: str):
@@ -83,6 +90,58 @@ def reference_solve(G, k: int, mode: str):
         return d if d >= 0 else None
 
     return best is not None, placement, total, distance
+
+
+def reference_counter_labeling(G, k: int, mode: str):
+    """Return (dist, levels, cop_labeled, robber_labeled, placement).
+
+    `dist` is the cops-to-move `array('i')` at `r * M + mi`, -1 on robber-
+    win states, laid out as `SolveResult._dist`.
+    """
+    n = G.n
+    msets = list(combinations_with_replacement(range(n), k))
+    mindex = {ms: i for i, ms in enumerate(msets)}
+    closed = [G.closed_neighbors(v) for v in range(n)]
+    moves = _move_table(msets, mindex, closed, mode)
+    M = len(msets)
+    # capture counters are 0, so decrements drive them negative and they
+    # never reach 0 again
+    dist = array("i", (-1,)) * (n * M)
+    cnt = [array("i", (len(closed[r]),)) * M for r in range(n)]
+    front = {}
+    for mi, cops in enumerate(msets):
+        for r in set(cops):
+            dist[r * M + mi] = 0
+            cnt[r][mi] = 0
+            front.setdefault(r, []).append(mi)
+    robber_labeled = sum(map(len, front.values()))
+    cop_front = robber_front = front
+    d = 0
+    while cop_front or robber_front:
+        d += 1
+        next_robber = {}
+        for r, ranks in cop_front.items():
+            for t in closed[r]:
+                row = cnt[t]
+                for mi in ranks:
+                    c = row[mi] - 1
+                    row[mi] = c
+                    if c == 0:
+                        next_robber.setdefault(t, []).append(mi)
+        next_cop = {}
+        for r, ranks in robber_front.items():
+            base = r * M
+            cands = set().union(*map(moves.__getitem__, ranks))
+            new = [pm for pm in cands if dist[base + pm] < 0]
+            for pm in new:
+                dist[base + pm] = d
+            if new:
+                next_cop[r] = new
+        cop_front, robber_front = next_cop, next_robber
+        robber_labeled += sum(map(len, next_robber.values()))
+    wins = [(max(col), mi) for mi in range(M) if min(col := dist[mi::M]) >= 0]
+    placement = msets[min(wins)[1]] if wins else msets[0]
+    return dist, d, n * M - dist.count(-1), robber_labeled, placement
 
 
 def reference_optimal_move(result, s):

@@ -30,6 +30,25 @@ def test_gen_and_solve(tmp_path):
     assert json.loads(r.stdout)["c_L"] == 2
 
 
+def test_solve_stats_on_stderr_only(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "grid4.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "4", "--out", str(graph)]) == 0
+    # a frozen clock makes the reported seconds, and so stdout, repeatable
+    monkeypatch.setattr("lazycops.solver.time.perf_counter", lambda: 0.0)
+    argv = ["solve", "--graph", str(graph), "--k", "2"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--stats"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out and plain.err == ""
+    assert traced.err.count("\n") == 1
+    stats = json.loads(traced.err)
+    assert stats["levels"] == len(stats["cop_labeled_per_level"]) > 1
+    for side in ("cop", "robber"):
+        assert sum(stats[f"{side}_labeled_per_level"]) == stats[f"{side}_states_labeled"]
+
+
 def test_simulate_json(tmp_path):
     out = tmp_path / "p6.txt"
     _run("gen", "--kind", "path", "--n", "6", "--out", str(out))
@@ -223,6 +242,9 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     ("simulate", ["--k", "0"], "cop count must be >= 1"),
     ("experiment", {**_GOOD, "k": 0}, "cop count must be >= 1"),
     ("copnum", ["--kmax", "0"], "k_max must be >= 1"),
+    ("verify-expansion", ["--n", "0"], "n must be >= 2"),
+    ("verify-expansion", ["--n", "-5"], "n must be >= 2"),
+    ("verify-expansion", ["--n", "1"], "n must be >= 2"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"
@@ -234,6 +256,8 @@ def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, nee
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(extra))
         argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
+    elif command == "verify-expansion":
+        argv = ["verify-expansion", *extra, "--alpha", "0.5", "--eps", "0.05"]
     elif command == "simulate":
         argv = ["simulate", "--graph", str(graph), "--cops", "greedy",
                 "--robber", "greedy", *extra]

@@ -152,7 +152,8 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     assert set(res.summary()) == {"n", "k", "mode", "cop_win", "states", "seconds"}
     st = res.stats
     assert set(st) == {"table_s", "label_s", "placement_s", "levels",
-                       "cop_states_labeled", "robber_states_labeled"}
+                       "cop_states_labeled", "robber_states_labeled",
+                       "cop_labeled_per_level", "robber_labeled_per_level"}
     phases = (st["table_s"], st["label_s"], st["placement_s"])
     assert min(phases) >= 0 and sum(phases) <= res.seconds + 1e-9
     labeled = {side: [d for cops in combinations_with_replacement(range(G.n), k)
@@ -164,6 +165,11 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     assert (st["cop_states_labeled"] == res.states // 2) is cop_win
     # the greatest distance is levels - 1: the last level labels nothing
     assert st["levels"] == 1 + max(max(ds) for ds in labeled.values())
+    # entry d counts the states at distance d, so each list sums to its total
+    for side, key in ((COP_TURN, "cop"), (ROBBER_TURN, "robber")):
+        per_level = st[f"{key}_labeled_per_level"]
+        assert per_level == [labeled[side].count(d) for d in range(st["levels"])]
+        assert sum(per_level) == st[f"{key}_states_labeled"]
 
 
 def _table_by_rules(G, k, mode):

@@ -25,7 +25,12 @@ from lazycops.solver import (
     solve_lazy,
     verify_self_consistency,
 )
-from reference_solver import reference_optimal_move, reference_robber_placement, reference_solve
+from reference_solver import (
+    reference_counter_labeling,
+    reference_optimal_move,
+    reference_robber_placement,
+    reference_solve,
+)
 
 
 def _connected_gnp(n, p, count):
@@ -108,6 +113,35 @@ def _small_connected_graphs(draw):
 @given(_small_connected_graphs(), st.integers(1, 2), st.sampled_from([LAZY, CLASSIC]))
 def test_matches_reference_on_small_graphs(G, k, mode):
     _assert_matches_reference(G, k, mode)
+
+
+def _assert_labeling_matches_counters(G, k, mode):
+    res = solve_lazy(G, k) if mode == LAZY else solve_classic(G, k)
+    dist, levels, cop_labeled, robber_labeled, placement = reference_counter_labeling(G, k, mode)
+    assert res._dist == dist
+    st = res.stats
+    assert (st["levels"], st["cop_states_labeled"], st["robber_states_labeled"], res.placement) \
+        == (levels, cop_labeled, robber_labeled, placement)
+
+
+@pytest.mark.parametrize("G,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_labeling_matches_counter_reference(G, k, mode):
+    _assert_labeling_matches_counters(G, k, mode)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Any simple graph on 1-8 vertices: disconnected ones and isolated
+    vertices (closed neighbourhood (v,)) included."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.integers(1, 3), st.sampled_from([LAZY, CLASSIC]))
+def test_labeling_matches_counter_reference_on_small_graphs(G, k, mode):
+    _assert_labeling_matches_counters(G, k, mode)
 
 
 def _assert_optimal_play_matches_reference(G, k):
