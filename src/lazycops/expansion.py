@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .gnp import _level_count
-from .graph import Graph, count_cycles_through_edge, count_paths, kth_neighborhood
+from .graph import INF, Graph, _paths_to, bfs, count_cycles_through_edge, kth_neighborhood
 
 
 @dataclass
@@ -94,6 +94,8 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         raise UsageError("eps must lie in (0, 0.1)")
     if not eps < alpha < 1 - eps:
         raise UsageError("alpha must lie in (eps, 1-eps)")
+    if min(vertex_samples, pair_samples, edge_samples) < 1:
+        raise UsageError("vertex, pair and edge sample counts must be >= 1")
     n = G.n
     if d is None:
         density = 2.0 * G.m / (n * (n - 1)) if n > 1 else 0.0
@@ -168,11 +170,13 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         while len(counts) < per_branch and attempts < 4 * per_branch:
             attempts += 1
             v = rng.randrange(n)
-            ball = sorted(kth_neighborhood(G, v, i) - {v})
+            near = bfs(G, (v,), radius=i)
+            ball = [u for u, d in enumerate(near) if d is not INF and u != v]
             if not ball:
                 continue
-            w = rng.choice(ball)
-            counts.append(count_paths(G, v, w, i))
+            # paths are symmetric in their endpoints: search from w, pruned
+            # by the distances to v that the ball's search already found
+            counts.append(_paths_to(G, rng.choice(ball), v, i, near))
         report.checks.append(
             _summarize(f"path_count_i={i}", counts, ceiling, note=label)
         )

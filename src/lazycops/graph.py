@@ -89,8 +89,6 @@ class Graph:
         cached = self._dist_cache.get(v)
         if cached is not None:
             return cached
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range")
         return self._remember(v, tuple(bfs(self, (v,))))
 
     def _remember(self, v: int, dists: tuple) -> tuple:
@@ -139,6 +137,8 @@ class HypercubeGraph(Graph):
     def distances_from(self, v: int) -> tuple:
         cached = self._dist_cache.get(v)
         if cached is None:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
             cached = self._remember(v, tuple((v ^ u).bit_count() for u in range(self.n)))
         return cached
 
@@ -151,8 +151,9 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     Level-synchronous search from all sources at once, stopped after
     `radius` levels when one is given.  Entry v of the returned list (of
     length G.n) is math.inf when v is deleted, unreached or farther than
-    `radius`; deleted sources are ignored.  `deleted` must be a collection,
-    not an iterator: it is read twice.
+    `radius`; deleted sources are ignored, and a source outside 0..n-1
+    raises ValueError.  `deleted` must be a collection, not an iterator:
+    it is read twice.
 
     Each level runs in one of two directions (Beamer, Asanovic and
     Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
@@ -173,6 +174,8 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
         dist[x] = -1  # not INF, so the search never enters x
     frontier = []
     for s in sources:
+        if not 0 <= s < n:
+            raise ValueError(f"vertex {s} out of range for n={n}")
         if dist[s] is INF:
             dist[s] = 0
             frontier.append(s)
@@ -321,26 +324,32 @@ def kth_neighborhood(G: Graph, v: int, i: int) -> set:
 
 def count_paths(G: Graph, v: int, w: int, i: int) -> int:
     """Number of simple paths with exactly i edges joining v and w."""
+    if not (0 <= v < G.n and 0 <= w < G.n):
+        raise ValueError(f"endpoints ({v},{w}) out of range for n={G.n}")
     if v == w:
         raise ValueError("endpoints must differ")
     if i < 1:
         raise ValueError("path length must be >= 1")
-    dist_to_w = G.distances_from(w)
+    return _paths_to(G, v, w, i, G.distances_from(w))
+
+
+def _paths_to(G: Graph, v: int, w: int, i: int, dist_to_w) -> int:
+    """Simple v-w paths with exactly i edges, v != w and i >= 1.
+
+    `dist_to_w` may be any distance row from w that is exact up to i, such
+    as bfs(G, (w,), radius=i): the search enters a vertex only if w is
+    still in reach from it.
+    """
+    adj = G._adj
     visited = [False] * G.n
     visited[v] = True
 
     def dfs(cur: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if cur == w else 0
-        if dist_to_w[cur] > remaining:
-            return 0
+        if remaining == 1:
+            return 1 if dist_to_w[cur] == 1 else 0
         total = 0
-        for nb in G.neighbors(cur):
-            if nb == w:
-                if remaining == 1:
-                    total += 1
-                continue
-            if not visited[nb]:
+        for nb in adj[cur]:
+            if dist_to_w[nb] < remaining and nb != w and not visited[nb]:
                 visited[nb] = True
                 total += dfs(nb, remaining - 1)
                 visited[nb] = False

@@ -13,6 +13,14 @@ def test_hypothesis_eps_range_enforced():
         verify_expansion(G, 0.03, 0.05)  # alpha <= eps
 
 
+@pytest.mark.parametrize("samples", [
+    {"vertex_samples": 0}, {"pair_samples": 0}, {"edge_samples": 0}, {"pair_samples": -3},
+])
+def test_sample_counts_must_be_positive(samples):
+    with pytest.raises(UsageError, match="sample counts"):
+        verify_expansion(gen_gnp(200, 0.1, 0), 0.5, 0.05, **samples)
+
+
 def test_complete_graph_flags_density_mismatch():
     G = gen_named("complete", 40)
     rep = verify_expansion(G, 0.5, 0.05, seed=1)

@@ -12,6 +12,7 @@ from lazycops.graph import (
     DIST_CACHE_ENTRIES,
     Graph,
     HypercubeGraph,
+    _paths_to,
     bfs,
     component_of,
     components_without,
@@ -28,6 +29,7 @@ from lazycops.graph import (
     serialize_graph,
 )
 from reference_bfs import reference_bfs
+from reference_paths import reference_count_paths
 from reference_separator import reference_separator
 
 
@@ -250,6 +252,23 @@ def test_bfs_rejects_negative_radius():
         bfs(gen_named("path", 3), (0,), radius=-1)
 
 
+@pytest.mark.parametrize("source", [-1, 4, 7])
+def test_searches_reject_out_of_range_sources(source):
+    G = gen_named("path", 4)
+    with pytest.raises(ValueError, match="out of range"):
+        bfs(G, (source,))
+    with pytest.raises(ValueError, match="out of range"):
+        bfs(G, (0, source), radius=1)
+    with pytest.raises(ValueError, match="out of range"):
+        kth_neighborhood(G, source, 1)
+    for graph in (G, HypercubeGraph(2)):
+        with pytest.raises(ValueError, match="out of range"):
+            graph.distances_from(source)
+    for v, w in ((source, 1), (1, source)):
+        with pytest.raises(ValueError, match="out of range"):
+            count_paths(G, v, w, 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dense_searches())
 def test_bfs_matches_reference_on_dense_gnp(case):
@@ -263,14 +282,37 @@ def test_bfs_matches_reference_on_fixed_searches():
 
 
 def test_expansion_report_independent_of_bfs_direction(monkeypatch):
+    import sys
+
     import lazycops.graph as graph
 
     def report():
-        return verify_expansion(gen_gnp(600, 600 ** -0.48, 2), 0.48, 0.05, seed=4).to_dict()
+        return verify_expansion(gen_gnp(600, 600 ** -0.48, 2), 0.48, 0.05, seed=4)
 
     expected_report = report()
-    monkeypatch.setattr(graph, "bfs", reference_bfs)
-    assert report() == expected_report
+    # (samples, min, max, mean) as computed before path counts ran on balls;
+    # the means are integer sums over sample counts, so they are exact
+    checks = {c.name: (c.samples, c.minimum, c.maximum, c.mean) for c in expected_report.checks}
+    assert checks["path_count_i=2"] == (1000, 0, 5, 1.744)
+    assert checks["path_count_i=3"] == (1000, 12, 71, 35.825)
+    assert checks["cycles_len<=3"] == (200, 0, 5, 1.165)
+
+    calls = []
+
+    def top_down_only(*args, **kwargs):
+        calls.append(args[1])
+        return reference_bfs(*args, **kwargs)
+
+    # every module that bound graph.bfs, so no search bypasses the reference
+    original = graph.bfs
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lazycops":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, top_down_only)
+    assert report().to_dict() == expected_report.to_dict()
+    # 200 growth balls and 2,000 path-count balls at least
+    assert len(calls) >= 2200
 
 
 def test_distance_cache_is_bounded():
@@ -294,6 +336,35 @@ def test_count_paths_small():
     C = gen_named("cycle", 5)
     assert count_paths(C, 0, 2, 2) == 1
     assert count_paths(C, 0, 2, 3) == 1  # the long way round
+
+
+@st.composite
+def _path_counts(draw):
+    """A graph on at most 10 vertices, two distinct endpoints and a length."""
+    n = draw(st.integers(2, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Graph(n, edges), v, w, draw(st.integers(1, 6))
+
+
+def test_count_paths_matches_reference_and_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_path_counts())
+    def check(case):
+        G, v, w, i = case
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(G.n))
+        expected = sum(1 for p in nx.all_simple_paths(H, v, w, cutoff=i) if len(p) == i + 1)
+        assert reference_count_paths(G, v, w, i) == expected
+        for a, b in ((v, w), (w, v)):
+            assert count_paths(G, a, b, i) == expected
+            for row in (G.distances_from(b), bfs(G, (b,), radius=i)):
+                assert _paths_to(G, a, b, i, row) == expected
+
+    check()
 
 
 def test_count_cycles_through_edge():
