@@ -61,6 +61,8 @@ def _build_parser() -> _Parser:
     m.add_argument("--k", type=int, required=True)
     m.add_argument("--max-rounds", type=int, default=100)
     m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--stats", action="store_true",
+                   help="print the strategies' counters as one JSON line on stderr")
 
     v = sub.add_parser("verify-expansion", help="check expansion on a G(n,p) sample")
     v.add_argument("--n", type=int, required=True)
@@ -124,6 +126,10 @@ def _cmd_simulate(args) -> int:
     robber = make_robber_strategy(args.robber, G, result, default_seed=args.seed)
     record = play(G, cops, robber, args.k, args.max_rounds)
     print(record.to_json())
+    if args.stats:
+        sides = (("cops", cops), ("robber", robber))
+        print(json.dumps({name: strategy.stats() for name, strategy in sides
+                          if hasattr(strategy, "stats")}), file=sys.stderr)
     return 0
 
 

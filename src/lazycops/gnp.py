@@ -18,7 +18,7 @@ from itertools import accumulate
 
 from .errors import UsageError
 from .game import GameState, RobberMove
-from .graph import Graph, bfs
+from .graph import INF, Graph, bfs
 
 MAIN = "main"
 BOUNDARY_DENSE = "boundary-dense"
@@ -125,8 +125,7 @@ def is_safe(G: Graph, cops, v: int, x: int, params: GnpRobberParams) -> bool:
     """True iff v passes every level threshold with the neighbour x deleted."""
     if x == v or not G.has_edge(v, x):
         raise UsageError(f"{x} is not a neighbour of {v}")
-    counter = Counter(cops)
-    levels = _cop_level_counts(G, counter, v, {x}, params.max_level)
+    levels = _cop_level_counts(G, Counter(cops), v, {x}, params.max_level)
     return all(
         levels[i] <= params.thresholds[i] for i in range(params.max_level + 1)
     )
@@ -140,57 +139,52 @@ def is_dangerous(G: Graph, cops, v: int, x: int | None, y: int, r: int,
     if not 0 <= r <= params.max_level:
         raise UsageError(f"level {r} outside 0..{params.max_level}")
     deleted = {v} if x is None else {v, x}
-    counter = Counter(cops)
-    levels = _cop_level_counts(G, counter, y, deleted, r)
+    levels = _cop_level_counts(G, Counter(cops), y, deleted, r)
     return levels[r] > params.thresholds[r]
 
 
 def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
-                    prev: int | None) -> int:
+                    prev: int | None, stats: dict | None = None) -> int:
     """Next vertex for the robber; `prev` plays the deadly-neighbour role.
 
-    Candidates are neighbours of the current vertex other than prev.  A
-    candidate survives if it is not r-dangerous at any level and prev does
-    not lie within distance j of it once the current vertex is deleted.  If
-    no candidate survives (desk-scale graphs need not satisfy the source
-    hypotheses) the fallback ranks by fewest violated levels, then largest
-    distance to the nearest cop, then lowest id.
+    Candidates are neighbours of the current vertex other than prev, in id
+    order.  The first one that is not r-dangerous at any level and has prev
+    beyond distance j once the current vertex is deleted is returned.  If
+    none survives (desk-scale graphs need not satisfy the source hypotheses)
+    the fallback ranks by fewest violated levels, then largest distance to
+    the nearest cop, then lowest id, and counts up `stats["fallbacks"]`.
     """
     v = s.robber
-    cands = [y for y in G.neighbors(v) if y != prev]
-    if not cands:
-        cands = list(G.neighbors(v))
-    if not cands:
-        return v
-
-    max_level = params.max_level
+    adj = G._adj
+    cands = [y for y in adj[v] if y != prev] or adj[v]
+    top = params.max_level
     deleted = {v} if prev is None else {v, prev}
-    cop_positions = sorted(c for c in set(s.cops) if c not in deleted)
-    cop_dists = [bfs(G, (c,), deleted, max_level) for c in cop_positions]
-    cop_mult = Counter(s.cops)
-    far = max_level + 1
-
+    # searches stop one level short: an unreached y outside `deleted` lies at
+    # the search radius plus one iff one of its neighbours was reached
+    rows = [(bfs(G, (c,), deleted, top - 1), mult)
+            for c, mult in Counter(s.cops).items() if c not in deleted]
+    reach = None if prev is None else bfs(G, (prev,), (v,), params.j - 1)
     ranked = []
     for y in cands:
-        counts = [0] * (max_level + 1)
-        nearest = far
-        for c, dist in zip(cop_positions, cop_dists):
-            dy = dist[y]
-            if dy is math.inf:
-                continue
-            nearest = min(nearest, dy)
-            for r in range(dy, max_level + 1):
-                counts[r] += cop_mult[c]
-        violations = sum(
-            1 for r in range(max_level + 1) if counts[r] > params.thresholds[r]
-        )
+        per_level = [0] * (top + 2)   # slot top + 1: no cop within top
+        for row, mult in rows:
+            d = row[y]
+            if d is INF:
+                near = y not in deleted and min(map(row.__getitem__, adj[y])) is not INF
+                d = top if near else top + 1
+            per_level[d] += mult
+        total = violations = 0
+        for count, limit in zip(per_level, params.thresholds):
+            total += count
+            violations += total > limit
+        if violations == 0 and (reach is None or reach[y] is INF and min(
+                map(reach.__getitem__, adj[y])) is INF):
+            return y
+        nearest = next((r for r, count in enumerate(per_level) if count), top + 1)
         ranked.append((violations, -nearest, y))
-
-    reach = bfs(G, () if prev is None else (prev,), (v,), params.j)
-    survivors = [y for viol, _, y in ranked if viol == 0 and reach[y] is math.inf]
-    if survivors:
-        return min(survivors)
-    return min(ranked)[2]
+    if stats is not None:
+        stats["fallbacks"] += 1
+    return min(ranked)[2] if ranked else v
 
 
 class GnpRobberStrategy:
@@ -198,7 +192,8 @@ class GnpRobberStrategy:
 
     Placement maximizes the distance to the nearest cop (multi-source BFS),
     ties to the lowest id; afterwards the previous vertex is tracked as the
-    deadly neighbour.
+    deadly neighbour.  `stats()` counts the moves since placement and the
+    fallbacks among them (moves where no candidate survived).
     """
 
     def __init__(self, alpha: float, params: GnpRobberParams | None = None):
@@ -206,6 +201,7 @@ class GnpRobberStrategy:
         self._params = params
         self._derived_for: tuple | None = None   # (n, m) of derived params
         self._prev: int | None = None
+        self._stats = {"moves": 0, "fallbacks": 0}
 
     def _params_for(self, G: Graph) -> GnpRobberParams:
         """Explicit params serve every graph of their size; params derived
@@ -220,6 +216,7 @@ class GnpRobberStrategy:
 
     def place(self, G: Graph, cops) -> int:
         self._prev = None
+        self._stats = {"moves": 0, "fallbacks": 0}
         self._params_for(G)
         dist = bfs(G, cops)
         best_v, best_d = 0, -1.0
@@ -232,7 +229,11 @@ class GnpRobberStrategy:
         return best_v
 
     def move(self, G: Graph, state: GameState):
-        target = gnp_robber_move(G, state, self._params_for(G), self._prev)
+        self._stats["moves"] += 1
+        target = gnp_robber_move(G, state, self._params_for(G), self._prev,
+                                 self._stats)
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
 
+    def stats(self) -> dict:
+        return dict(self._stats)

@@ -151,9 +151,9 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     Level-synchronous search from all sources at once, stopped after
     `radius` levels when one is given.  Entry v of the returned list (of
     length G.n) is math.inf when v is deleted, unreached or farther than
-    `radius`; deleted sources are ignored, and a source outside 0..n-1
-    raises ValueError.  `deleted` must be a collection, not an iterator:
-    it is read twice.
+    `radius`; deleted sources are ignored, and a source or deleted vertex
+    outside 0..n-1 raises ValueError.  `deleted` must be a collection, not
+    an iterator: it is read twice.
 
     Each level runs in one of two directions (Beamer, Asanovic and
     Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
@@ -171,6 +171,8 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     n = G.n
     dist = [INF] * n
     for x in deleted:
+        if not 0 <= x < n:
+            raise ValueError(f"deleted vertex {x} out of range for n={n}")
         dist[x] = -1  # not INF, so the search never enters x
     frontier = []
     for s in sources:

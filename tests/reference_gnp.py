@@ -1,0 +1,54 @@
+"""Reference G(n,p) robber move for the differential tests.
+
+The earlier form of `lazycops.gnp.gnp_robber_move`: one full-radius search
+from every cop position (radius max_level) and one from the previous vertex
+(radius j), then a ranked list of every candidate, and the least survivor
+or else the least ranked candidate.  The current function searches one
+level short, reads the last level from a neighbour's entry and stops at the
+first survivor; this copy does none of that, and it takes its distances
+from `reference_bfs`, so it can catch mistakes in those shortcuts.
+"""
+
+import math
+from collections import Counter
+
+from reference_bfs import reference_bfs
+
+
+def reference_gnp_move(G, s, params, prev):
+    """Next vertex for the robber and whether some candidate survived."""
+    v = s.robber
+    cands = [y for y in G.neighbors(v) if y != prev]
+    if not cands:
+        cands = list(G.neighbors(v))
+    if not cands:
+        return v, False
+
+    max_level = params.max_level
+    deleted = {v} if prev is None else {v, prev}
+    cop_positions = sorted(c for c in set(s.cops) if c not in deleted)
+    cop_dists = [reference_bfs(G, (c,), deleted, max_level) for c in cop_positions]
+    cop_mult = Counter(s.cops)
+    far = max_level + 1
+
+    ranked = []
+    for y in cands:
+        counts = [0] * (max_level + 1)
+        nearest = far
+        for c, dist in zip(cop_positions, cop_dists):
+            dy = dist[y]
+            if dy is math.inf:
+                continue
+            nearest = min(nearest, dy)
+            for r in range(dy, max_level + 1):
+                counts[r] += cop_mult[c]
+        violations = sum(
+            1 for r in range(max_level + 1) if counts[r] > params.thresholds[r]
+        )
+        ranked.append((violations, -nearest, y))
+
+    reach = reference_bfs(G, () if prev is None else (prev,), (v,), params.j)
+    survivors = [y for viol, _, y in ranked if viol == 0 and reach[y] is math.inf]
+    if survivors:
+        return min(survivors), True
+    return min(ranked)[2], False

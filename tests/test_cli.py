@@ -60,6 +60,27 @@ def test_simulate_json(tmp_path):
     assert rec["transcript"][0]["side"] == "cops"
 
 
+def test_simulate_stats_on_stderr_only(tmp_path, capsys):
+    graph = tmp_path / "gnp.txt"
+    assert cli.main(["gen", "--kind", "gnp", "--n", "200", "--p", str(200 ** -0.6),
+                     "--seed", "3", "--out", str(graph)]) == 0
+    argv = ["simulate", "--graph", str(graph), "--cops", "greedy",
+            "--robber", "gnp:alpha=0.4", "--k", "3", "--max-rounds", "60"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--stats"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out and plain.err == ""
+    assert traced.err.count("\n") == 1
+    stats = json.loads(traced.err)
+    # greedy cops keep no counters, so only the robber's are printed
+    assert list(stats) == ["robber"]
+    robber_moves = sum(step["side"] == "robber" for step in json.loads(plain.out)["transcript"][2:])
+    assert stats["robber"]["moves"] == robber_moves > 0
+    assert 0 <= stats["robber"]["fallbacks"] <= robber_moves
+
+
 def test_bounds_command():
     r = _run("bounds", "--which", "genus", "--n", "96", "--g", "0")
     assert r.returncode == 0

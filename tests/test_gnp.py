@@ -18,6 +18,7 @@ from lazycops.gnp import (
     is_safe,
 )
 from lazycops.graph import Graph, gen_gnp
+from reference_gnp import reference_gnp_move
 
 
 def test_params_alpha_04():
@@ -99,9 +100,18 @@ def test_boundary_scaling_units():
 
 # -- safety / danger classifiers --------------------------------------------------
 
-def _params_for(G, alpha=0.4):
+def _params_for(G, alpha=0.4, regime="auto"):
     p = 2.0 * G.m / (G.n * (G.n - 1))
-    return gnp_params(G.n, p, alpha)
+    return gnp_params(G.n, p, alpha, regime)
+
+
+# (alpha, regime) pairs: three interior exponents, and the boundary
+# exponents 1/3 and 1/4 with each regime forced, so that boundary-sparse
+# tracks level j + 1 and the cop and prev search radii differ
+_ALPHA_REGIMES = [(0.4, "auto"), (0.3, "auto"), (0.6, "auto")] + [
+    (alpha, regime) for alpha in (1 / 3, 1 / 4)
+    for regime in (MAIN, BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE)
+]
 
 
 def test_safe_no_cops():
@@ -232,11 +242,22 @@ def _oracle_robber_move(G, cops, v, prev, params):
     return min(ranked)[2], False
 
 
+def _loosened(rng, params):
+    """Half the time, thresholds past level 1 drawn from 0.5, 1.5 and 2.5:
+    desk-scale thresholds are below 1 there, so the violation count alone
+    fixes the nearest cop and hardly any candidate survives."""
+    if rng.random() < 0.5:
+        return params
+    loose = sorted(rng.choice([0.5, 1.5, 2.5]) for _ in params.thresholds[2:])
+    return dataclasses.replace(params, thresholds=(0.0, 0.0, *loose))
+
+
 def test_robber_move_matches_oracle():
     rng = random.Random(11)
     branches = {True: 0, False: 0}
     prevs = {True: 0, False: 0}
-    while sum(branches.values()) < 300:
+    only_neighbour = 0
+    while sum(branches.values()) < 400:
         n = rng.randrange(8, 31)
         G = gen_gnp(n, 0.25, rng.randrange(10_000))
         v = rng.randrange(n)
@@ -247,18 +268,79 @@ def test_robber_move_matches_oracle():
         # 1-4 cops, often sharing a vertex
         spots = rng.sample([u for u in range(n) if u != v], rng.randrange(1, 5))
         cops = rng.choices(spots, k=len(spots))
-        params = _params_for(G, rng.choice([0.4, 0.3, 0.6]))
-        if rng.random() < 0.5:
-            # desk-scale thresholds are below 1 past level 1, so the violation
-            # count alone fixes the nearest cop; looser ones make ties
-            loose = sorted(rng.choice([0.5, 1.5, 2.5]) for _ in params.thresholds[2:])
-            params = dataclasses.replace(params, thresholds=(0.0, 0.0, *loose))
+        params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
         want, survived = _oracle_robber_move(G, cops, v, prev, params)
         assert gnp_robber_move(G, GameState(cops, v, ROBBER), params, prev) == want
         branches[survived] += 1
         prevs[prev is None] += 1
-    # both the survivor rule and the fallback ranking were exercised
+        only_neighbour += nbrs == [prev]
+    # both the survivor rule and the fallback ranking were exercised, and
+    # so was the fallback onto prev when it is the only neighbour
     assert min(branches.values()) >= 30 and min(prevs.values()) >= 30
+    assert only_neighbour >= 1
+
+
+class _CheckedRobber(GnpRobberStrategy):
+    """G(n,p) robber that checks each move against the reference move."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.branches = {True: 0, False: 0}
+
+    def move(self, G, state):
+        want, survived = reference_gnp_move(G, state, self._params_for(G), self._prev)
+        prev = self._prev
+        move = super().move(G, state)
+        assert move.target == want, (state, prev)
+        self.branches[survived] += 1
+        return move
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_robber_move_matches_reference_in_play(k):
+    from lazycops.game import play
+    from lazycops.strategies import GreedyCopStrategy
+
+    G = gen_gnp(300, 300 ** -0.6, 5)
+    robber = _CheckedRobber(0.4)
+    rec = play(G, GreedyCopStrategy(), robber, k, 1000)
+    stats = robber.stats()
+    assert stats["moves"] == sum(robber.branches.values())
+    assert stats["moves"] == sum(step["side"] == ROBBER for step in rec.transcript[2:])
+    assert stats["fallbacks"] == robber.branches[False]
+    assert robber.branches[True] >= 30 and (k == 1 or robber.branches[False] >= 30)
+
+
+def test_robber_move_matches_reference():
+    rng = random.Random(12)
+    branches = {True: 0, False: 0}
+    kinds = {"none": 0, "neighbour": 0, "stayed": 0, "only": 0}
+    regimes = dict.fromkeys((MAIN, BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE), 0)
+    for _ in range(800):
+        n = rng.randrange(6, 41)
+        G = gen_gnp(n, rng.choice([0.1, 0.2, 0.35]), rng.randrange(10_000))
+        v = rng.randrange(n)
+        nbrs = list(G.neighbors(v))
+        if not nbrs:
+            continue
+        kind = "only" if len(nbrs) == 1 else rng.choice(["none", "neighbour", "stayed"])
+        far = [u for u in range(n) if u != v and u not in nbrs]
+        if kind == "stayed" and not far:
+            continue
+        prev = {"none": None, "neighbour": rng.choice(nbrs), "only": nbrs[0],
+                "stayed": rng.choice(far) if far else None}[kind]
+        cops = rng.choices(range(n), k=rng.randrange(1, 5))
+        params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
+        state = GameState(cops, v, ROBBER)
+        want, survived = reference_gnp_move(G, state, params, prev)
+        stats = {"fallbacks": 0}
+        assert gnp_robber_move(G, state, params, prev, stats) == want
+        assert stats["fallbacks"] == (not survived)
+        branches[survived] += 1
+        kinds[kind] += 1
+        regimes[params.regime] += 1
+    for tally in (branches, kinds, regimes):
+        assert min(tally.values()) >= 30, tally
 
 
 def test_strategy_survives_on_sparse_graph():
@@ -268,6 +350,22 @@ def test_strategy_survives_on_sparse_graph():
     G = gen_gnp(300, 300 ** -0.6, 0)
     rec = play(G, GreedyCopStrategy(), GnpRobberStrategy(0.4), 1, 500)
     assert rec.outcome == "survival"
+
+
+def test_stats_count_moves_and_reset_on_place():
+    from lazycops.game import play
+    from lazycops.strategies import GreedyCopStrategy
+
+    G = gen_gnp(200, 200 ** -0.6, 3)
+    robber = GnpRobberStrategy(0.4)
+    assert robber.stats() == {"moves": 0, "fallbacks": 0}
+    play(G, GreedyCopStrategy(), robber, 3, 50)
+    stats = robber.stats()
+    assert stats["moves"] == 50 and 0 <= stats["fallbacks"] <= 50
+    stats["moves"] = -1   # a copy: the strategy's counters stay put
+    assert robber.stats()["moves"] == 50
+    robber.place(G, (0,))
+    assert robber.stats() == {"moves": 0, "fallbacks": 0}
 
 
 def test_strategy_is_deterministic():

@@ -267,6 +267,17 @@ def test_searches_reject_out_of_range_sources(source):
     for v, w in ((source, 1), (1, source)):
         with pytest.raises(ValueError, match="out of range"):
             count_paths(G, v, w, 2)
+    # deleted ids are checked too: -1 used to delete vertex n-1 silently
+    with pytest.raises(ValueError, match="out of range"):
+        bfs(G, (0,), (source,))
+    with pytest.raises(ValueError, match="out of range"):
+        bfs(G, (0,), (1, source), radius=1)
+    with pytest.raises(ValueError, match="out of range"):
+        component_of(G, source, ())
+    with pytest.raises(ValueError, match="out of range"):
+        component_of(G, 0, {source})
+    with pytest.raises(ValueError, match="out of range"):
+        components_without(G, {source})
 
 
 @settings(max_examples=300, deadline=None)
