@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .gnp import _level_count
-from .graph import INF, Graph, _paths_to, bfs, count_cycles_through_edge, kth_neighborhood
+from .graph import Graph, _ball_and_row, _paths_to, count_cycles_through_edge, kth_neighborhood
 
 
 @dataclass
@@ -170,13 +170,12 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         while len(counts) < per_branch and attempts < 4 * per_branch:
             attempts += 1
             v = rng.randrange(n)
-            near = bfs(G, (v,), radius=i)
-            ball = [u for u, d in enumerate(near) if d is not INF and u != v]
-            if not ball:
+            if not G.neighbors(v):
                 continue
             # paths are symmetric in their endpoints: search from w, pruned
-            # by the distances to v that the ball's search already found
-            counts.append(_paths_to(G, rng.choice(ball), v, i, near))
+            # by the distances to v that v's own balls give
+            ball, row = _ball_and_row(G, v, i)
+            counts.append(_paths_to(G, rng.choice(ball), v, i, row))
         report.checks.append(
             _summarize(f"path_count_i={i}", counts, ceiling, note=label)
         )

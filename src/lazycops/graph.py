@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, compress
+from operator import or_
 
 from .errors import CapExceededError, GraphFormatError, UsageError
 
@@ -20,17 +22,21 @@ INF = math.inf
 # about 8 MB of tuple slots per graph.
 DIST_CACHE_ENTRIES = 1 << 20
 
+# Byte cap on the ball tables of one graph, about n*n/8 bytes each.
+BALL_TABLE_BYTES = 1 << 28
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # see _flags
+
 
 class Graph:
     """Undirected simple graph, immutable after construction.
 
     BFS distance vectors are memoised per source vertex, up to
     DIST_CACHE_ENTRIES distances (at least one row): beyond that the oldest
-    row is evicted first.  Readers may share a graph across threads, but
-    eviction assumes one thread fills the cache at a time.
+    row is evicted first; ball tables are never evicted.  Readers may share a
+    graph across threads, but the caches assume one writer at a time.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_dist_cache")
+    __slots__ = ("n", "_adj", "_m", "_dist_cache", "_balls", "_whole")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -47,6 +53,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self._m = sum(len(a) for a in self._adj) // 2
         self._dist_cache: dict[int, tuple] = {}
+        self._balls, self._whole = [], False  # see _ball_table
 
     # -- basic accessors ---------------------------------------------------
 
@@ -213,6 +220,9 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
 def components_without(G: Graph, removed) -> list:
     """Connected components of G minus `removed`, as sorted vertex lists."""
     removed = set(removed)
+    for x in removed:  # checked here too, as bfs never runs if all are removed
+        if not 0 <= x < G.n:
+            raise ValueError(f"deleted vertex {x} out of range for n={G.n}")
     seen = set(removed)
     comps = []
     for s in range(G.n):
@@ -256,17 +266,9 @@ def gen_named(kind: str, n: int | None = None, seed: int | None = None) -> Graph
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "complete":
         return Graph(n, combinations(range(n), 2))
-    if kind == "grid2d":
-        def vid(r, c):
-            return r * n + c
-        edges = []
-        for r in range(n):
-            for c in range(n):
-                if c + 1 < n:
-                    edges.append((vid(r, c), vid(r, c + 1)))
-                if r + 1 < n:
-                    edges.append((vid(r, c), vid(r + 1, c)))
-        return Graph(n * n, edges)
+    if kind == "grid2d":  # vertex r * n + c is row r, column c
+        rows = [(v, v + 1) for v in range(n * n) if v % n != n - 1]
+        return Graph(n * n, rows + [(v, v + n) for v in range(n * n - n)])
     if kind == "hypercube":
         return HypercubeGraph(n)
     if kind == "random_tree":
@@ -300,6 +302,12 @@ def _random_tree(n: int, seed: int | None) -> Graph:
     return Graph(n, edges)
 
 
+@lru_cache(maxsize=1)
+def _ids(n: int) -> tuple:
+    """0..n-1, shared by graphs and by `compress` calls, which then make no new ints."""
+    return tuple(range(n))
+
+
 def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
     """G(n,p): each pair (u,v), u<v in lexicographic order, kept w.p. p.
 
@@ -308,20 +316,42 @@ def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"p must lie in [0,1], got {p}")
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+    draw = random.Random(seed).random
+    ids = _ids(n)
+    return Graph(n, ((u, v) for u in ids for v in ids[u + 1:] if draw() < p))
 
 
 # -- neighbourhood / path / cycle counting -----------------------------------
 
+def _flags(x: int) -> bytes:
+    """One byte per bit of x, lowest first: 1 where the bit is set, else 0."""
+    return bin(x)[:1:-1].encode().translate(_FLAGS)
+
+
+def _ball_table(G: Graph, r: int) -> tuple:
+    """Table r >= 1 of G's balls: bit u of entry v is set iff dist(u, v) <= r.
+
+    Built on first use from table r - 1 (radius 0 is 1 << v) and cached on
+    G.  Once a table equals the one before it, every ball is a whole
+    component: none is built after it, and larger radii read it.
+    """
+    tables = G._balls
+    while len(tables) < r and not G._whole:
+        if (len(tables) + 1) * (G.n * G.n // 8) > BALL_TABLE_BYTES:
+            raise CapExceededError(f"ball table {len(tables) + 1} passes {BALL_TABLE_BYTES} bytes")
+        prev = tables[-1] if tables else tuple(1 << v for v in range(G.n))
+        table = tuple(reduce(or_, map(prev.__getitem__, a), prev[v]) for v, a in enumerate(G._adj))
+        G._whole = table == prev
+        if not (G._whole and tables):
+            tables.append(table)
+    return tables[min(r, len(tables)) - 1]
+
+
 def kth_neighborhood(G: Graph, v: int, i: int) -> set:
     """Closed i-th neighborhood: all vertices within distance i of v."""
-    return {u for u, d in enumerate(bfs(G, (v,), radius=i)) if d is not INF}
+    if i < 0 or not 0 <= v < G.n:
+        raise ValueError(f"radius {i} < 0 or vertex {v} out of range for n={G.n}")
+    return set(compress(_ids(G.n), _flags(_ball_table(G, i)[v]))) if i else {v}
 
 
 def count_paths(G: Graph, v: int, w: int, i: int) -> int:
@@ -338,9 +368,9 @@ def count_paths(G: Graph, v: int, w: int, i: int) -> int:
 def _paths_to(G: Graph, v: int, w: int, i: int, dist_to_w) -> int:
     """Simple v-w paths with exactly i edges, v != w and i >= 1.
 
-    `dist_to_w` may be any distance row from w that is exact up to i, such
-    as bfs(G, (w,), radius=i): the search enters a vertex only if w is
-    still in reach from it.
+    `dist_to_w` need only be exact up to i, like bfs(G, (w,), radius=i) or
+    min(dist, i + 1): the search enters a vertex only if w is still in reach
+    from it.  Entries below the distance but above 1 only prune less.
     """
     adj = G._adj
     visited = [False] * G.n
@@ -358,6 +388,22 @@ def _paths_to(G: Graph, v: int, w: int, i: int, dist_to_w) -> int:
         return total
 
     return dfs(v, i)
+
+
+def _ball_and_row(G: Graph, v: int, i: int):
+    """The radius-i ball around v (i >= 1) without v, sorted, and the row of
+    min(dist(u, v), i + 1) as bytes: i + 1 minus the number of radii 0..i
+    whose ball holds u, summed in one big int with a byte lane per vertex.
+    Lanes cap the row at 255, which for i >= 255 only prunes less.
+    """
+    n = G.n
+    bit = 1 << v
+    flags = [_flags(_ball_table(G, r)[v] ^ bit) for r in range(1, min(i, 254) + 1)]
+    top = len(flags) + 1
+    lanes = top * int.from_bytes(b"\1" * n, "little") - (top << 8 * v)
+    row = (lanes - sum(int.from_bytes(f, "little") for f in flags)).to_bytes(n, "little")
+    last = flags[-1] if i < 255 else _flags(_ball_table(G, i)[v] ^ bit)
+    return list(compress(_ids(n), last)), row
 
 
 def count_cycles_through_edge(G: Graph, e, L: int, cap: int = 8) -> int:
@@ -412,12 +458,7 @@ def exact_domination_number(G: Graph, cap: int = 24) -> int:
     n = G.n
     if n > cap:
         raise CapExceededError(f"exact domination limited to n <= {cap}, got {n}")
-    masks = []
-    for v in range(n):
-        m = 1 << v
-        for w in G.neighbors(v):
-            m |= 1 << w
-        masks.append(m)
+    masks = _ball_table(G, 1)  # closed neighbourhoods
     full = (1 << n) - 1
     best = len(greedy_dominating_set(G))
 

@@ -108,6 +108,19 @@ def test_cap_error_exit_code(tmp_path):
     assert "limit" in r.stderr
 
 
+def test_ball_table_cap_exit_code(monkeypatch, capsys):
+    import lazycops.graph as graph
+
+    argv = ["verify-expansion", "--n", "300", "--alpha", "0.5", "--eps", "0.05", "--seed", "1"]
+    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 300 * 300 // 8 - 1)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("lazycops: limit exceeded: ball table 1 passes 11249 bytes")
+    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 300 * 300 // 8 * 2)  # radii 1 and 2
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+
+
 def test_experiment_reproducible_across_workers(tmp_path):
     cfg = {
         "family": "gnp",

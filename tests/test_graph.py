@@ -12,6 +12,8 @@ from lazycops.graph import (
     DIST_CACHE_ENTRIES,
     Graph,
     HypercubeGraph,
+    _ball_and_row,
+    _ball_table,
     _paths_to,
     bfs,
     component_of,
@@ -27,6 +29,11 @@ from lazycops.graph import (
     kth_neighborhood,
     parse_graph,
     serialize_graph,
+)
+from reference_balls import (
+    reference_ball_and_row,
+    reference_ball_table,
+    reference_kth_neighborhood,
 )
 from reference_bfs import reference_bfs
 from reference_paths import reference_count_paths
@@ -278,6 +285,9 @@ def test_searches_reject_out_of_range_sources(source):
         component_of(G, 0, {source})
     with pytest.raises(ValueError, match="out of range"):
         components_without(G, {source})
+    # also when every valid vertex is removed, so that no search runs
+    with pytest.raises(ValueError, match="out of range"):
+        components_without(G, {0, 1, 2, 3, source})
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,38 +302,46 @@ def test_bfs_matches_reference_on_fixed_searches():
         assert bfs(G, sources, deleted, radius) == reference_bfs(G, sources, deleted, radius)
 
 
-def test_expansion_report_independent_of_bfs_direction(monkeypatch):
+def test_expansion_report_independent_of_ball_tables(monkeypatch):
     import sys
 
     import lazycops.graph as graph
 
-    def report():
-        return verify_expansion(gen_gnp(600, 600 ** -0.48, 2), 0.48, 0.05, seed=4)
+    # d = 600^0.2, 600^0.52 and 600^0.5: the verifier uses radii 1-5, 1-3 and 1-2
+    edge_p = {0.2: 600 ** -0.8, 0.48: 600 ** -0.48, 0.5: 600 ** -0.5}
 
-    expected_report = report()
+    def report(alpha):
+        return verify_expansion(gen_gnp(600, edge_p[alpha], 2), alpha, 0.05, seed=4)
+
+    expected = {alpha: report(alpha) for alpha in edge_p}
     # (samples, min, max, mean) as computed before path counts ran on balls;
     # the means are integer sums over sample counts, so they are exact
-    checks = {c.name: (c.samples, c.minimum, c.maximum, c.mean) for c in expected_report.checks}
+    checks = {c.name: (c.samples, c.minimum, c.maximum, c.mean) for c in expected[0.48].checks}
     assert checks["path_count_i=2"] == (1000, 0, 5, 1.744)
     assert checks["path_count_i=3"] == (1000, 12, 71, 35.825)
     assert checks["cycles_len<=3"] == (200, 0, 5, 1.165)
 
-    calls = []
+    tables = {}
 
-    def top_down_only(*args, **kwargs):
-        calls.append(args[1])
-        return reference_bfs(*args, **kwargs)
+    def searched_tables(G, r):
+        # one search per vertex and radius, kept for one report's graph
+        if r not in tables:
+            tables[r] = reference_ball_table(G, r)
+        return tables[r]
 
-    # every module that bound graph.bfs, so no search bypasses the reference
-    original = graph.bfs
+    # every module that bound the table builder, so no ball bypasses the reference
+    original = graph._ball_table
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lazycops":
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, top_down_only)
-    assert report().to_dict() == expected_report.to_dict()
-    # 200 growth balls and 2,000 path-count balls at least
-    assert len(calls) >= 2200
+                    monkeypatch.setattr(module, key, searched_tables)
+    for alpha, report_at in expected.items():
+        tables.clear()
+        assert report(alpha).to_dict() == report_at.to_dict()
+        # growth balls from radius 1 and path-count balls up to ell + 1 at least
+        ell = math.ceil(1 / alpha) - 1
+        assert set(tables) >= set(range(1, ell + 2))
 
 
 def test_distance_cache_is_bounded():
@@ -335,6 +353,101 @@ def test_distance_cache_is_bounded():
         assert list(G._dist_cache) == list(range(G.n - rows, G.n))  # oldest out first
         for v in (0, 1, G.n - rows - 1, G.n - 1):
             assert list(G.distances_from(v)) == bfs(G, (v,))
+
+
+# -- ball tables ------------------------------------------------------------------
+
+@st.composite
+def _ball_graphs(draw):
+    """A graph on at most 24 vertices whose edges join only vertices of the
+    same of up to four random blocks, so it has several components and often
+    isolated vertices."""
+    n = draw(st.integers(1, 24))
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if block[u] == block[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return Graph(n, edges)
+
+
+def _check_balls(G):
+    """Every ball, sorted ball, row and table of G up to radius diameter + 2
+    (diameter over the components) against the search-based references."""
+    diameter = max(d for v in range(G.n) for d in bfs(G, (v,)) if d is not math.inf)
+    for r in range(diameter + 3):
+        for v in range(G.n):
+            assert kth_neighborhood(G, v, r) == reference_kth_neighborhood(G, v, r)
+            if r:
+                ball, row = _ball_and_row(G, v, r)
+                assert (ball, list(row)) == reference_ball_and_row(G, v, r)
+        if r:
+            assert _ball_table(G, r) == reference_ball_table(G, r)
+    assert G._whole and len(G._balls) <= max(1, diameter)
+
+
+def test_ball_tables_match_searches_on_random_graphs():
+    @settings(max_examples=150, deadline=None)
+    @given(_ball_graphs())
+    def check(G):
+        _check_balls(G)
+
+    check()
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("path", 7), ("cycle", 8), ("grid2d", 4), ("hypercube", 4), ("petersen", None),
+])
+def test_ball_tables_match_searches_on_families(kind, size):
+    _check_balls(gen_named(kind, size))
+
+
+def test_ball_tables_stop_at_whole_components():
+    P = gen_named("path", 10)
+    assert kth_neighborhood(P, 0, 50) == set(range(10))
+    assert len(P._balls) == 9 and P._whole  # the diameter, not 50
+    assert kth_neighborhood(P, 9, 3) == {6, 7, 8, 9}
+    H = Graph(5, [(0, 1), (2, 3)])
+    assert kth_neighborhood(H, 0, 7) == {0, 1}
+    assert kth_neighborhood(H, 4, 7) == {4}
+    assert len(H._balls) == 1
+    E = Graph(3)  # table 1 equals radius 0 and is the one table kept
+    assert kth_neighborhood(E, 2, 4) == {2}
+    assert _ball_table(E, 3) == (1, 2, 4)
+    with pytest.raises(ValueError, match="radius -1 < 0"):
+        kth_neighborhood(P, 0, -1)
+
+
+def test_ball_tables_respect_byte_cap(monkeypatch):
+    import lazycops.graph as graph
+
+    G = gen_named("path", 40)  # 200 bytes per table
+    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 2 * 200)
+    assert kth_neighborhood(G, 0, 2) == {0, 1, 2}
+    with pytest.raises(CapExceededError, match="ball table 3 passes 400 bytes"):
+        kth_neighborhood(G, 0, 3)
+    assert len(G._balls) == 2
+    assert kth_neighborhood(G, 39, 1) == {38, 39}
+
+
+def test_ball_row_beyond_byte_lanes_only_prunes_less():
+    # radius 260 on a 520-cycle: the far half of the row is capped at 255,
+    # below the distance, which keeps the path count exact
+    C = gen_named("cycle", 520)
+    ball, row = _ball_and_row(C, 0, 260)
+    near = bfs(C, (0,))
+    assert ball == list(range(1, 520))
+    assert list(row) == [min(d, 255) for d in near]
+    assert _paths_to(C, 260, 0, 260, row) == reference_count_paths(C, 260, 0, 260) == 2
+    assert _paths_to(C, 259, 0, 259, row) == 1
+
+
+def test_gen_gnp_draws_each_pair_once_in_order():
+    for n, p, seed in ((1, 0.5, 0), (2, 1.0, 1), (30, 0.2, 3), (300, 0.05, 9)):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        G = gen_gnp(n, p, seed)
+        assert G == Graph(n, edges) and G.m == len(edges)
+        # one int object per vertex, shared by every edge end
+        assert len({id(u) for nbrs in G._adj for u in nbrs}) <= n
 
 
 # -- path and cycle counting ----------------------------------------------------
