@@ -18,7 +18,7 @@ from itertools import accumulate
 
 from .errors import UsageError
 from .game import GameState, RobberMove
-from .graph import INF, Graph, bfs
+from .graph import INF, Graph, bfs, farthest_vertex
 
 MAIN = "main"
 BOUNDARY_DENSE = "boundary-dense"
@@ -190,43 +190,32 @@ def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
 class GnpRobberStrategy:
     """Robber following the level-threshold evasion rule.
 
-    Placement maximizes the distance to the nearest cop (multi-source BFS),
-    ties to the lowest id; afterwards the previous vertex is tracked as the
-    deadly neighbour.  `stats()` counts the moves since placement and the
+    Placement is the greedy robber's: the lowest-id vertex farthest from
+    the cops.  Afterwards the previous vertex is tracked as the deadly
+    neighbour.  `stats()` counts the moves since placement and the
     fallbacks among them (moves where no candidate survived).
     """
 
-    def __init__(self, alpha: float, params: GnpRobberParams | None = None):
+    def __init__(self, alpha: float):
         self._alpha = alpha
-        self._params = params
-        self._derived_for: tuple | None = None   # (n, m) of derived params
+        self._derived: tuple = (None, None)   # ((n, m), params derived for them)
         self._prev: int | None = None
         self._stats = {"moves": 0, "fallbacks": 0}
 
     def _params_for(self, G: Graph) -> GnpRobberParams:
-        """Explicit params serve every graph of their size; params derived
-        from a graph's density serve only graphs of the same (n, m)."""
-        if (self._params is None or self._params.n != G.n
-                or self._derived_for not in (None, (G.n, G.m))):
+        """Params for G's density 2m / (n(n-1)), so keyed on (n, m)."""
+        key, params = self._derived
+        if key != (G.n, G.m):
             p = 2.0 * G.m / (G.n * (G.n - 1)) if G.n > 1 else 0.5
-            p = min(max(p, 1e-9), 1.0 - 1e-9)
-            self._params = gnp_params(G.n, p, self._alpha)
-            self._derived_for = (G.n, G.m)
-        return self._params
+            params = gnp_params(G.n, min(max(p, 1e-9), 1.0 - 1e-9), self._alpha)
+            self._derived = ((G.n, G.m), params)
+        return params
 
     def place(self, G: Graph, cops) -> int:
         self._prev = None
         self._stats = {"moves": 0, "fallbacks": 0}
         self._params_for(G)
-        dist = bfs(G, cops)
-        best_v, best_d = 0, -1.0
-        for v in range(G.n):
-            if v in cops:
-                continue
-            d = dist[v]
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v
+        return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
         self._stats["moves"] += 1

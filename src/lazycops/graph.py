@@ -217,6 +217,13 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     return dist
 
 
+def farthest_vertex(G: Graph, sources) -> int:
+    """The lowest-id vertex farthest from `sources`, unreached ones counting as
+    farthest: one outside `sources` if there is one (they lie at 0), else 0."""
+    dist = bfs(G, sources)
+    return dist.index(max(dist))
+
+
 def components_without(G: Graph, removed) -> list:
     """Connected components of G minus `removed`, as sorted vertex lists."""
     removed = set(removed)
@@ -588,7 +595,8 @@ def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
 # -- text format ---------------------------------------------------------------
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: header "n m", then m lines "u v"."""
+    """Parse the edge-list format: header "n m", then m lines "u v".  Q_d
+    comes back as a HypercubeGraph, as the potential robber needs."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphFormatError("empty input")
@@ -620,7 +628,10 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"duplicate edge ({u},{v})")
         seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+    G, d = Graph(n, edges), n.bit_length() - 1
+    if d >= 1 and n == 1 << d and m == d << (d - 1) and G == (Q := HypercubeGraph(d)):
+        return Q
+    return G
 
 
 def serialize_graph(G: Graph) -> str:

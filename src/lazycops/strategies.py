@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
 from .game import PASS, CopMove, GameState, RobberMove, legal_moves
 from .gnp import GnpRobberStrategy
-from .graph import (Graph, bfs, component_of, components_without, find_balanced_separator,
-                    greedy_dominating_set)
+from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
+                    find_balanced_separator, greedy_dominating_set)
 from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move
 
@@ -77,8 +76,7 @@ class GreedyRobberStrategy:
     """Maximize the distance to the nearest cop; stay if no cop can reach."""
 
     def place(self, G: Graph, cops) -> int:
-        dist = bfs(G, cops)
-        return max(range(G.n), key=lambda v: (dist[v], -v) if v not in cops else (-1, -v))
+        return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
         dist = bfs(G, state.cops)
@@ -137,13 +135,6 @@ class DominatingCopStrategy:
 
 # -- separator cops --------------------------------------------------------------
 
-@dataclass
-class SeparatorPlanNode:
-    region: tuple
-    separator: tuple
-    sizes_ok: bool  # |separator| within the GHT bound for this region size
-
-
 class SeparatorCopStrategy:
     """Recursive balanced-separator pursuit.
 
@@ -160,17 +151,14 @@ class SeparatorCopStrategy:
         self._mode = mode
         self._G = G
         self.root_separator = sorted(find_balanced_separator(G, mode))
-        # region tuple -> its separator; planning fills it, play reads it
+        # region tuple -> its separator, filled by planning in visit order; play and report read it
         self._plan: dict = {tuple(range(G.n)): tuple(self.root_separator)}
-        self._sep_log: list = []
         self.required_cops = self._required(sorted(range(G.n)))
         # per-game cursors
         self._cops: list = []
         self._posted: set = set()
         self._unposted: list = []
         self._targets: list = []
-        self._walker: int | None = None
-        self._walk_dist: tuple | None = None
 
     def _separator_of(self, region: list) -> tuple:
         key = tuple(region)
@@ -186,8 +174,6 @@ class SeparatorCopStrategy:
 
     def _required(self, region: list) -> int:
         sep = self._separator_of(region)
-        ok = len(sep) <= ght_separator_bound(len(region), 0)
-        self._sep_log.append(SeparatorPlanNode(tuple(region), sep, ok))
         rest = set(region) - set(sep)
         subs = components_without(self._G, set(range(self._G.n)) - rest)
         return len(sep) + max((self._required(comp) for comp in subs), default=0)
@@ -195,13 +181,12 @@ class SeparatorCopStrategy:
     def separator_report(self) -> dict:
         """Budget audit: required cop count and whether every separator in
         the worst-case plan met the genus-0 GHT size bound."""
+        sizes = [(len(region), len(sep)) for region, sep in self._plan.items()]
         return {
             "required_cops": self.required_cops,
-            "all_separators_within_ght_bound": all(n.sizes_ok for n in self._sep_log),
-            "levels": [
-                {"region_size": len(n.region), "separator_size": len(n.separator)}
-                for n in self._sep_log
-            ],
+            "all_separators_within_ght_bound": all(
+                s <= ght_separator_bound(r, 0) for r, s in sizes),
+            "levels": [{"region_size": r, "separator_size": s} for r, s in sizes],
         }
 
     # -- game protocol ---------------------------------------------------
@@ -218,8 +203,6 @@ class SeparatorCopStrategy:
         self._posted = set(sep)
         self._unposted = list(range(len(sep), k))
         self._targets = []
-        self._walker = None
-        self._walk_dist = None
         return list(self._cops)
 
     def _emit(self, state: GameState, internal_idx: int, target: int):
@@ -235,26 +218,22 @@ class SeparatorCopStrategy:
             if G.has_edge(u, r):
                 return self._emit(state, idx, r)
 
-        if self._walker is None:
-            if not self._targets:
-                region = component_of(G, r, self._posted)
-                self._targets = list(self._separator_of(region))
-            if not self._unposted:
-                return PASS  # budget exhausted; cannot happen at required_cops
-            self._walker = self._unposted[0]
-            self._walk_dist = G.distances_from(self._targets[0])
+        if not self._targets:
+            region = component_of(G, r, self._posted)
+            self._targets = list(self._separator_of(region))
+        if not self._unposted:
+            return PASS  # budget exhausted; cannot happen at required_cops
 
-        # an unposted cop stands on a posted root vertex or on its way, and a
-        # target lies in the robber's region, off every posted vertex: the
-        # walker is never on its target, so it always has a step to take
-        u = self._cops[self._walker]
-        u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
-        move = self._emit(state, self._walker, u)
+        # the walker, the first unposted cop, stands on a posted root vertex or
+        # on its way, and a target lies in the robber's region, off every posted
+        # vertex: the walker is never on its target, so it always has a step
+        walker, dist = self._unposted[0], G.distances_from(self._targets[0])
+        u = self._cops[walker]
+        u = min(t for t in G.neighbors(u) if dist[t] < dist[u])
+        move = self._emit(state, walker, u)
         if u == self._targets[0]:
             self._posted.add(u)
-            self._unposted.remove(self._walker)
-            self._walker = None
-            self._walk_dist = None
+            self._unposted.pop(0)
             self._targets.pop(0)
         return move
 

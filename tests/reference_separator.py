@@ -1,4 +1,4 @@
-"""Reference balanced-separator heuristic for the differential tests.
+"""Reference separator heuristic and separator cops for the differential tests.
 
 The direct form of `find_balanced_separator(G, "heuristic")`: every BFS
 level from every start vertex that is a valid separator, and the repeated
@@ -6,7 +6,18 @@ highest-degree removal, each pruned by re-checking the whole separator once
 per vertex.  It is slow, but it shares no code with `lazycops.graph` beyond
 the graph's accessors, so it can catch mistakes in the level shortcuts and
 the union-find pruning there.
+
+`ReferenceSeparatorCops` keeps the separator cops' earlier bookkeeping: the
+walking cop and its distance row held in two cursors, and the report built
+from a log appended during planning.  The strategy itself derives the walk
+from its unposted cops and targets and reads the report off its plan; the
+differential tests check that both forms play and report alike.
 """
+
+from lazycops.bounds import ght_separator_bound
+from lazycops.game import PASS
+from lazycops.graph import component_of
+from lazycops.strategies import SeparatorCopStrategy
 
 
 def _components(G, removed):
@@ -73,3 +84,51 @@ def reference_separator(G):
         removed.add(best)
     candidates.append(_prune(G, removed, limit))
     return min(candidates, key=lambda s: (len(s), sorted(s)))
+
+
+class ReferenceSeparatorCops(SeparatorCopStrategy):
+    """Separator cops with a stored walk and a log-built report."""
+
+    def __init__(self, G, mode="heuristic"):
+        self._log = []  # (region, separator, within the GHT bound), in visit order
+        super().__init__(G, mode)
+
+    def _required(self, region):
+        sep = self._separator_of(region)
+        self._log.append((region, sep, len(sep) <= ght_separator_bound(len(region), 0)))
+        return super()._required(region)
+
+    def separator_report(self):
+        return {
+            "required_cops": self.required_cops,
+            "all_separators_within_ght_bound": all(ok for _, _, ok in self._log),
+            "levels": [{"region_size": len(region), "separator_size": len(sep)}
+                       for region, sep, _ in self._log],
+        }
+
+    def place(self, G, k):
+        placement = super().place(G, k)
+        self._walker = self._walk_dist = None
+        return placement
+
+    def move(self, G, state):
+        r = state.robber
+        for idx, u in enumerate(self._cops):
+            if G.has_edge(u, r):
+                return self._emit(state, idx, r)
+        if self._walker is None:
+            if not self._targets:
+                self._targets = list(self._separator_of(component_of(G, r, self._posted)))
+            if not self._unposted:
+                return PASS
+            self._walker = self._unposted[0]
+            self._walk_dist = G.distances_from(self._targets[0])
+        u = self._cops[self._walker]
+        u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
+        move = self._emit(state, self._walker, u)
+        if u == self._targets[0]:
+            self._posted.add(u)
+            self._unposted.remove(self._walker)
+            self._walker = self._walk_dist = None
+            self._targets.pop(0)
+        return move

@@ -49,6 +49,22 @@ def test_solve_stats_on_stderr_only(tmp_path, capsys, monkeypatch):
         assert sum(stats[f"{side}_labeled_per_level"]) == stats[f"{side}_states_labeled"]
 
 
+def test_simulate_potential_robber_on_hypercube_file(tmp_path, capsys):
+    from lazycops.game import play
+    from lazycops.graph import gen_named
+    from lazycops.strategies import make_cop_strategy, make_robber_strategy
+
+    q8 = tmp_path / "q8.txt"
+    assert cli.main(["gen", "--kind", "hypercube", "--n", "8", "--out", str(q8)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--graph", str(q8), "--cops", "greedy", "--robber", "potential",
+            "--k", "2"]
+    assert cli.main(argv) == 0
+    rec = play(gen_named("hypercube", 8), make_cop_strategy("greedy"),
+               make_robber_strategy("potential"), 2, 100)
+    assert capsys.readouterr().out == rec.to_json() + "\n"
+
+
 def test_simulate_json(tmp_path):
     out = tmp_path / "p6.txt"
     _run("gen", "--kind", "path", "--n", "6", "--out", str(out))

@@ -388,10 +388,3 @@ def test_reused_strategy_rederives_params_on_new_density():
     assert derived.thresholds != GnpRobberStrategy(0.4)._params_for(sparse).thresholds
     assert reused._params_for(dense) == derived
 
-
-def test_explicit_params_kept_for_graphs_of_their_size():
-    G = gen_gnp(60, 0.3, 1)
-    explicit = gnp_params(60, 0.05, 0.4)
-    strat = GnpRobberStrategy(0.4, explicit)
-    strat.place(G, (0,))
-    assert strat._params_for(G) is explicit

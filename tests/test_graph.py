@@ -692,6 +692,26 @@ def test_parse_rejects_malformed():
             parse_graph(text)
 
 
+def test_parse_keeps_hypercube_type():
+    for d in range(1, 9):
+        Q = gen_named("hypercube", d)
+        G = parse_graph(serialize_graph(Q))
+        assert isinstance(G, HypercubeGraph) and G.dim == d and G == Q
+
+
+def test_parse_relabelled_hypercube_stays_plain():
+    from lazycops.potential import PotentialRobberStrategy
+
+    Q = gen_named("hypercube", 4)
+    label = list(range(16))
+    label[1], label[3] = label[3], label[1]   # 0-1-3 becomes 0-3-1: not Q4's labels
+    G = parse_graph(serialize_graph(Graph(16, [(label[u], label[v]) for u, v in Q.edges()])))
+    assert (G.n, G.m) == (Q.n, Q.m) and G != Q
+    assert type(G) is Graph
+    with pytest.raises(UsageError):
+        PotentialRobberStrategy().place(G, [0])
+
+
 def test_serialize_uses_lf():
     text = serialize_graph(gen_named("path", 3))
     assert "\r" not in text and text.endswith("\n")

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazycops.errors import StrategyError, UsageError
 from lazycops.game import PASS, play
-from lazycops.graph import component_of, gen_gnp, gen_named
+from lazycops.gnp import GnpRobberStrategy
+from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
 from lazycops.solver import solve_lazy
 from lazycops.strategies import (
     DominatingCopStrategy,
@@ -18,6 +21,8 @@ from lazycops.strategies import (
     make_cop_strategy,
     make_robber_strategy,
 )
+from reference_bfs import reference_bfs
+from reference_separator import ReferenceSeparatorCops
 
 
 def test_greedy_cop_captures_on_path():
@@ -144,9 +149,61 @@ def test_separator_report_structure():
     G = gen_named("grid2d", 5)
     strat = SeparatorCopStrategy(G)
     rep = strat.separator_report()
-    assert rep["required_cops"] == strat.required_cops
-    assert isinstance(rep["all_separators_within_ght_bound"], bool)
-    assert all(lvl["separator_size"] >= 1 for lvl in rep["levels"])
+    assert rep["required_cops"] == strat.required_cops == 12
+    assert rep["all_separators_within_ght_bound"] is True
+    # (region size, separator size) for every planned region, in visit order
+    assert [(lvl["region_size"], lvl["separator_size"]) for lvl in rep["levels"]] == [
+        (25, 4), (15, 2), (4, 1), (1, 1), (1, 1), (1, 1), (9, 2), (5, 1), (1, 1), (3, 1),
+        (2, 1), (1, 1), (2, 1), (1, 1), (6, 1), (1, 1), (4, 1), (1, 1), (1, 1), (1, 1)]
+
+
+def _separator_corpus():
+    cases = [pytest.param(gen_named("grid2d", s), id=f"grid{s}") for s in range(3, 9)]
+    cases += [pytest.param(gen_named("random_tree", 30, s), id=f"tree{s}") for s in range(5)]
+    gnps = ((s, gen_gnp(25, 0.15, s)) for s in range(100))
+    cases += [pytest.param(G, id=f"gnp{s}") for s, G in gnps if G.is_connected()][:5]
+    return cases
+
+
+@pytest.mark.parametrize("G", _separator_corpus())
+def test_separator_matches_reference(G):
+    strat, ref = SeparatorCopStrategy(G), ReferenceSeparatorCops(G)
+    report = strat.separator_report()
+    assert report == ref.separator_report()
+    assert report["required_cops"] == ref.required_cops
+    for extra in (0, 2):
+        k = strat.required_cops + extra
+        for robber in (GreedyRobberStrategy, lambda: RandomRobberStrategy(5)):
+            rec = play(G, strat, robber(), k, 10 * G.n * k)
+            assert rec.outcome == "capture"
+            assert rec.transcript == play(G, ref, robber(), k, 10 * G.n * k).transcript
+    assert strat.separator_report() == report  # play plans nothing new
+
+
+@st.composite
+def _placements(draw):
+    """A graph with n <= 12, possibly disconnected, and a cop list that may
+    repeat vertices or cover every vertex."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vertex = st.integers(0, n - 1)
+    cops = draw(st.lists(vertex, max_size=6))
+    if draw(st.booleans()):
+        cops += list(range(n))
+    return Graph(n, edges), draw(st.permutations(cops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placements())
+def test_farthest_vertex_matches_definition(case):
+    G, cops = case
+    free = [v for v in range(G.n) if v not in cops]
+    dist = reference_bfs(G, cops)
+    want = min(free, key=lambda v: (-dist[v], v)) if free else 0
+    assert farthest_vertex(G, cops) == want
+    for robber in (GreedyRobberStrategy(), StationaryRobberStrategy(), GnpRobberStrategy(0.4)):
+        assert robber.place(G, cops) == want
 
 
 def test_separator_requires_connected():
