@@ -18,6 +18,9 @@ from .errors import UsageError
 from .gnp import _level_count
 from .graph import Graph, _ball_and_row, _paths_to, count_cycles_through_edge, kth_neighborhood
 
+# Longest cycle that the verifier counts through sampled edges.
+CYCLE_CHECK_LEN = 4
+
 
 @dataclass
 class PropertyCheck:
@@ -82,7 +85,7 @@ def _summarize(name, values, bound, note="") -> PropertyCheck:
 def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
                      d: float | None = None, seed: int = 0,
                      vertex_samples: int = 200, pair_samples: int = 2000,
-                     edge_samples: int = 200, max_cycle_len: int = 4) -> ExpansionReport:
+                     edge_samples: int = 200) -> ExpansionReport:
     """Check the expansion properties on sampled vertices/pairs/edges.
 
     d defaults to (n-1) times the observed edge density.  Neighborhood
@@ -186,11 +189,8 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         sample = [edges[rng.randrange(len(edges))] for _ in range(edge_samples)]
         checked_any = False
         i = 1
-        while d ** i < n / logn and i + 2 <= max_cycle_len:
-            counts = [
-                count_cycles_through_edge(G, e, i + 2, cap=max_cycle_len)
-                for e in sample
-            ]
+        while d ** i < n / logn and i + 2 <= CYCLE_CHECK_LEN:
+            counts = [count_cycles_through_edge(G, e, i + 2) for e in sample]
             report.checks.append(
                 _summarize(
                     f"cycles_len<={i + 2}", counts, eps * d,
@@ -199,7 +199,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
             )
             checked_any = True
             i += 1
-        if d ** i >= n / logn and i + 2 <= max_cycle_len:
+        if d ** i >= n / logn and i + 2 <= CYCLE_CHECK_LEN:
             report.hypothesis_notes.append(
                 f"d^{i}={d ** i:.1f} >= n/log n={n / logn:.1f}; "
                 f"cycle check at length {i + 2} skipped (hypothesis fails)"

@@ -24,6 +24,13 @@ DIST_CACHE_ENTRIES = 1 << 20
 
 # Byte cap on the ball tables of one graph, about n*n/8 bytes each.
 BALL_TABLE_BYTES = 1 << 28
+# Longest cycle that count_cycles_through_edge enumerates.
+CYCLE_LEN_CAP = 8
+# Most vertices that exact_domination_number searches.
+DOMINATION_N_CAP = 24
+# Most vertices that find_balanced_separator searches in exact mode.
+SEPARATOR_N_CAP = 20
+
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # see _flags
 
 
@@ -93,18 +100,18 @@ class Graph:
 
     def distances_from(self, v: int) -> tuple:
         """Hop distances from v to every vertex (math.inf if unreachable)."""
-        cached = self._dist_cache.get(v)
-        if cached is not None:
-            return cached
-        return self._remember(v, tuple(bfs(self, (v,))))
-
-    def _remember(self, v: int, dists: tuple) -> tuple:
         cache = self._dist_cache
-        # the cache holds at most n rows, so eviction starts only at n > 1024
-        while cache and (len(cache) + 1) * self.n > DIST_CACHE_ENTRIES:
-            del cache[next(iter(cache))]
-        cache[v] = dists
-        return dists
+        row = cache.get(v)
+        if row is None:
+            row = self._row(v)
+            # the cache holds at most n rows, so eviction starts only at n > 1024
+            while cache and (len(cache) + 1) * self.n > DIST_CACHE_ENTRIES:
+                del cache[next(iter(cache))]
+            cache[v] = row
+        return row
+
+    def _row(self, v: int) -> tuple:
+        return tuple(bfs(self, (v,)))
 
     def distance(self, u: int, v: int):
         return self.distances_from(u)[v]
@@ -141,13 +148,10 @@ class HypercubeGraph(Graph):
     def distance(self, u: int, v: int):
         return (u ^ v).bit_count()
 
-    def distances_from(self, v: int) -> tuple:
-        cached = self._dist_cache.get(v)
-        if cached is None:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range for n={self.n}")
-            cached = self._remember(v, tuple((v ^ u).bit_count() for u in range(self.n)))
-        return cached
+    def _row(self, v: int) -> tuple:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return tuple((v ^ u).bit_count() for u in range(self.n))
 
 
 # -- breadth-first search ----------------------------------------------------
@@ -413,20 +417,20 @@ def _ball_and_row(G: Graph, v: int, i: int):
     return list(compress(_ids(n), last)), row
 
 
-def count_cycles_through_edge(G: Graph, e, L: int, cap: int = 8) -> int:
+def count_cycles_through_edge(G: Graph, e, L: int) -> int:
     """Exact count of simple cycles of length <= L containing edge e.
 
     A cycle of length j through uv corresponds to a simple u,v-path with
     j-1 >= 2 edges, so the count is sum of P_j(u,v) for j = 2..L-1.
-    Enumeration cost grows like degree^L, hence the cap.
+    Enumeration cost grows like degree^L, hence CYCLE_LEN_CAP.
     """
     u, v = e
     if not G.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
     if L < 3:
         raise ValueError("cycle length bound must be >= 3")
-    if L > cap:
-        raise CapExceededError(f"cycle length bound {L} exceeds cap {cap}")
+    if L > CYCLE_LEN_CAP:
+        raise CapExceededError(f"cycle length bound {L} exceeds cap {CYCLE_LEN_CAP}")
     return sum(count_paths(G, u, v, j) for j in range(2, L))
 
 
@@ -434,11 +438,7 @@ def count_cycles_through_edge(G: Graph, e, L: int, cap: int = 8) -> int:
 
 def dominates(G: Graph, s) -> bool:
     """True iff every vertex lies in the closed neighborhood of `s`."""
-    covered = set()
-    for v in s:
-        covered.add(v)
-        covered.update(G.neighbors(v))
-    return len(covered) == G.n
+    return reduce(or_, map(_ball_table(G, 1).__getitem__, s), 0) == (1 << G.n) - 1
 
 
 def greedy_dominating_set(G: Graph) -> set:
@@ -446,26 +446,20 @@ def greedy_dominating_set(G: Graph) -> set:
 
     Ties broken by lowest vertex id, for determinism.
     """
-    uncovered = set(range(G.n))
-    chosen = set()
+    masks, uncovered, chosen = _ball_table(G, 1), (1 << G.n) - 1, set()  # closed nbhds
     while uncovered:
-        best, best_gain = None, -1
-        for v in range(G.n):
-            gain = (v in uncovered) + sum(1 for w in G.neighbors(v) if w in uncovered)
-            if gain > best_gain:
-                best, best_gain = v, gain
+        best = max(range(G.n), key=lambda v: ((masks[v] & uncovered).bit_count(), -v))
         chosen.add(best)
-        uncovered.discard(best)
-        uncovered.difference_update(G.neighbors(best))
+        uncovered &= ~masks[best]
     return chosen
 
 
-def exact_domination_number(G: Graph, cap: int = 24) -> int:
+def exact_domination_number(G: Graph) -> int:
     """Minimum dominating set size, by branch and bound over bitmasks."""
     n = G.n
-    if n > cap:
-        raise CapExceededError(f"exact domination limited to n <= {cap}, got {n}")
-    masks = _ball_table(G, 1)  # closed neighbourhoods
+    if n > DOMINATION_N_CAP:
+        raise CapExceededError(f"exact domination limited to n <= {DOMINATION_N_CAP}, got {n}")
+    masks = _ball_table(G, 1)
     full = (1 << n) - 1
     best = len(greedy_dominating_set(G))
 
@@ -480,7 +474,7 @@ def exact_domination_number(G: Graph, cap: int = 24) -> int:
         # some vertex of N[v] must be in any dominating set
         cands = sorted(
             [v, *G.neighbors(v)],
-            key=lambda u: -bin(masks[u] & uncovered).count("1"),
+            key=lambda u: -(masks[u] & uncovered).bit_count(),
         )
         for u in cands:
             search(uncovered & ~masks[u], size + 1)
@@ -491,21 +485,21 @@ def exact_domination_number(G: Graph, cap: int = 24) -> int:
 
 # -- balanced separators ------------------------------------------------------
 
-def _separator_ok(G: Graph, s, limit: int) -> bool:
-    return all(len(c) <= limit for c in components_without(G, s))
-
-
-def _prune_separator(G: Graph, s: set, limit: int) -> set:
-    """Visit the valid separator `s` in increasing order, dropping each
-    vertex whose removal from it leaves every component within `limit`.
+def _prune_separator(G: Graph, s, limit: int):
+    """None if G minus `s` has a component of more than `limit` vertices;
+    else `s` visited in increasing order, dropping each vertex whose removal
+    from it leaves every component within `limit`.
 
     Putting v back changes only v's own component: it joins v with the
-    components next to it.  One component search labels the vertices, and
-    a union-find over the labels then tracks the merged sizes.
+    components next to it.  One component search checks and labels the
+    vertices, and a union-find over the labels then tracks the merged sizes.
     """
+    comps = components_without(G, s)
+    if any(len(c) > limit for c in comps):
+        return None
     label = [-1] * G.n  # -1 for vertices still in the separator
     size = []
-    for c in components_without(G, s):
+    for c in comps:
         for u in c:
             label[u] = len(size)
         size.append(len(c))
@@ -549,16 +543,16 @@ def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
     limit = (2 * n) // 3
 
     if mode == "exact":
-        if n > 20:
-            raise CapExceededError(f"exact separator limited to n <= 20, got {n}")
+        if n > SEPARATOR_N_CAP:
+            raise CapExceededError(f"exact separator limited to n <= {SEPARATOR_N_CAP}, got {n}")
         for size in range(n + 1):
             for s in combinations(range(n), size):
-                if _separator_ok(G, s, limit):
+                if _prune_separator(G, s, limit) is not None:
                     return set(s)
         raise AssertionError("unreachable: removing all vertices is always valid")
 
     if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown separator mode {mode!r}; use heuristic or exact")
 
     candidates = []
     for start in range(n):
@@ -566,28 +560,20 @@ def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
         levels: dict = {}
         for v, d in enumerate(dist):
             levels.setdefault(d, []).append(v)
-        # the vertices nearer than level d form one connected ball, so only
-        # the part beyond it can hold more than one component
+        # the ball inside level d is one component of G minus the level
         inside = 0
         for d in range(len(levels)):
             lvl = levels[d]
-            outside = n - inside - len(lvl)
             if len(lvl) < n and inside <= limit and (
-                    outside <= limit or _separator_ok(G, lvl, limit)):
-                candidates.append(_prune_separator(G, set(lvl), limit))
+                    pruned := _prune_separator(G, lvl, limit)) is not None:
+                candidates.append(pruned)
             inside += len(lvl)
 
     removed: set = set()
-    while not _separator_ok(G, removed, limit):
-        best, best_deg = None, -1
-        for v in range(G.n):
-            if v in removed:
-                continue
-            deg = sum(1 for w in G.neighbors(v) if w not in removed)
-            if deg > best_deg:
-                best, best_deg = v, deg
-        removed.add(best)
-    candidates.append(_prune_separator(G, removed, limit))
+    while (pruned := _prune_separator(G, removed, limit)) is None:
+        removed.add(max((v for v in range(n) if v not in removed),
+                        key=lambda v: (sum(w not in removed for w in G._adj[v]), -v)))
+    candidates.append(pruned)
 
     return min(candidates, key=lambda s: (len(s), sorted(s)))
 

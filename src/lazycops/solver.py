@@ -34,7 +34,11 @@ ROBBER_TURN = 1
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
 # 14.3-18.4 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
 # the result: up to about 0.5 GB at the cap.
-DEFAULT_STATE_CAP = 50_000_000
+STATE_CAP = 50_000_000
+# Vertex and cop counts of the classic solver, whose states have (deg + 1)^k moves.
+CLASSIC_N_CAP, CLASSIC_K_CAP = 12, 3
+# Half-moves that the replay of a robber win plays before it stops.
+EVASION_STEPS = 200
 
 _ONES = re.compile(b"\x01").finditer   # flagged ranks of a row, as matches
 
@@ -143,14 +147,12 @@ def _move_table(msets: list, mindex: dict, closed: list, mode: str) -> list:
     return moves
 
 
-def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
+def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     n = G.n
     M = comb(n + k - 1, k)
     total = M * n * 2
-    if total > state_cap:
-        raise CapExceededError(
-            f"state count {total} exceeds cap {state_cap} (n={n}, k={k})"
-        )
+    if total > STATE_CAP:
+        raise CapExceededError(f"state count {total} exceeds cap {STATE_CAP} (n={n}, k={k})")
     t0 = time.perf_counter()
     msets = list(combinations_with_replacement(range(n), k))
     mindex = {ms: i for i, ms in enumerate(msets)}
@@ -232,44 +234,41 @@ def _solve(G: Graph, k: int, mode: str, state_cap: int) -> SolveResult:
     )
 
 
-def solve_lazy(G: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
+def solve_lazy(G: Graph, k: int) -> SolveResult:
     if k < 1:
         raise UsageError("cop count must be >= 1")
-    return _solve(G, k, LAZY, state_cap)
+    return _solve(G, k, LAZY)
 
 
-def solve_classic(G: Graph, k: int, n_cap: int = 12, k_cap: int = 3,
-                  state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
+def solve_classic(G: Graph, k: int) -> SolveResult:
     """Classic rules: every cop repositions within its closed neighborhood."""
     if k < 1:
         raise UsageError("cop count must be >= 1")
-    if G.n > n_cap or k > k_cap:
-        raise CapExceededError(
-            f"classic solver limited to n <= {n_cap}, k <= {k_cap} "
-            f"(got n={G.n}, k={k}); raise the caps explicitly if intended"
-        )
-    return _solve(G, k, CLASSIC, state_cap)
+    if G.n > CLASSIC_N_CAP or k > CLASSIC_K_CAP:
+        raise CapExceededError(f"classic solver limited to n <= {CLASSIC_N_CAP}, "
+                               f"k <= {CLASSIC_K_CAP} (got n={G.n}, k={k})")
+    return _solve(G, k, CLASSIC)
 
 
-def cop_number(G: Graph, k_max: int, mode: str = LAZY, **caps) -> int:
+def cop_number(G: Graph, k_max: int, mode: str = LAZY) -> int:
     """Smallest k <= k_max winning for the cops; raises if none."""
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
     if not G.is_connected():
         raise UsageError("cop number is only defined here for connected graphs")
     for k in range(1, k_max + 1):
-        res = solve_lazy(G, k, **caps) if mode == LAZY else solve_classic(G, k, **caps)
+        res = solve_lazy(G, k) if mode == LAZY else solve_classic(G, k)
         if res.cop_win:
             return k
     raise CapExceededError(f"no cop win found for k <= {k_max}")
 
 
-def lazy_cop_number(G: Graph, k_max: int, **caps) -> int:
-    return cop_number(G, k_max, LAZY, **caps)
+def lazy_cop_number(G: Graph, k_max: int) -> int:
+    return cop_number(G, k_max, LAZY)
 
 
-def classic_cop_number(G: Graph, k_max: int, **caps) -> int:
-    return cop_number(G, k_max, CLASSIC, **caps)
+def classic_cop_number(G: Graph, k_max: int) -> int:
+    return cop_number(G, k_max, CLASSIC)
 
 
 def _cop_replies(result: SolveResult, mi: int, robber: int) -> list:
@@ -326,7 +325,7 @@ def optimal_move(result: SolveResult, s):
     return min(moves)
 
 
-def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> dict:
+def verify_self_consistency(result: SolveResult) -> dict:
     """Replay optimal-vs-optimal from the solved placement.
 
     Returns a report asserting that play realizes the declared winner and,
@@ -341,7 +340,7 @@ def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> di
         return {"ok": result.cop_win, "half_moves": 0, "budget": 0}
 
     start_d = result.distance(cops, robber, COP_TURN)
-    budget = start_d if start_d is not None else evasion_steps
+    budget = start_d if start_d is not None else EVASION_STEPS
     half = 0
     while half <= budget + 1:
         if robber in cops:
@@ -356,6 +355,6 @@ def verify_self_consistency(result: SolveResult, evasion_steps: int = 200) -> di
             robber = _robber_reply(result, cops, result._closed[robber])
             side = COP_TURN
         half += 1
-        if not result.cop_win and half >= evasion_steps:
+        if not result.cop_win and half >= EVASION_STEPS:
             return {"ok": robber not in cops, "half_moves": half, "budget": None}
     return {"ok": False, "half_moves": half, "budget": start_d}

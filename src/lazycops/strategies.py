@@ -262,7 +262,16 @@ class OptimalRobberStrategy(_OptimalStrategy):
 
 # -- registry -----------------------------------------------------------------
 
-def _parse_spec(spec: str):
+# the options that each strategy name reads
+_COP_OPTIONS = {"greedy": ("seed",), "random": ("seed",), "dominating": (),
+                "separator": ("mode",), "optimal": ()}
+_ROBBER_OPTIONS = {"greedy": (), "random": ("seed",), "stationary": (), "gnp": ("alpha",),
+                   "potential": ("eps",), "optimal": ()}
+
+
+def _parse_spec(spec: str, accepted: dict):
+    """Name and options of `spec`; an option that the named strategy does not
+    read is a usage error.  Unknown names are left to the caller."""
     name, _, rest = spec.partition(":")
     kwargs = {}
     if rest:
@@ -271,6 +280,10 @@ def _parse_spec(spec: str):
             if not _:
                 raise UsageError(f"malformed strategy option {item!r} in {spec!r}")
             kwargs[key] = val
+    unread = sorted(set(kwargs) - set(accepted.get(name, kwargs)))
+    if unread:
+        raise UsageError(f"strategy {name!r} takes no option {unread[0]!r} "
+                         f"(options: {', '.join(accepted[name]) or 'none'})")
     return name, kwargs
 
 
@@ -288,7 +301,7 @@ def make_cop_strategy(spec: str, G: Graph | None = None,
                       default_seed: int | None = 0):
     """Build a cop strategy from its CLI name, e.g. "greedy", "random:seed=5",
     "separator", "dominating", "optimal"."""
-    name, kw = _parse_spec(spec)
+    name, kw = _parse_spec(spec, _COP_OPTIONS)
     if name == "greedy":
         return GreedyCopStrategy(_option(spec, kw, "seed", int))
     if name == "random":
@@ -309,7 +322,7 @@ def make_robber_strategy(spec: str, G: Graph | None = None,
                          default_seed: int | None = 0):
     """Build a robber strategy from its CLI name, e.g. "greedy", "random:seed=5",
     "gnp:alpha=0.4", "potential:eps=1", "stationary", "optimal"."""
-    name, kw = _parse_spec(spec)
+    name, kw = _parse_spec(spec, _ROBBER_OPTIONS)
     if name == "greedy":
         return GreedyRobberStrategy()
     if name == "random":

@@ -137,6 +137,32 @@ def test_ball_table_cap_exit_code(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["checks"]
 
 
+@pytest.mark.parametrize("argv", [["solve", "--k", "2"], ["copnum", "--kmax", "2"]])
+def test_state_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
+    import lazycops.solver as solver
+
+    graph = tmp_path / "p4.txt"
+    assert cli.main(["gen", "--kind", "path", "--n", "4", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(solver, "STATE_CAP", 2 * 4 * 1 - 1)  # below k = 1 on P4
+    assert cli.main([*argv, "--graph", str(graph)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("lazycops: limit exceeded: state count ") and "exceeds cap 7 (" in err
+    monkeypatch.setattr(solver, "STATE_CAP", 80)  # 2 * 4 * C(5, 2): k = 2 fits
+    assert cli.main([*argv, "--graph", str(graph)]) == 0
+
+
+def test_cycle_cap_exit_code(monkeypatch, capsys):
+    import lazycops.graph as graph
+
+    argv = ["verify-expansion", "--n", "300", "--alpha", "0.2", "--eps", "0.05", "--seed", "1"]
+    monkeypatch.setattr(graph, "CYCLE_LEN_CAP", 3)  # the verifier counts up to length 4 here
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "lazycops: limit exceeded: cycle length bound 4 exceeds cap 3\n"
+
+
 def test_experiment_reproducible_across_workers(tmp_path):
     cfg = {
         "family": "gnp",
@@ -264,6 +290,11 @@ def test_config_null_k_with_bounds_query_accepted(tmp_path, capsys):
     ("simulate", "random:seed=1.5", "greedy"),
     ("simulate", "greedy", "random:seed=1.5"),
     ("simulate", "greedy", "gnp:alpha=zz"),
+    ("simulate", "greedy:sed=5", "greedy"),
+    ("simulate", "greedy", "stationary:foo=1"),
+    ("simulate", "greedy", "gnp:alpha=0.4,beta=3"),
+    ("simulate", "separator:mode=bogus", "greedy"),
+    ("simulate", "greedy", "random:seed=1,x=2"),
 ])
 def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, robber):
     if command == "experiment":

@@ -15,6 +15,7 @@ from lazycops.graph import (
     _ball_and_row,
     _ball_table,
     _paths_to,
+    _prune_separator,
     bfs,
     component_of,
     components_without,
@@ -36,6 +37,7 @@ from reference_balls import (
     reference_kth_neighborhood,
 )
 from reference_bfs import reference_bfs
+from reference_domination import reference_greedy_dominating_set
 from reference_paths import reference_count_paths
 from reference_separator import reference_separator
 
@@ -507,6 +509,16 @@ def test_count_cycles_cap():
         count_cycles_through_edge(G, (0, 1), 9)
 
 
+def test_count_cycles_reads_cap_at_call_time(monkeypatch):
+    import lazycops.graph as graph
+
+    K4 = gen_named("complete", 4)
+    monkeypatch.setattr(graph, "CYCLE_LEN_CAP", 3)
+    assert count_cycles_through_edge(K4, (0, 1), 3) == 2
+    with pytest.raises(CapExceededError, match="cycle length bound 4 exceeds cap 3"):
+        count_cycles_through_edge(K4, (0, 1), 4)
+
+
 # -- domination -----------------------------------------------------------------
 
 def _brute_force_domination(G):
@@ -582,12 +594,58 @@ def test_exact_domination_cap():
         exact_domination_number(gen_gnp(30, 0.1, 0))
 
 
+def test_exact_caps_read_at_call_time(monkeypatch):
+    import lazycops.graph as graph
+
+    P5 = gen_named("path", 5)
+    monkeypatch.setattr(graph, "DOMINATION_N_CAP", 4)
+    monkeypatch.setattr(graph, "SEPARATOR_N_CAP", 4)
+    with pytest.raises(CapExceededError, match="exact domination limited to n <= 4, got 5"):
+        exact_domination_number(P5)
+    with pytest.raises(CapExceededError, match="exact separator limited to n <= 4, got 5"):
+        find_balanced_separator(P5, "exact")
+    assert exact_domination_number(gen_named("path", 4)) == 2
+
+
+@st.composite
+def _domination_graphs(draw):
+    """A graph with n <= 14: random edges (isolated vertices included), or
+    a complete graph, where every vertex ties."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        return gen_named("complete", n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_domination_graphs())
+def test_greedy_domination_matches_reference(G):
+    assert greedy_dominating_set(G) == reference_greedy_dominating_set(G)
+
+
+def test_greedy_domination_matches_reference_on_fixed_graphs():
+    graphs = [Graph(1), Graph(5), gen_named("complete", 6), gen_named("cycle", 9)]
+    graphs += [gen_named("grid2d", 7), gen_named("petersen"), gen_named("hypercube", 5)]
+    graphs += [gen_gnp(60, 0.05, seed) for seed in range(5)]
+    for G in graphs:
+        assert greedy_dominating_set(G) == reference_greedy_dominating_set(G)
+
+
 # -- separators -------------------------------------------------------------------
 
 def _check_balanced(G, sep):
     limit = (2 * G.n) // 3
     for comp in components_without(G, set(sep)):
         assert len(comp) <= limit
+
+
+def test_prune_separator_rejects_invalid_candidates():
+    P7 = gen_named("path", 7)  # limit 4
+    assert _prune_separator(P7, {0}, 4) is None  # leaves 1..6
+    assert _prune_separator(P7, {3}, 4) == {3}
+    assert _prune_separator(P7, {2, 3, 4}, 4) == {4}  # 2, then 3 rejoin the left part
+    assert _prune_separator(P7, set(), 4) is None
 
 
 def test_separator_exact_small():

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from lazycops.errors import IllegalMoveError, UsageError
+from lazycops.errors import CapExceededError, IllegalMoveError, UsageError
 from lazycops.game import COPS, ROBBER, GameState, apply_move, captured, legal_moves
 from lazycops.graph import Graph, gen_gnp, gen_named
 from lazycops.solver import (
@@ -121,6 +121,24 @@ def test_self_consistency_helper():
 def test_self_consistency_classic():
     assert verify_self_consistency(solve_classic(gen_named("cycle", 6), 1))["ok"]
     assert verify_self_consistency(solve_classic(gen_named("cycle", 6), 2))["ok"]
+
+
+def test_evasion_replay_reads_its_length_at_call_time(monkeypatch):
+    import lazycops.solver as solver
+
+    res = solve_lazy(gen_named("cycle", 5), 1)  # robber win
+    assert verify_self_consistency(res) == {"ok": True, "half_moves": 200, "budget": None}
+    monkeypatch.setattr(solver, "EVASION_STEPS", 10)
+    assert verify_self_consistency(res) == {"ok": True, "half_moves": 10, "budget": None}
+
+
+def test_classic_caps_read_at_call_time(monkeypatch):
+    import lazycops.solver as solver
+
+    monkeypatch.setattr(solver, "CLASSIC_N_CAP", 5)
+    with pytest.raises(CapExceededError, match="classic solver limited to n <= 5, k <= 3"):
+        solve_classic(gen_named("cycle", 6), 1)
+    assert solve_classic(gen_named("cycle", 5), 1).cop_win is False
 
 
 def test_disconnected_rejected():

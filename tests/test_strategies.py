@@ -223,6 +223,10 @@ def test_registry_cops():
         make_cop_strategy("nope")
     with pytest.raises(UsageError):
         make_cop_strategy("optimal")  # needs a solve result
+    with pytest.raises(UsageError, match="takes no option 'sed' \\(options: seed\\)"):
+        make_cop_strategy("greedy:sed=5")
+    with pytest.raises(UsageError, match="takes no option 'x' \\(options: none\\)"):
+        make_cop_strategy("dominating:x=1", G)
 
 
 def test_registry_robbers():
