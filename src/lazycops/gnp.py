@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import UsageError
-from .game import GameState, RobberMove
+from .game import GameState, MoveMemo, RobberMove
 from .graph import INF, Graph, bfs, farthest_vertex
 
 MAIN = "main"
@@ -193,7 +193,10 @@ class GnpRobberStrategy:
     Placement is the greedy robber's: the lowest-id vertex farthest from
     the cops.  Afterwards the previous vertex is tracked as the deadly
     neighbour.  `stats()` counts the moves since placement and the
-    fallbacks among them (moves where no candidate survived).
+    fallbacks among them (moves where no candidate survived).  A move
+    depends on the graph, the cops, the robber and the previous vertex
+    only, so it is memoised on them with whether it fell back, which is
+    counted again on every repeat.
     """
 
     def __init__(self, alpha: float):
@@ -201,6 +204,7 @@ class GnpRobberStrategy:
         self._derived: tuple = (None, None)   # ((n, m), params derived for them)
         self._prev: int | None = None
         self._stats = {"moves": 0, "fallbacks": 0}
+        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, fell_back)
 
     def _params_for(self, G: Graph) -> GnpRobberParams:
         """Params for G's density 2m / (n(n-1)), so keyed on (n, m)."""
@@ -218,11 +222,17 @@ class GnpRobberStrategy:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
+        target, fell_back = self._memo.lookup(
+            G, (state.cops, state.robber, self._prev), self._decide, G, state)
         self._stats["moves"] += 1
-        target = gnp_robber_move(G, state, self._params_for(G), self._prev,
-                                 self._stats)
+        self._stats["fallbacks"] += fell_back
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
+
+    def _decide(self, G: Graph, state: GameState) -> tuple:
+        counts = {"fallbacks": 0}
+        target = gnp_robber_move(G, state, self._params_for(G), self._prev, counts)
+        return target, counts["fallbacks"] > 0
 
     def stats(self) -> dict:
         return dict(self._stats)

@@ -437,8 +437,14 @@ def count_cycles_through_edge(G: Graph, e, L: int) -> int:
 # -- domination ---------------------------------------------------------------
 
 def dominates(G: Graph, s) -> bool:
-    """True iff every vertex lies in the closed neighborhood of `s`."""
-    return reduce(or_, map(_ball_table(G, 1).__getitem__, s), 0) == (1 << G.n) - 1
+    """True iff every vertex lies in the closed neighborhood of `s`; a vertex
+    of `s` outside 0..n-1 raises ValueError."""
+    masks, covered = _ball_table(G, 1), 0
+    for v in s:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} out of range for n={G.n}")
+        covered |= masks[v]
+    return covered == (1 << G.n) - 1
 
 
 def greedy_dominating_set(G: Graph) -> set:

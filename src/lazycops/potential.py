@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 
 from .errors import UsageError
-from .game import GameState, RobberMove
+from .game import GameState, MoveMemo, RobberMove
 from .graph import HypercubeGraph
 
 
@@ -135,12 +135,14 @@ class PotentialRobberStrategy:
     """Robber driven by the hypercube potential function.
 
     Placement: lowest-id vertex of potential zero if one exists (every cop
-    beyond max_level), else the vertex of minimum potential.
+    beyond max_level), else the vertex of minimum potential.  Moves are
+    memoised on (cops, robber), all that they depend on besides the graph.
     """
 
     def __init__(self, eps=1):
         self._eps = eps
         self._params: PotentialParams | None = None
+        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def _params_for(self, G) -> PotentialParams:
         if not isinstance(G, HypercubeGraph):
@@ -163,5 +165,7 @@ class PotentialRobberStrategy:
         return best_v
 
     def move(self, G, state: GameState):
-        params = self._params_for(G)
-        return RobberMove(hypercube_robber_move(params, G, state))
+        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
+
+    def _decide(self, G, state: GameState):
+        return RobberMove(hypercube_robber_move(self._params_for(G), G, state))

@@ -22,6 +22,7 @@ from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 
 from .errors import CapExceededError, UsageError
+from .game import MoveMemo
 from .graph import Graph
 
 LAZY = "lazy"
@@ -61,6 +62,8 @@ class SolveResult:
     states: int
     seconds: float
     stats: dict = field(default_factory=dict)   # phase times, levels, labeled states
+    # optimal_move by (cops, robber, side to move), shared by the optimal strategies
+    move_memo: MoveMemo = field(repr=False, compare=False, default_factory=MoveMemo)
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
     _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves

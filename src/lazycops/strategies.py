@@ -2,7 +2,9 @@
 solver-optimal wrappers, and the CLI name registry.
 
 Strategy objects are immutable except for explicit per-game cursors reset
-in place(); one instance serves one game at a time.
+in place() and the move memos of the deterministic strategies (game.MoveMemo,
+keyed on everything a move depends on besides the graph); one instance serves
+one game at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
-from .game import PASS, CopMove, GameState, RobberMove, legal_moves
+from .game import PASS, CopMove, GameState, MoveMemo, RobberMove, legal_moves
 from .gnp import GnpRobberStrategy
 from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
                     find_balanced_separator, greedy_dominating_set)
@@ -31,6 +33,7 @@ class GreedyCopStrategy:
 
     def __init__(self, seed: int | None = None):
         self._seed = seed
+        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def place(self, G: Graph, k: int) -> list:
         if self._seed is not None:
@@ -40,6 +43,10 @@ class GreedyCopStrategy:
         return [ranked[i % len(ranked)] for i in range(k)]
 
     def move(self, G: Graph, state: GameState):
+        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
+
+    @staticmethod
+    def _decide(G: Graph, state: GameState):
         dist = G.distances_from(state.robber)
         best_i, best_d = None, math.inf
         for i, u in enumerate(state.cops):
@@ -75,10 +82,17 @@ class RandomCopStrategy:
 class GreedyRobberStrategy:
     """Maximize the distance to the nearest cop; stay if no cop can reach."""
 
+    def __init__(self):
+        self._memo = MoveMemo()   # (cops, robber) -> move
+
     def place(self, G: Graph, cops) -> int:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
+        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
+
+    @staticmethod
+    def _decide(G: Graph, state: GameState):
         dist = bfs(G, state.cops)
         v = state.robber
         if dist[v] is math.inf:
@@ -241,11 +255,16 @@ class SeparatorCopStrategy:
 # -- solver-optimal wrappers ------------------------------------------------------
 
 class _OptimalStrategy:
+    """Moves from the solver's table, memoised on the result, which fixes the
+    graph: key (cops, robber, side to move)."""
+
     def __init__(self, result: SolveResult):
         self._result = result
 
     def move(self, G: Graph, state: GameState):
-        return optimal_move(self._result, state)
+        result = self._result
+        return result.move_memo.lookup(result.G, (state.cops, state.robber, state.to_move),
+                                       optimal_move, result, state)
 
 
 class OptimalCopStrategy(_OptimalStrategy):

@@ -537,6 +537,13 @@ def test_dominates():
     assert not dominates(G, {0})
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_dominates_rejects_out_of_range_vertices(bad):
+    # -1 would read the last closed neighbourhood, 4 would index past the table
+    with pytest.raises(ValueError, match="out of range"):
+        dominates(gen_named("path", 4), {bad, 1})
+
+
 def test_greedy_dominating_set_valid():
     for seed in range(5):
         G = gen_gnp(30, 0.2, seed)

@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lazycops import game
 from lazycops.errors import StrategyError, UsageError
 from lazycops.game import PASS, play
 from lazycops.gnp import GnpRobberStrategy
 from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
+from lazycops.potential import PotentialRobberStrategy
 from lazycops.solver import solve_lazy
 from lazycops.strategies import (
     DominatingCopStrategy,
@@ -241,3 +244,82 @@ def test_registry_robbers():
         make_robber_strategy("gnp")  # alpha required
     with pytest.raises(UsageError):
         make_robber_strategy("greedy:bad")  # malformed option
+
+
+# -- move memos ---------------------------------------------------------------
+
+def _memo_of(robber):
+    return robber._result.move_memo if isinstance(robber, OptimalRobberStrategy) else robber._memo
+
+
+# long games that repeat a short cycle of positions, one per memoised robber;
+# the G(300) robber falls back on some moves and not on others
+_PERIODIC_GAMES = {
+    "gnp300": (lambda: gen_gnp(300, 0.033, 1), lambda G: GnpRobberStrategy(0.4), 1),
+    "q8": (lambda: gen_named("hypercube", 8), lambda G: PotentialRobberStrategy(), 2),
+    "q12": (lambda: gen_named("hypercube", 12), lambda G: PotentialRobberStrategy(), 5),
+    "grid6": (lambda: gen_named("grid2d", 6),
+              lambda G: OptimalRobberStrategy(solve_lazy(G, 2)), 2),
+    "cycle12": (lambda: gen_named("cycle", 12), lambda G: GreedyRobberStrategy(), 1),
+}
+
+
+def _digest(record):
+    # a digest, not the JSON, so that a mismatch does not diff megabytes
+    return hashlib.sha256(record.to_json().encode()).hexdigest()
+
+
+def _periodic_game(name, rounds=1500):
+    make_graph, make_robber, k = _PERIODIC_GAMES[name]
+    G = make_graph()
+    cop, robber = GreedyCopStrategy(), make_robber(G)
+    record = play(G, cop, robber, k, rounds)
+    stats = robber.stats() if hasattr(robber, "stats") else None
+    return record, stats, len(cop._memo), len(_memo_of(robber))
+
+
+@pytest.mark.parametrize("name", sorted(_PERIODIC_GAMES))
+def test_memoised_moves_match_recomputed_moves(monkeypatch, name):
+    record, stats, cop_entries, robber_entries = _periodic_game(name)
+    # the game is long and periodic, so the memos answered most moves
+    assert record.outcome == "survival"
+    assert 0 < cop_entries < 100 and 0 < robber_entries < 100
+    monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", 0)
+    bare, bare_stats, *entries = _periodic_game(name)
+    assert entries == [0, 0]
+    assert _digest(bare) == _digest(record)
+    assert bare_stats == stats
+    if name == "gnp300":
+        assert 0 < stats["fallbacks"] < stats["moves"] == 1500
+
+
+@pytest.mark.parametrize("first, second, make_robber, k", [
+    (gen_gnp(300, 0.033, 1), gen_gnp(300, 0.033, 2), lambda: GnpRobberStrategy(0.4), 1),
+    (gen_named("hypercube", 8), gen_named("hypercube", 10), PotentialRobberStrategy, 2),
+    (gen_named("cycle", 12), gen_named("cycle", 9), GreedyRobberStrategy, 1),
+])
+def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, make_robber, k):
+    cop, robber = GreedyCopStrategy(), make_robber()
+    play(first, cop, robber, k, 300)
+    reused = play(second, cop, robber, k, 300)
+    fresh_cop, fresh_robber = GreedyCopStrategy(), make_robber()
+    fresh = play(second, fresh_cop, fresh_robber, k, 300)
+    assert _digest(reused) == _digest(fresh)
+    assert getattr(robber, "stats", dict)() == getattr(fresh_robber, "stats", dict)()
+
+
+def test_move_memos_hold_at_most_their_cap(monkeypatch):
+    monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", 4)
+    G = gen_gnp(300, 0.033, 1)
+    sizes = []
+
+    class WatchedRobber(GnpRobberStrategy):
+        def move(self, G, state):
+            m = super().move(G, state)
+            sizes.append((len(cop._memo), len(self._memo)))
+            return m
+
+    cop = GreedyCopStrategy()
+    record = play(G, cop, WatchedRobber(0.4), 1, 500)
+    assert record.outcome == "survival" and len(sizes) == 500
+    assert max(max(s) for s in sizes) == 4
