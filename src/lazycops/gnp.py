@@ -195,8 +195,8 @@ class GnpRobberStrategy:
     neighbour.  `stats()` counts the moves since placement and the
     fallbacks among them (moves where no candidate survived).  A move
     depends on the graph, the cops, the robber and the previous vertex
-    only, so it is memoised on them with whether it fell back, which is
-    counted again on every repeat.
+    only, so it is memoised on them with its fallback count (0 or 1),
+    which is counted again on every repeat.
     """
 
     def __init__(self, alpha: float):
@@ -204,7 +204,7 @@ class GnpRobberStrategy:
         self._derived: tuple = (None, None)   # ((n, m), params derived for them)
         self._prev: int | None = None
         self._stats = {"moves": 0, "fallbacks": 0}
-        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, fell_back)
+        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, fallbacks)
 
     def _params_for(self, G: Graph) -> GnpRobberParams:
         """Params for G's density 2m / (n(n-1)), so keyed on (n, m)."""
@@ -222,17 +222,18 @@ class GnpRobberStrategy:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
-        target, fell_back = self._memo.lookup(
+        target, fallbacks = self._memo.lookup(
             G, (state.cops, state.robber, self._prev), self._decide, G, state)
         self._stats["moves"] += 1
-        self._stats["fallbacks"] += fell_back
+        self._stats["fallbacks"] += fallbacks
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
 
     def _decide(self, G: Graph, state: GameState) -> tuple:
+        """(target, fallbacks of this move: 0 or 1)."""
         counts = {"fallbacks": 0}
         target = gnp_robber_move(G, state, self._params_for(G), self._prev, counts)
-        return target, counts["fallbacks"] > 0
+        return target, counts["fallbacks"]
 
     def stats(self) -> dict:
         return dict(self._stats)

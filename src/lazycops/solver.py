@@ -22,7 +22,6 @@ from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 
 from .errors import CapExceededError, UsageError
-from .game import MoveMemo
 from .graph import Graph
 
 LAZY = "lazy"
@@ -62,8 +61,6 @@ class SolveResult:
     states: int
     seconds: float
     stats: dict = field(default_factory=dict)   # phase times, levels, labeled states
-    # optimal_move by (cops, robber, side to move), shared by the optimal strategies
-    move_memo: MoveMemo = field(repr=False, compare=False, default_factory=MoveMemo)
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
     _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves

@@ -82,17 +82,10 @@ class RandomCopStrategy:
 class GreedyRobberStrategy:
     """Maximize the distance to the nearest cop; stay if no cop can reach."""
 
-    def __init__(self):
-        self._memo = MoveMemo()   # (cops, robber) -> move
-
     def place(self, G: Graph, cops) -> int:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
-        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
-
-    @staticmethod
-    def _decide(G: Graph, state: GameState):
         dist = bfs(G, state.cops)
         v = state.robber
         if dist[v] is math.inf:
@@ -255,16 +248,16 @@ class SeparatorCopStrategy:
 # -- solver-optimal wrappers ------------------------------------------------------
 
 class _OptimalStrategy:
-    """Moves from the solver's table, memoised on the result, which fixes the
-    graph: key (cops, robber, side to move)."""
+    """Moves from the solver's table, memoised on (cops, robber): an instance
+    plays one side only, so the side to move is fixed."""
 
     def __init__(self, result: SolveResult):
         self._result = result
+        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def move(self, G: Graph, state: GameState):
-        result = self._result
-        return result.move_memo.lookup(result.G, (state.cops, state.robber, state.to_move),
-                                       optimal_move, result, state)
+        return self._memo.lookup(G, (state.cops, state.robber), optimal_move,
+                                 self._result, state)
 
 
 class OptimalCopStrategy(_OptimalStrategy):

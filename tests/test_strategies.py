@@ -248,10 +248,6 @@ def test_registry_robbers():
 
 # -- move memos ---------------------------------------------------------------
 
-def _memo_of(robber):
-    return robber._result.move_memo if isinstance(robber, OptimalRobberStrategy) else robber._memo
-
-
 # long games that repeat a short cycle of positions, one per memoised robber;
 # the G(300) robber falls back on some moves and not on others
 _PERIODIC_GAMES = {
@@ -260,7 +256,8 @@ _PERIODIC_GAMES = {
     "q12": (lambda: gen_named("hypercube", 12), lambda G: PotentialRobberStrategy(), 5),
     "grid6": (lambda: gen_named("grid2d", 6),
               lambda G: OptimalRobberStrategy(solve_lazy(G, 2)), 2),
-    "cycle12": (lambda: gen_named("cycle", 12), lambda G: GreedyRobberStrategy(), 1),
+    "cycle12": (lambda: gen_named("cycle", 12),
+                lambda G: OptimalRobberStrategy(solve_lazy(G, 1)), 1),
 }
 
 
@@ -275,7 +272,7 @@ def _periodic_game(name, rounds=1500):
     cop, robber = GreedyCopStrategy(), make_robber(G)
     record = play(G, cop, robber, k, rounds)
     stats = robber.stats() if hasattr(robber, "stats") else None
-    return record, stats, len(cop._memo), len(_memo_of(robber))
+    return record, stats, len(cop._memo), len(robber._memo)
 
 
 @pytest.mark.parametrize("name", sorted(_PERIODIC_GAMES))
@@ -296,7 +293,7 @@ def test_memoised_moves_match_recomputed_moves(monkeypatch, name):
 @pytest.mark.parametrize("first, second, make_robber, k", [
     (gen_gnp(300, 0.033, 1), gen_gnp(300, 0.033, 2), lambda: GnpRobberStrategy(0.4), 1),
     (gen_named("hypercube", 8), gen_named("hypercube", 10), PotentialRobberStrategy, 2),
-    (gen_named("cycle", 12), gen_named("cycle", 9), GreedyRobberStrategy, 1),
+    (gen_named("cycle", 12), gen_named("cycle", 9), lambda: GnpRobberStrategy(0.4), 1),
 ])
 def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, make_robber, k):
     cop, robber = GreedyCopStrategy(), make_robber()
