@@ -47,7 +47,10 @@ def hypercube_budget(n: int, eps: float, constant: float = 1.0) -> float:
     """
     if n < 1 or eps <= 0:
         raise UsageError("need n >= 1 and eps > 0")
-    return constant * 2.0 ** n / n ** (3.5 + eps)
+    try:
+        return constant * 2.0 ** n / n ** (3.5 + eps)
+    except OverflowError:
+        raise UsageError(f"hypercube bound at n={n} overflows a float") from None
 
 
 def domination_budget(n: int | None = None, p: float | None = None,
@@ -70,8 +73,12 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
     """Dispatch the named bound; exact closed-form evaluation.
 
     which = genus (n, g) | hypercube (n, eps[, constant]) |
-    domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).
+    domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  Parameters
+    and the value must be finite, as JSON has no NaN or infinity.
     """
+    for key, x in params.items():
+        if isinstance(x, float) and not math.isfinite(x):
+            raise UsageError(f"parameter {key!r} must be finite, got {x}")
     try:
         if which == "genus":
             value = genus_cop_budget(params["n"], params["g"])
@@ -94,4 +101,6 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
             raise UsageError(f"unknown bound {which!r}")
     except KeyError as exc:
         raise UsageError(f"bound {which!r} missing parameter {exc.args[0]!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"bound {which!r} overflows a float")
     return BoundReport(which, dict(params), value)

@@ -97,6 +97,8 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         raise UsageError("eps must lie in (0, 0.1)")
     if not eps < alpha < 1 - eps:
         raise UsageError("alpha must lie in (eps, 1-eps)")
+    if not 0 <= tau < math.inf:
+        raise UsageError(f"tau must be finite and >= 0, got {tau}")
     if min(vertex_samples, pair_samples, edge_samples) < 1:
         raise UsageError("vertex, pair and edge sample counts must be >= 1")
     n = G.n

@@ -19,8 +19,7 @@ ROBBER = "robber"
 # Entries that one MoveMemo keeps before it empties itself.  Measured with
 # tracemalloc (CPython 3.11, 64-bit, 2^16 entries, every vertex id its own
 # int), an entry costs 390 bytes with 1 cop and 545 bytes with 5, key, move
-# and dict slot included: a full memo holds 6-9 MB, about as much as a
-# graph's distance cache.
+# and dict slot included: a full memo holds 6-9 MB.
 MOVE_MEMO_ENTRIES = 1 << 14
 
 

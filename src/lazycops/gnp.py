@@ -57,6 +57,8 @@ def _level_count(alpha: float) -> int:
 
 
 def gnp_params(n: int, p: float, alpha: float, regime: str = "auto") -> GnpRobberParams:
+    if n < 2:
+        raise UsageError(f"n must be >= 2, got {n}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must lie in (0,1), got {alpha}")
     if not 0.0 < p < 1.0:
@@ -201,24 +203,18 @@ class GnpRobberStrategy:
 
     def __init__(self, alpha: float):
         self._alpha = alpha
-        self._derived: tuple = (None, None)   # ((n, m), params derived for them)
+        self._params: GnpRobberParams | None = None   # set by place() for its graph
         self._prev: int | None = None
         self._stats = {"moves": 0, "fallbacks": 0}
         self._memo = MoveMemo()   # (cops, robber, prev) -> (target, fallbacks)
 
-    def _params_for(self, G: Graph) -> GnpRobberParams:
-        """Params for G's density 2m / (n(n-1)), so keyed on (n, m)."""
-        key, params = self._derived
-        if key != (G.n, G.m):
-            p = 2.0 * G.m / (G.n * (G.n - 1)) if G.n > 1 else 0.5
-            params = gnp_params(G.n, min(max(p, 1e-9), 1.0 - 1e-9), self._alpha)
-            self._derived = ((G.n, G.m), params)
-        return params
-
     def place(self, G: Graph, cops) -> int:
         self._prev = None
         self._stats = {"moves": 0, "fallbacks": 0}
-        self._params_for(G)
+        self._params = None   # a lone vertex is captured at placement: no move reads it
+        if G.n > 1:
+            p = 2.0 * G.m / (G.n * (G.n - 1))   # G's density
+            self._params = gnp_params(G.n, min(max(p, 1e-9), 1.0 - 1e-9), self._alpha)
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
@@ -232,7 +228,7 @@ class GnpRobberStrategy:
     def _decide(self, G: Graph, state: GameState) -> tuple:
         """(target, fallbacks of this move: 0 or 1)."""
         counts = {"fallbacks": 0}
-        target = gnp_robber_move(G, state, self._params_for(G), self._prev, counts)
+        target = gnp_robber_move(G, state, self._params, self._prev, counts)
         return target, counts["fallbacks"]
 
     def stats(self) -> dict:

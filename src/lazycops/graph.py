@@ -18,10 +18,6 @@ from .errors import CapExceededError, GraphFormatError, UsageError
 
 INF = math.inf
 
-# Graph._dist_cache keeps at most this many distance entries (rows of n),
-# about 8 MB of tuple slots per graph.
-DIST_CACHE_ENTRIES = 1 << 20
-
 # Byte cap on the ball tables of one graph, about n*n/8 bytes each.
 BALL_TABLE_BYTES = 1 << 28
 # Longest cycle that count_cycles_through_edge enumerates.
@@ -37,13 +33,12 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")  # see _flags
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    BFS distance vectors are memoised per source vertex, up to
-    DIST_CACHE_ENTRIES distances (at least one row): beyond that the oldest
-    row is evicted first; ball tables are never evicted.  Readers may share a
-    graph across threads, but the caches assume one writer at a time.
+    Distance rows are computed on every call; only the ball tables are
+    cached, and never evicted.  Readers may share a graph across threads,
+    but the ball tables assume one writer at a time.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_dist_cache", "_balls", "_whole")
+    __slots__ = ("n", "_adj", "_m", "_balls", "_whole")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -59,7 +54,6 @@ class Graph:
         self.n = n
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self._m = sum(len(a) for a in self._adj) // 2
-        self._dist_cache: dict[int, tuple] = {}
         self._balls, self._whole = [], False  # see _ball_table
 
     # -- basic accessors ---------------------------------------------------
@@ -100,17 +94,6 @@ class Graph:
 
     def distances_from(self, v: int) -> tuple:
         """Hop distances from v to every vertex (math.inf if unreachable)."""
-        cache = self._dist_cache
-        row = cache.get(v)
-        if row is None:
-            row = self._row(v)
-            # the cache holds at most n rows, so eviction starts only at n > 1024
-            while cache and (len(cache) + 1) * self.n > DIST_CACHE_ENTRIES:
-                del cache[next(iter(cache))]
-            cache[v] = row
-        return row
-
-    def _row(self, v: int) -> tuple:
         return tuple(bfs(self, (v,)))
 
     def distance(self, u: int, v: int):
@@ -145,10 +128,7 @@ class HypercubeGraph(Graph):
         super().__init__(n, edges)
         self.dim = dim
 
-    def distance(self, u: int, v: int):
-        return (u ^ v).bit_count()
-
-    def _row(self, v: int) -> tuple:
+    def distances_from(self, v: int) -> tuple:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return tuple((v ^ u).bit_count() for u in range(self.n))

@@ -141,18 +141,13 @@ class PotentialRobberStrategy:
 
     def __init__(self, eps=1):
         self._eps = eps
-        self._params: PotentialParams | None = None
+        self._params: PotentialParams | None = None   # set by place() for its graph
         self._memo = MoveMemo()   # (cops, robber) -> move
 
-    def _params_for(self, G) -> PotentialParams:
+    def place(self, G, cops) -> int:
         if not isinstance(G, HypercubeGraph):
             raise UsageError("potential strategy requires a hypercube graph")
-        if self._params is None or self._params.n != G.dim:
-            self._params = potential_params(G.dim, self._eps)
-        return self._params
-
-    def place(self, G, cops) -> int:
-        params = self._params_for(G)
+        self._params = params = potential_params(G.dim, self._eps)
         best_v, best_val = 0, None
         for v in range(G.n):
             if v in cops:
@@ -168,4 +163,4 @@ class PotentialRobberStrategy:
         return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
 
     def _decide(self, G, state: GameState):
-        return RobberMove(hypercube_robber_move(self._params_for(G), G, state))
+        return RobberMove(hypercube_robber_move(self._params, G, state))

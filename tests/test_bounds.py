@@ -55,6 +55,8 @@ def test_invalid_inputs():
         hypercube_budget(8, 0)
     with pytest.raises(UsageError):
         domination_budget(n=10, p=2.0)
+    with pytest.raises(UsageError, match="overflows a float"):  # not an OverflowError
+        hypercube_budget(2000, 1)
 
 
 def test_dispatch_and_report():
@@ -75,3 +77,7 @@ def test_dispatch_errors():
         theoretical_bounds("nope", n=5)
     with pytest.raises(UsageError):
         theoretical_bounds("genus", n=5)  # missing g
+    with pytest.raises(UsageError, match="n must be >= 2"):  # not a ZeroDivisionError
+        theoretical_bounds("gnp", n=1, p=0.5, alpha=0.5, regime="boundary-mid")
+    with pytest.raises(UsageError, match="'g' must be finite"):
+        theoretical_bounds("genus", n=10, g=-math.inf)

@@ -326,6 +326,19 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     ("verify-expansion", ["--n", "0"], "n must be >= 2"),
     ("verify-expansion", ["--n", "-5"], "n must be >= 2"),
     ("verify-expansion", ["--n", "1"], "n must be >= 2"),
+    ("verify-expansion", ["--n", "300", "--tolerance", "nan"], "tau must be finite and >= 0"),
+    ("verify-expansion", ["--n", "300", "--tolerance=-0.1"], "tau must be finite and >= 0"),
+    ("bounds", ["--which", "genus", "--n", "10", "--g", "nan"], "'g' must be finite, got nan"),
+    ("bounds", ["--which", "hypercube", "--n", "10", "--eps", "inf"], "'eps' must be finite"),
+    ("bounds", ["--which", "domination", "--n", "10", "--delta=-inf"], "'delta' must be finite"),
+    ("bounds", ["--which", "hypercube", "--n", "10", "--eps", "1", "--constant", "nan"],
+     "'constant' must be finite"),
+    ("bounds", ["--which", "gnp", "--n", "0", "--p", "0.5", "--alpha", "0.4"], "n must be >= 2"),
+    ("bounds", ["--which", "hypercube", "--n", "2000", "--eps", "1"], "overflows a float"),
+    ("bounds", ["--which", "genus", "--n", "10", "--g", "1e308"], "overflows a float"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {
+        "which": "gnp", "n": 1, "p": 0.5, "alpha": 0.5, "regime": "boundary-mid"}},
+     "n must be >= 2"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"
@@ -342,6 +355,8 @@ def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, nee
     elif command == "simulate":
         argv = ["simulate", "--graph", str(graph), "--cops", "greedy",
                 "--robber", "greedy", *extra]
+    elif command == "bounds":
+        argv = ["bounds", *extra]
     else:
         argv = ["copnum", "--graph", str(graph), *extra]
     capsys.readouterr()

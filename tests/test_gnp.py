@@ -288,7 +288,7 @@ class _CheckedRobber(GnpRobberStrategy):
         self.branches = {True: 0, False: 0}
 
     def move(self, G, state):
-        want, survived = reference_gnp_move(G, state, self._params_for(G), self._prev)
+        want, survived = reference_gnp_move(G, state, self._params, self._prev)
         prev = self._prev
         move = super().move(G, state)
         assert move.target == want, (state, prev)
@@ -381,10 +381,11 @@ def test_strategy_is_deterministic():
 def test_reused_strategy_rederives_params_on_new_density():
     sparse, dense = gen_gnp(60, 0.05, 1), gen_gnp(60, 0.3, 1)
     assert sparse.n == dense.n and sparse.m != dense.m
-    reused = GnpRobberStrategy(0.4)
+    reused, fresh_sparse, fresh_dense = (GnpRobberStrategy(0.4) for _ in range(3))
     reused.place(sparse, (0,))
     reused.place(dense, (0,))
-    derived = GnpRobberStrategy(0.4)._params_for(dense)
-    assert derived.thresholds != GnpRobberStrategy(0.4)._params_for(sparse).thresholds
-    assert reused._params_for(dense) == derived
+    fresh_sparse.place(sparse, (0,))
+    fresh_dense.place(dense, (0,))
+    assert fresh_dense._params.thresholds != fresh_sparse._params.thresholds
+    assert reused._params == fresh_dense._params
 

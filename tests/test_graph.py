@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lazycops.errors import CapExceededError, GraphFormatError, UsageError
 from lazycops.expansion import verify_expansion
 from lazycops.graph import (
-    DIST_CACHE_ENTRIES,
     Graph,
     HypercubeGraph,
     _ball_and_row,
@@ -77,6 +76,10 @@ def test_hypercube_graph():
     plain = Graph(G.n, G.edges())
     for v in range(16):
         assert list(G.distances_from(v)) == list(plain.distances_from(v))
+    for H in (gen_named("cycle", 1100), HypercubeGraph(11)):
+        for v in (0, 1, H.n - 1):
+            assert list(H.distances_from(v)) == bfs(H, (v,))
+    assert G.distance(3, 12) == 4
 
 
 def test_petersen_graph():
@@ -344,17 +347,6 @@ def test_expansion_report_independent_of_ball_tables(monkeypatch):
         # growth balls from radius 1 and path-count balls up to ell + 1 at least
         ell = math.ceil(1 / alpha) - 1
         assert set(tables) >= set(range(1, ell + 2))
-
-
-def test_distance_cache_is_bounded():
-    for G in (gen_named("cycle", 1100), HypercubeGraph(11)):
-        rows = DIST_CACHE_ENTRIES // G.n
-        for v in range(G.n):
-            G.distances_from(v)
-            assert len(G._dist_cache) * G.n <= DIST_CACHE_ENTRIES
-        assert list(G._dist_cache) == list(range(G.n - rows, G.n))  # oldest out first
-        for v in (0, 1, G.n - rows - 1, G.n - 1):
-            assert list(G.distances_from(v)) == bfs(G, (v,))
 
 
 # -- ball tables ------------------------------------------------------------------

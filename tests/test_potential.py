@@ -218,12 +218,12 @@ class _CheckedPotentialRobber(PotentialRobberStrategy):
 
     def place(self, G, cops):
         v = super().place(G, cops)
-        assert v == reference_place(self._params_for(G), G, cops)
+        assert v == reference_place(self._params, G, cops)
         return v
 
     def move(self, G, state):
         m = super().move(G, state)
-        assert m.target == reference_robber_move(self._params_for(G), G, state)
+        assert m.target == reference_robber_move(self._params, G, state)
         return m
 
 
