@@ -43,10 +43,10 @@ def hypercube_budget(n: int, eps: float, constant: float = 1.0) -> float:
     """Robber-safe cop budget constant * 2^n / n^(7/2+eps) on Q_n.
 
     The multiplicative constant is a free choice (the source bound is an
-    Omega(...)); callers supply it explicitly, default 1.
+    Omega(...)); callers supply a positive one explicitly, default 1.
     """
-    if n < 1 or eps <= 0:
-        raise UsageError("need n >= 1 and eps > 0")
+    if n < 1 or eps <= 0 or constant <= 0:
+        raise UsageError("need n >= 1, eps > 0 and constant > 0")
     try:
         return constant * 2.0 ** n / n ** (3.5 + eps)
     except OverflowError:
@@ -74,10 +74,20 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
 
     which = genus (n, g) | hypercube (n, eps[, constant]) |
     domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  Parameters
-    and the value must be finite, as JSON has no NaN or infinity.
+    other than the regime string must be numbers (not booleans) that fit a
+    float, and they and the value must be finite, as JSON has no NaN or
+    infinity.
     """
     for key, x in params.items():
-        if isinstance(x, float) and not math.isfinite(x):
+        if key == "regime":  # a name, checked by gnp_params
+            continue
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise UsageError(f"parameter {key!r} must be a number, got {x!r}")
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:
+            raise UsageError(f"parameter {key!r} is too large for a float") from None
+        if not finite:
             raise UsageError(f"parameter {key!r} must be finite, got {x}")
     try:
         if which == "genus":
@@ -101,6 +111,8 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
             raise UsageError(f"unknown bound {which!r}")
     except KeyError as exc:
         raise UsageError(f"bound {which!r} missing parameter {exc.args[0]!r}") from exc
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise UsageError(f"bound {which!r} overflows a float")
     return BoundReport(which, dict(params), value)

@@ -57,6 +57,9 @@ def test_invalid_inputs():
         domination_budget(n=10, p=2.0)
     with pytest.raises(UsageError, match="overflows a float"):  # not an OverflowError
         hypercube_budget(2000, 1)
+    for constant in (-5, 0):  # not a budget that integer_budget() turns into k = 1
+        with pytest.raises(UsageError, match="constant > 0"):
+            hypercube_budget(10, 1, constant)
 
 
 def test_dispatch_and_report():
@@ -81,3 +84,12 @@ def test_dispatch_errors():
         theoretical_bounds("gnp", n=1, p=0.5, alpha=0.5, regime="boundary-mid")
     with pytest.raises(UsageError, match="'g' must be finite"):
         theoretical_bounds("genus", n=10, g=-math.inf)
+    for bad in ("10", [1], True, None):
+        with pytest.raises(UsageError, match="'n' must be a number"):  # not a TypeError
+            theoretical_bounds("domination", n=bad, delta=2)
+    with pytest.raises(UsageError, match="'n' is too large for a float"):  # not an OverflowError
+        theoretical_bounds("genus", n=10 ** 400, g=0)
+    with pytest.raises(UsageError, match="'genus' overflows a float"):  # n * g overflows
+        theoretical_bounds("genus", n=10 ** 300, g=10 ** 300)
+    with pytest.raises(UsageError, match="unknown regime"):
+        theoretical_bounds("gnp", n=100, p=0.1, alpha=0.4, regime=["main"])

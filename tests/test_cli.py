@@ -153,6 +153,22 @@ def test_state_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
     assert cli.main([*argv, "--graph", str(graph)]) == 0
 
 
+@pytest.mark.parametrize("argv", [["solve", "--k", "3"], ["copnum", "--kmax", "3"]])
+def test_classic_term_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
+    import lazycops.solver as solver
+
+    graph = tmp_path / "petersen.txt"
+    assert cli.main(["gen", "--kind", "petersen", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(solver, "CLASSIC_TERM_CAP", 14_079)  # k = 3 has 14,080 terms
+    assert cli.main([*argv, "--graph", str(graph), "--mode", "classic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("lazycops: limit exceeded: classic move table of 14080 terms "
+                                 "exceeds cap 14079 (n=10, k=3)\n")
+    monkeypatch.setattr(solver, "CLASSIC_TERM_CAP", 14_080)
+    assert cli.main([*argv, "--graph", str(graph), "--mode", "classic"]) == 0
+
+
 def test_cycle_cap_exit_code(monkeypatch, capsys):
     import lazycops.graph as graph
 
@@ -339,6 +355,20 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     ("experiment", {**_GOOD, "k": None, "bounds_query": {
         "which": "gnp", "n": 1, "p": 0.5, "alpha": 0.5, "regime": "boundary-mid"}},
      "n must be >= 2"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "genus", "n": "10", "g": 0}},
+     "parameter 'n' must be a number, got '10'"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "domination", "n": [1],
+                                                         "delta": 2}},
+     "parameter 'n' must be a number, got [1]"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "genus", "n": True, "g": 0}},
+     "parameter 'n' must be a number, got True"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "genus", "n": 10 ** 400,
+                                                         "g": 0}},
+     "parameter 'n' is too large for a float"),
+    ("bounds", ["--which", "genus", "--n", "1" + "0" * 400, "--g", "0"],
+     "parameter 'n' is too large for a float"),
+    ("bounds", ["--which", "hypercube", "--n", "10", "--eps", "1", "--constant=-5"],
+     "constant > 0"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"

@@ -132,13 +132,37 @@ def test_evasion_replay_reads_its_length_at_call_time(monkeypatch):
     assert verify_self_consistency(res) == {"ok": True, "half_moves": 10, "budget": None}
 
 
-def test_classic_caps_read_at_call_time(monkeypatch):
+def test_classic_term_cap_read_at_call_time(monkeypatch):
     import lazycops.solver as solver
 
-    monkeypatch.setattr(solver, "CLASSIC_N_CAP", 5)
-    with pytest.raises(CapExceededError, match="classic solver limited to n <= 5, k <= 3"):
-        solve_classic(gen_named("cycle", 6), 1)
-    assert solve_classic(gen_named("cycle", 5), 1).cop_win is False
+    G = gen_named("petersen")  # 220 multisets of 4^3 product terms each
+    monkeypatch.setattr(solver, "CLASSIC_TERM_CAP", 14_079)
+    with pytest.raises(CapExceededError,
+                       match=r"^classic move table of 14080 terms exceeds cap 14079 \(n=10, k=3\)$"):
+        solve_classic(G, 3)
+    monkeypatch.setattr(solver, "CLASSIC_TERM_CAP", 14_080)
+    assert solve_classic(G, 3).cop_win
+
+
+_ONE_COP_GRAPHS = ([("petersen", gen_named("petersen")), ("Q4", gen_named("hypercube", 4)),
+                    ("grid4", gen_named("grid2d", 4)), ("C9", gen_named("cycle", 9))]
+                   + [(f"gnp14-seed{seed}", gen_gnp(14, 0.3, seed)) for seed in range(4)])
+
+
+@pytest.mark.parametrize("G", [g for _, g in _ONE_COP_GRAPHS], ids=[n for n, _ in _ONE_COP_GRAPHS])
+def test_one_cop_lazy_and_classic_coincide(G):
+    # with one cop, moving that cop is the whole cop turn under both rules
+    lazy, classic = solve_lazy(G, 1), solve_classic(G, 1)
+    assert lazy._moves == classic._moves
+    assert lazy._dist == classic._dist
+    assert ({**lazy.summary(), "mode": CLASSIC, "seconds": 0}
+            == {**classic.summary(), "seconds": 0})
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_classic_cop_number_of_hypercubes(dim):
+    # Maamoun and Meyniel (1987): c(Q_n) = ceil((n + 1) / 2)
+    assert classic_cop_number(gen_named("hypercube", dim), 3) == (dim + 2) // 2
 
 
 def test_disconnected_rejected():

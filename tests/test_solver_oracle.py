@@ -8,6 +8,7 @@ sides, and the robber's placement reply must match too.
 """
 
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from lazycops.solver import (
     COP_TURN,
     LAZY,
     ROBBER_TURN,
+    _classic_terms,
+    classic_cop_number,
     optimal_move,
     solve_classic,
     solve_lazy,
@@ -142,6 +145,28 @@ def _small_graphs(draw):
 @given(_small_graphs(), st.integers(1, 3), st.sampled_from([LAZY, CLASSIC]))
 def test_labeling_matches_counter_reference_on_small_graphs(G, k, mode):
     _assert_labeling_matches_counters(G, k, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.integers(1, 4))
+def test_classic_terms_match_brute_force(G, k):
+    assert _classic_terms(G, k) == sum(
+        prod(G.degree(v) + 1 for v in cops)
+        for cops in combinations_with_replacement(range(G.n), k))
+
+
+_CONNECTED = {}  # distinct connected graphs of the corpus, by name less mode and k
+for name, G, _, _ in CORPUS:
+    if G.is_connected():
+        _CONNECTED.setdefault(G, name.rsplit("-", 2)[0])
+
+
+@pytest.mark.parametrize("G", list(_CONNECTED), ids=list(_CONNECTED.values()))
+def test_classic_cop_number_at_most_lazy(G):
+    # a lazy cop strategy is a classic one, so c <= c_L: the lazy game with
+    # c - 1 cops is a robber win, as the classic one is
+    c = classic_cop_number(G, 3)
+    assert c == 1 or not solve_lazy(G, c - 1).cop_win
 
 
 def _assert_optimal_play_matches_reference(G, k):
