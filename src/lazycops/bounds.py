@@ -73,13 +73,13 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
     """Dispatch the named bound; exact closed-form evaluation.
 
     which = genus (n, g) | hypercube (n, eps[, constant]) |
-    domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  Parameters
-    other than the regime string must be numbers (not booleans) that fit a
-    float, and they and the value must be finite, as JSON has no NaN or
+    domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  A None
+    parameter counts as absent; others but the regime string must be numbers
+    (not booleans) that fit a float, and they and the value must be finite, as JSON has no NaN or
     infinity.
     """
     for key, x in params.items():
-        if key == "regime":  # a name, checked by gnp_params
+        if key == "regime" or x is None:  # a name, checked by gnp_params; or absent
             continue
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise UsageError(f"parameter {key!r} must be a number, got {x!r}")

@@ -35,7 +35,8 @@ ROBBER_TURN = 1
 # 14.3-18.4 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
 # the result: up to about 0.5 GB at the cap.
 STATE_CAP = 50_000_000
-# Product terms that the classic move table enumerates (see _classic_terms).
+# Product terms that the classic move table enumerates (see _classic_terms),
+# checked after STATE_CAP so that the O(n*k) count runs only on admitted k.
 # Measured on CPython 3.11, 64-bit, over ten graphs from K10 to C40 with k = 2-4:
 # the table keeps 0.6-10 bytes per term (8-10 per stored entry, at most one
 # entry per term) and is built in 0.6-0.85 us per term, so at the cap it holds
@@ -157,6 +158,9 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     total = M * n * 2
     if total > STATE_CAP:
         raise CapExceededError(f"state count {total} exceeds cap {STATE_CAP} (n={n}, k={k})")
+    if mode == CLASSIC and (terms := _classic_terms(G, k)) > CLASSIC_TERM_CAP:
+        raise CapExceededError(f"classic move table of {terms} terms exceeds cap "
+                               f"{CLASSIC_TERM_CAP} (n={n}, k={k})")
     t0 = time.perf_counter()
     msets = list(combinations_with_replacement(range(n), k))
     mindex = {ms: i for i, ms in enumerate(msets)}
@@ -260,10 +264,6 @@ def solve_classic(G: Graph, k: int) -> SolveResult:
     """Classic rules: every cop repositions within its closed neighborhood."""
     if k < 1:
         raise UsageError("cop count must be >= 1")
-    terms = _classic_terms(G, k)
-    if terms > CLASSIC_TERM_CAP:
-        raise CapExceededError(f"classic move table of {terms} terms exceeds cap "
-                               f"{CLASSIC_TERM_CAP} (n={G.n}, k={k})")
     return _solve(G, k, CLASSIC)
 
 

@@ -84,9 +84,12 @@ def test_dispatch_errors():
         theoretical_bounds("gnp", n=1, p=0.5, alpha=0.5, regime="boundary-mid")
     with pytest.raises(UsageError, match="'g' must be finite"):
         theoretical_bounds("genus", n=10, g=-math.inf)
-    for bad in ("10", [1], True, None):
+    for bad in ("10", [1], True):
         with pytest.raises(UsageError, match="'n' must be a number"):  # not a TypeError
             theoretical_bounds("domination", n=bad, delta=2)
+    # None is an absent parameter, as a config's null: the (n, p) form runs
+    assert theoretical_bounds("domination", n=10, p=0.5, delta=None).value == pytest.approx(
+        math.log(5) / 0.5)
     with pytest.raises(UsageError, match="'n' is too large for a float"):  # not an OverflowError
         theoretical_bounds("genus", n=10 ** 400, g=0)
     with pytest.raises(UsageError, match="'genus' overflows a float"):  # n * g overflows

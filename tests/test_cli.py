@@ -169,6 +169,23 @@ def test_classic_term_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
     assert cli.main([*argv, "--graph", str(graph), "--mode", "classic"]) == 0
 
 
+def test_classic_huge_k_exits_at_state_cap(tmp_path, monkeypatch, capsys):
+    import lazycops.solver as solver
+
+    # the state count bounds k before the O(n*k) term count may run
+    def terms(G, k):
+        raise AssertionError(f"term count ran at k={k}")
+    monkeypatch.setattr(solver, "_classic_terms", terms)
+    graph = tmp_path / "p6.txt"
+    assert cli.main(["gen", "--kind", "path", "--n", "6", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    argv = ["solve", "--graph", str(graph), "--mode", "classic", "--k", "100000000"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("lazycops: limit exceeded: state count ")
+
+
 def test_cycle_cap_exit_code(monkeypatch, capsys):
     import lazycops.graph as graph
 
