@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IllegalMoveError, UsageError
 from .graph import Graph
@@ -23,14 +24,12 @@ ROBBER = "robber"
 MOVE_MEMO_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True, order=True)
-class CopMove:
+class CopMove(NamedTuple):
     cop: int      # index into the sorted cop multiset
     target: int
 
 
-@dataclass(frozen=True, order=True)
-class RobberMove:
+class RobberMove(NamedTuple):
     target: int
 
 
@@ -49,12 +48,11 @@ class _Pass:
 PASS = _Pass()
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Cop multiset, robber vertex, side to move, round counter.
 
     The cops may be given in any order, as any iterable; they are stored as
-    a sorted tuple.
+    a sorted tuple (by the constructor, `_make` and `_replace`).
     """
 
     cops: tuple
@@ -62,8 +60,11 @@ class GameState:
     to_move: str
     round: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
+
+# NamedTuple refuses both in the class body; _replace goes through _make
+GameState.__new__ = lambda cls, cops, robber, to_move, round=0: tuple.__new__(
+    cls, (tuple(sorted(cops)), robber, to_move, round))
+GameState._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def captured(s: GameState) -> bool:
@@ -95,24 +96,28 @@ def legal_moves(G: Graph, s: GameState) -> list:
 
 
 def apply_move(G: Graph, s: GameState, m) -> GameState:
+    # only PASS, CopMove and RobberMove are moves, not tuples equal to them
     if s.to_move == COPS:
-        if m is PASS:
-            return GameState(s.cops, s.robber, ROBBER, s.round)
-        if not isinstance(m, CopMove):
-            raise IllegalMoveError(f"cop side cannot play {m!r}")
-        if not 0 <= m.cop < len(s.cops):
-            raise IllegalMoveError(f"cop index {m.cop} out of range")
-        u = s.cops[m.cop]
-        if m.target != u and not G.has_edge(u, m.target):
-            raise IllegalMoveError(f"cop at {u} cannot reach {m.target}")
-        cops = list(s.cops)
-        cops[m.cop] = m.target
-        return GameState(cops, s.robber, ROBBER, s.round)
+        cops = s.cops
+        if m is not PASS:
+            if not isinstance(m, CopMove):
+                raise IllegalMoveError(f"cop side cannot play {m!r}")
+            i, t = m
+            if not 0 <= i < len(cops):
+                raise IllegalMoveError(f"cop index {i} out of range")
+            u = cops[i]
+            if t != u and not G.has_edge(u, t):
+                raise IllegalMoveError(f"cop at {u} cannot reach {t}")
+            cops = list(cops)
+            cops[i] = t
+            cops = tuple(sorted(cops))
+        # successors are built without the constructor, whose sort is done here
+        return tuple.__new__(GameState, (cops, s.robber, ROBBER, s.round))
     if not isinstance(m, RobberMove):
         raise IllegalMoveError(f"robber side cannot play {m!r}")
     if m.target != s.robber and not G.has_edge(s.robber, m.target):
         raise IllegalMoveError(f"robber at {s.robber} cannot reach {m.target}")
-    return GameState(s.cops, m.target, COPS, s.round + 1)
+    return tuple.__new__(GameState, (s.cops, m.target, COPS, s.round + 1))
 
 
 class MoveMemo:

@@ -33,7 +33,8 @@ ROBBER_TURN = 1
 # States count both sides, so the cap allows 25 M (multiset, robber) pairs.
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
 # 14.3-18.4 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
-# the result: up to about 0.5 GB at the cap.
+# the result: up to about 0.5 GB at the cap.  It also bounds the M*k entries of
+# the cop multisets, which outnumber the states only when k > 2n (a cop win).
 STATE_CAP = 50_000_000
 # Product terms that the classic move table enumerates (see _classic_terms),
 # checked after STATE_CAP so that the O(n*k) count runs only on admitted k.
@@ -145,7 +146,8 @@ def _move_table(msets: list, mindex: dict, closed: list, mode: str) -> list:
         if mode == LAZY:
             succ = set()
             for i, t in enumerate(cops):
-                succ.update(map(rows[cops[:i] + cops[i + 1:]].__getitem__, closed[t]))
+                if i == 0 or t != cops[i - 1]:   # a repeated cop adds the same moves
+                    succ.update(map(rows[cops[:i] + cops[i + 1:]].__getitem__, closed[t]))
         else:
             succ = {mindex[tuple(sorted(c))] for c in product(*(closed[t] for t in cops))}
         moves.append(tuple(sorted(succ)))
@@ -158,6 +160,8 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     total = M * n * 2
     if total > STATE_CAP:
         raise CapExceededError(f"state count {total} exceeds cap {STATE_CAP} (n={n}, k={k})")
+    if M * k > STATE_CAP:
+        raise CapExceededError(f"multiset entries {M * k} exceed cap {STATE_CAP} (n={n}, k={k})")
     if mode == CLASSIC and (terms := _classic_terms(G, k)) > CLASSIC_TERM_CAP:
         raise CapExceededError(f"classic move table of {terms} terms exceeds cap "
                                f"{CLASSIC_TERM_CAP} (n={n}, k={k})")

@@ -14,7 +14,7 @@ import random
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
-from .game import PASS, CopMove, GameState, MoveMemo, RobberMove, legal_moves
+from .game import PASS, CopMove, GameState, MoveMemo, RobberMove
 from .gnp import GnpRobberStrategy
 from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
                     find_balanced_separator, greedy_dominating_set)
@@ -76,7 +76,13 @@ class RandomCopStrategy:
         return [self._rng.randrange(G.n) for _ in range(k)]
 
     def move(self, G: Graph, state: GameState):
-        return self._rng.choice(legal_moves(G, state))
+        # the draw of rng.choice(legal_moves(G, state)), 0 for PASS, without the list
+        j = self._rng.randrange(1 + sum(map(G.degree, state.cops))) - 1
+        for i, u in enumerate(state.cops):
+            if 0 <= j < G.degree(u):
+                return CopMove(i, G.neighbors(u)[j])
+            j -= G.degree(u)
+        return PASS
 
 
 class GreedyRobberStrategy:

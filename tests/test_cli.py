@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,6 +187,19 @@ def test_classic_huge_k_exits_at_state_cap(tmp_path, monkeypatch, capsys):
     assert err.startswith("lazycops: limit exceeded: state count ")
 
 
+@pytest.mark.parametrize("mode", ["lazy", "classic"])
+@pytest.mark.parametrize("n,k", [(2, 10_000_000), (1, 100_000_000)])
+def test_cops_far_above_n_exit_two(tmp_path, capsys, mode, n, k):
+    # the states fit under STATE_CAP; the M*k entries of the cop multisets do not
+    graph = tmp_path / "path.txt"
+    assert cli.main(["gen", "--kind", "path", "--n", str(n), "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "--graph", str(graph), "--mode", mode, "--k", str(k)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"lazycops: limit exceeded: multiset entries "
+                                 f"{(k + 1) ** (n - 1) * k} exceed cap 50000000 (n={n}, k={k})\n")
+
+
 def test_cycle_cap_exit_code(monkeypatch, capsys):
     import lazycops.graph as graph
 
@@ -239,6 +253,42 @@ def test_identical_invocations_byte_identical(tmp_path):
         assert r.returncode == 0
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
+
+
+# sha256 of `simulate` stdout and of an experiment CSV, pinned when states and
+# moves were frozen dataclasses: the named tuples must play the same games
+_GOLDEN_GAMES = [
+    (("grid2d", "6"), ["--cops", "greedy", "--robber", "optimal", "--max-rounds", "2000"],
+     "963511d9ddbff24752bcdf102f8db47dcbe80344524af0070b9273a0ccb77089"),
+    (("hypercube", "8"), ["--cops", "greedy", "--robber", "potential", "--max-rounds", "2000"],
+     "a44afcb86aba9b645ea7e5908adc8d91fd1ccec51c25e5c345be4d5b6e3f9f44"),
+    (("gnp", "300", "--p", "0.033", "--seed", "1"),
+     ["--cops", "random", "--robber", "gnp:alpha=0.4", "--max-rounds", "2000"],
+     "0262cbee09a259452435817601fbc8bf27c9ef44407687e612db9f67ac1b7b34"),
+]
+
+
+@pytest.mark.parametrize("graph,argv,digest", _GOLDEN_GAMES, ids=["grid6", "Q8", "gnp300"])
+def test_simulate_golden_digest(tmp_path, capsys, graph, argv, digest):
+    path = tmp_path / "g.txt"
+    kind, n, *extra = graph
+    assert cli.main(["gen", "--kind", kind, "--n", n, *extra, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--graph", str(path), "--k", "2", *argv]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["rounds"] == 2000
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_experiment_golden_digest(tmp_path, capsys):
+    cfg = {"family": "grid2d", "family_params": {"n": 5}, "k": 12,
+           "cop_strategy": "separator", "robber_strategy": "greedy",
+           "trials": 3, "master_seed": 0, "max_rounds": 200}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "39d099987ae91297c7dbb7b6a0c80e1eb1d46e8efcdb8c2dee65eb828eae3c95"
 
 
 def test_missing_family_param_is_usage_error(tmp_path):

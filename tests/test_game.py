@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -18,8 +20,14 @@ def test_cops_stored_sorted():
     s = _state([3, 1, 2], 0)
     assert s.cops == (1, 2, 3)
     # on the 6-cycle cop 0 steps from 0 to 5, past the cop at 3
-    t = apply_move(gen_named("cycle", 6), _state([0, 3], 1), CopMove(0, 5))
+    G = gen_named("cycle", 6)
+    t = apply_move(G, _state([0, 3], 1), CopMove(0, 5))
     assert t.cops == (3, 5)
+    # successors skip the constructor, and are still GameStates with sorted cops
+    t = apply_move(G, _state([0, 3, 3], 1), CopMove(2, 4))
+    assert type(t) is GameState and t == GameState((0, 3, 4), 1, ROBBER, 1)
+    t = apply_move(G, t, RobberMove(2))
+    assert type(t) is GameState and t == GameState((0, 3, 4), 2, COPS, 2)
 
 
 def test_captured():
@@ -69,6 +77,35 @@ def test_illegal_moves_rejected():
     s = apply_move(G, s, PASS)
     with pytest.raises(IllegalMoveError):
         apply_move(G, s, RobberMove(1))  # robber not adjacent
+    # named tuples equal plain tuples, but only the move types are moves
+    cop_turn, robber_turn = _state([0], 4, COPS), s
+    for state, m in [(cop_turn, (0, 1)), (cop_turn, (1,)), (cop_turn, CopMove(1, 0)),
+                     (cop_turn, CopMove(-1, 0)), (robber_turn, (3,)), (robber_turn, (0, 3)),
+                     (robber_turn, CopMove(0, 1)), (robber_turn, PASS)]:
+        with pytest.raises(IllegalMoveError):
+            apply_move(G, state, m)
+
+
+def test_cops_stay_sorted_through_every_constructor():
+    s = GameState((3, 1), 0, COPS, 1)
+    assert s.cops == (1, 3)
+    assert GameState._make([(5, 4, 2), 0, ROBBER, 2]).cops == (2, 4, 5)
+    assert s._replace(cops=(3, 1)).cops == (1, 3)
+    assert s._replace(cops=[9, 0, 4])._replace(round=7) == ((0, 4, 9), 0, COPS, 7)
+    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(t) is GameState and t == s and t.cops == (1, 3)
+
+
+def test_move_values_reprs_and_order():
+    assert CopMove(0, 1) == (0, 1) and RobberMove(1) == (1,)
+    assert repr(GameState((2, 1), 0, COPS, 1)) == \
+        "GameState(cops=(1, 2), robber=0, to_move='cops', round=1)"
+    assert repr(GameState([0], None, COPS)) == \
+        "GameState(cops=(0,), robber=None, to_move='cops', round=0)"
+    assert repr(CopMove(0, 5)) == "CopMove(cop=0, target=5)"
+    assert repr(RobberMove(3)) == "RobberMove(target=3)"
+    assert sorted([CopMove(1, 0), CopMove(0, 7), CopMove(0, 2)]) == \
+        [CopMove(0, 2), CopMove(0, 7), CopMove(1, 0)]
 
 
 def test_play_capture_on_path():

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -253,3 +254,32 @@ def test_move_table_matches_rules(name, G, k, mode):
     bad = [(msets[mi], got, want)
            for mi, (got, want) in enumerate(zip(table, rows)) if got != want]
     assert not bad, f"{len(bad)} rows differ, first {bad[:2]}"
+
+
+def _lazy_table_every_cop(msets, mindex, closed):
+    """The lazy move table with one slice per cop, repeated cops included."""
+    n = len(closed)
+    rows = {rest: [mindex[tuple(sorted(rest + (u,)))] for u in range(n)]
+            for rest in combinations_with_replacement(range(n), len(msets[0]) - 1)}
+    table = []
+    for cops in msets:
+        succ = set()
+        for i, t in enumerate(cops):
+            succ.update(map(rows[cops[:i] + cops[i + 1:]].__getitem__, closed[t]))
+        table.append(tuple(sorted(succ)))
+    return table
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_skipping_repeated_cops_keeps_the_lazy_table(seed):
+    G = gen_gnp(6 + seed % 4, 0.4, seed)
+    k = 1 + seed % 4
+    res = solve_lazy(G, k)
+    assert res._moves == _lazy_table_every_cop(res._msets, res._mindex, res._closed)
+
+
+def test_many_cops_on_a_tiny_graph_solve_fast():
+    t0 = time.perf_counter()
+    res = solve_lazy(gen_named("path", 2), 400)
+    assert res.cop_win and res.states == 2 * 2 * 401
+    assert time.perf_counter() - t0 < 1.0

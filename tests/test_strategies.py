@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,21 @@ def test_random_strategies_reproducible():
     assert a.transcript == b.transcript
     c = play(G, RandomCopStrategy(12), RandomRobberStrategy(13), 2, 60)
     assert c.transcript != a.transcript
+
+
+@pytest.mark.parametrize("G", [gen_gnp(300, 0.033, 1), gen_named("path", 5),
+                               gen_named("hypercube", 4)], ids=["gnp300", "P5", "Q4"])
+def test_random_cop_move_is_the_choice_from_legal_moves(G):
+    # the index drawn first is the draw of rng.choice(legal_moves(...)), call after call
+    states = random.Random(G.n)
+    for seed in range(20):
+        strat, ref = RandomCopStrategy(seed), random.Random(seed)
+        for _ in range(25):
+            cops = [states.randrange(G.n) for _ in range(states.randint(1, 3))]
+            robber = next(v for v in range(G.n) if v not in cops)
+            state = game.GameState(cops, robber, game.COPS, 1)
+            got, want = strat.move(G, state), ref.choice(game.legal_moves(G, state))
+            assert got == want and type(got) is type(want), (seed, state)
 
 
 def test_dominating_strategy_immediate_capture():
