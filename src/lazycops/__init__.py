@@ -58,8 +58,7 @@ from .strategies import (
     RandomRobberStrategy,
     SeparatorCopStrategy,
     StationaryRobberStrategy,
-    make_cop_strategy,
-    make_robber_strategy,
+    make_players,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .game import play
 from .graph import gen_gnp, gen_named, parse_graph, serialize_graph
 from .bounds import theoretical_bounds
 from .solver import cop_number, solve_classic, solve_lazy
-from .strategies import make_cop_strategy, make_robber_strategy
+from .strategies import make_players
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,10 +120,7 @@ def _cmd_copnum(args) -> int:
 
 def _cmd_simulate(args) -> int:
     G = _load_graph(args.graph)
-    needs_solver = "optimal" in (args.cops, args.robber)
-    result = solve_lazy(G, args.k) if needs_solver else None
-    cops = make_cop_strategy(args.cops, G, result, default_seed=args.seed)
-    robber = make_robber_strategy(args.robber, G, result, default_seed=args.seed)
+    cops, robber = make_players(args.cops, args.robber, G, args.k, args.seed)
     record = play(G, cops, robber, args.k, args.max_rounds)
     print(record.to_json())
     if args.stats:

@@ -18,7 +18,7 @@ from .errors import UsageError
 from .game import play
 from .graph import gen_gnp, gen_named
 from .bounds import theoretical_bounds
-from .strategies import make_cop_strategy, make_robber_strategy
+from .strategies import make_players
 
 CSV_COLUMNS = (
     "trial", "seed", "n", "params", "k",
@@ -120,8 +120,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     seed = cfg.master_seed + trial
     G = _build_graph(cfg, seed)
     k = _resolve_k(cfg)
-    cop = make_cop_strategy(cfg.cop_strategy, G, default_seed=seed)
-    robber = make_robber_strategy(cfg.robber_strategy, G, default_seed=seed)
+    cop, robber = make_players(cfg.cop_strategy, cfg.robber_strategy, G, k, seed)
     record = play(G, cop, robber, k, cfg.max_rounds, record_transcript=False)
     return {
         "trial": trial,

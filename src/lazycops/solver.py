@@ -33,8 +33,8 @@ ROBBER_TURN = 1
 # States count both sides, so the cap allows 25 M (multiset, robber) pairs.
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
 # 14.3-18.4 bytes per pair (grid 7x7 and Q5 with k=3), 9.5-14 bytes retained by
-# the result: up to about 0.5 GB at the cap.  It also bounds the M*k entries of
-# the cop multisets, which outnumber the states only when k > 2n (a cop win).
+# the result: up to about 0.5 GB at the cap.  A quarter of it bounds the M*k
+# entries of the cop multisets, which peak at 38-46 bytes each when k >> n.
 STATE_CAP = 50_000_000
 # Product terms that the classic move table enumerates (see _classic_terms),
 # checked after STATE_CAP so that the O(n*k) count runs only on admitted k.
@@ -160,8 +160,9 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     total = M * n * 2
     if total > STATE_CAP:
         raise CapExceededError(f"state count {total} exceeds cap {STATE_CAP} (n={n}, k={k})")
-    if M * k > STATE_CAP:
-        raise CapExceededError(f"multiset entries {M * k} exceed cap {STATE_CAP} (n={n}, k={k})")
+    if M * k > STATE_CAP // 4:
+        raise CapExceededError(f"multiset entries {M * k} exceed cap {STATE_CAP // 4} "
+                               f"(n={n}, k={k})")
     if mode == CLASSIC and (terms := _classic_terms(G, k)) > CLASSIC_TERM_CAP:
         raise CapExceededError(f"classic move table of {terms} terms exceeds cap "
                                f"{CLASSIC_TERM_CAP} (n={n}, k={k})")

@@ -9,6 +9,7 @@ one game at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -19,7 +20,7 @@ from .gnp import GnpRobberStrategy
 from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
                     find_balanced_separator, greedy_dominating_set)
 from .potential import PotentialRobberStrategy
-from .solver import SolveResult, optimal_move
+from .solver import SolveResult, optimal_move, solve_lazy
 
 
 # -- baselines ----------------------------------------------------------------
@@ -280,16 +281,37 @@ class OptimalRobberStrategy(_OptimalStrategy):
 
 # -- registry -----------------------------------------------------------------
 
-# the options that each strategy name reads
-_COP_OPTIONS = {"greedy": ("seed",), "random": ("seed",), "dominating": (),
-                "separator": ("mode",), "optimal": ()}
-_ROBBER_OPTIONS = {"greedy": (), "random": ("seed",), "stationary": (), "gnp": ("alpha",),
-                   "potential": ("eps",), "optimal": ()}
+def _gnp_robber(alpha=None, **_):
+    if alpha is None:
+        raise UsageError("gnp robber needs alpha, e.g. gnp:alpha=0.4")
+    return GnpRobberStrategy(alpha)
 
 
-def _parse_spec(spec: str, accepted: dict):
-    """Name and options of `spec`; an option that the named strategy does not
-    read is a usage error.  Unknown names are left to the caller."""
+# name -> (option -> converter, builder).  A builder takes the converted options
+# and G, solve (the game's one cached solve_lazy) and run_seed as keywords.
+_COPS = {
+    "greedy": ({"seed": int}, lambda seed=None, **_: GreedyCopStrategy(seed)),
+    "random": ({"seed": int}, lambda run_seed, seed=None, **_:
+               RandomCopStrategy(run_seed if seed is None else seed)),
+    "dominating": ({}, lambda G, **_: DominatingCopStrategy(G)),
+    "separator": ({"mode": str}, lambda G, mode="heuristic", **_: SeparatorCopStrategy(G, mode)),
+    "optimal": ({}, lambda solve, **_: OptimalCopStrategy(solve())),
+}
+_ROBBERS = {
+    "greedy": ({}, lambda **_: GreedyRobberStrategy()),
+    "random": ({"seed": int}, lambda run_seed, seed=None, **_:
+               RandomRobberStrategy(run_seed if seed is None else seed)),
+    "stationary": ({}, lambda **_: StationaryRobberStrategy()),
+    "gnp": ({"alpha": float}, _gnp_robber),
+    "potential": ({"eps": str}, lambda eps=1, **_: PotentialRobberStrategy(eps)),
+    "optimal": ({}, lambda solve, **_: OptimalRobberStrategy(solve())),
+}
+
+
+def _parse_spec(spec: str, table: dict, side: str):
+    """Builder and converted options of `spec`, "name" or "name:key=value,...";
+    an unknown name, an option that the strategy does not read or a value that
+    does not convert is a usage error."""
     name, _, rest = spec.partition(":")
     kwargs = {}
     if rest:
@@ -298,63 +320,26 @@ def _parse_spec(spec: str, accepted: dict):
             if not _:
                 raise UsageError(f"malformed strategy option {item!r} in {spec!r}")
             kwargs[key] = val
-    unread = sorted(set(kwargs) - set(accepted.get(name, kwargs)))
+    if name not in table:
+        raise UsageError(f"unknown {side} strategy {spec!r}")
+    options, build = table[name]
+    unread = sorted(set(kwargs) - set(options))
     if unread:
         raise UsageError(f"strategy {name!r} takes no option {unread[0]!r} "
-                         f"(options: {', '.join(accepted[name]) or 'none'})")
-    return name, kwargs
+                         f"(options: {', '.join(options) or 'none'})")
+    for key, val in kwargs.items():
+        try:
+            kwargs[key] = options[key](val)
+        except ValueError:
+            raise UsageError(f"bad {key} {val!r} in strategy {spec!r}") from None
+    return build, kwargs
 
 
-def _option(spec: str, kw: dict, key: str, convert, default=None):
-    """Option `key` through `convert`, or `default` if absent; a value that
-    does not convert is a usage error."""
-    try:
-        return convert(kw[key]) if key in kw else default
-    except ValueError:
-        raise UsageError(f"bad {key} {kw[key]!r} in strategy {spec!r}") from None
-
-
-def make_cop_strategy(spec: str, G: Graph | None = None,
-                      solve_result: SolveResult | None = None,
-                      default_seed: int | None = 0):
-    """Build a cop strategy from its CLI name, e.g. "greedy", "random:seed=5",
-    "separator", "dominating", "optimal"."""
-    name, kw = _parse_spec(spec, _COP_OPTIONS)
-    if name == "greedy":
-        return GreedyCopStrategy(_option(spec, kw, "seed", int))
-    if name == "random":
-        return RandomCopStrategy(_option(spec, kw, "seed", int, default_seed))
-    if name == "dominating":
-        return DominatingCopStrategy(G)
-    if name == "separator":
-        return SeparatorCopStrategy(G, kw.get("mode", "heuristic"))
-    if name == "optimal":
-        if solve_result is None:
-            raise UsageError("optimal strategy needs a solver result")
-        return OptimalCopStrategy(solve_result)
-    raise UsageError(f"unknown cop strategy {spec!r}")
-
-
-def make_robber_strategy(spec: str, G: Graph | None = None,
-                         solve_result: SolveResult | None = None,
-                         default_seed: int | None = 0):
-    """Build a robber strategy from its CLI name, e.g. "greedy", "random:seed=5",
-    "gnp:alpha=0.4", "potential:eps=1", "stationary", "optimal"."""
-    name, kw = _parse_spec(spec, _ROBBER_OPTIONS)
-    if name == "greedy":
-        return GreedyRobberStrategy()
-    if name == "random":
-        return RandomRobberStrategy(_option(spec, kw, "seed", int, default_seed))
-    if name == "stationary":
-        return StationaryRobberStrategy()
-    if name == "gnp":
-        if "alpha" not in kw:
-            raise UsageError("gnp robber needs alpha, e.g. gnp:alpha=0.4")
-        return GnpRobberStrategy(_option(spec, kw, "alpha", float))
-    if name == "potential":
-        return PotentialRobberStrategy(kw.get("eps", 1))
-    if name == "optimal":
-        if solve_result is None:
-            raise UsageError("optimal strategy needs a solver result")
-        return OptimalRobberStrategy(solve_result)
-    raise UsageError(f"unknown robber strategy {spec!r}")
+def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | None = 0):
+    """(cops, robber) for a game of k cops on G, from specs "name" or
+    "name:key=value,..." of _COPS and _ROBBERS.  Both specs are parsed before
+    either side is built; the solver-optimal sides share one solve_lazy(G, k),
+    run only if one is built.  A seed option defaults to `seed` (greedy: None)."""
+    specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
+    solve = functools.cache(lambda: solve_lazy(G, k))
+    return tuple(build(G=G, solve=solve, run_seed=seed, **kw) for build, kw in specs)

@@ -53,7 +53,7 @@ def test_solve_stats_on_stderr_only(tmp_path, capsys, monkeypatch):
 def test_simulate_potential_robber_on_hypercube_file(tmp_path, capsys):
     from lazycops.game import play
     from lazycops.graph import gen_named
-    from lazycops.strategies import make_cop_strategy, make_robber_strategy
+    from lazycops.strategies import make_players
 
     q8 = tmp_path / "q8.txt"
     assert cli.main(["gen", "--kind", "hypercube", "--n", "8", "--out", str(q8)]) == 0
@@ -61,8 +61,8 @@ def test_simulate_potential_robber_on_hypercube_file(tmp_path, capsys):
     argv = ["simulate", "--graph", str(q8), "--cops", "greedy", "--robber", "potential",
             "--k", "2"]
     assert cli.main(argv) == 0
-    rec = play(gen_named("hypercube", 8), make_cop_strategy("greedy"),
-               make_robber_strategy("potential"), 2, 100)
+    q8_graph = gen_named("hypercube", 8)
+    rec = play(q8_graph, *make_players("greedy", "potential", q8_graph, 2), 2, 100)
     assert capsys.readouterr().out == rec.to_json() + "\n"
 
 
@@ -197,7 +197,7 @@ def test_cops_far_above_n_exit_two(tmp_path, capsys, mode, n, k):
     assert cli.main(["solve", "--graph", str(graph), "--mode", mode, "--k", str(k)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == (f"lazycops: limit exceeded: multiset entries "
-                                 f"{(k + 1) ** (n - 1) * k} exceed cap 50000000 (n={n}, k={k})\n")
+                                 f"{(k + 1) ** (n - 1) * k} exceed cap 12500000 (n={n}, k={k})\n")
 
 
 def test_cycle_cap_exit_code(monkeypatch, capsys):
@@ -289,6 +289,35 @@ def test_experiment_golden_digest(tmp_path, capsys):
     assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "39d099987ae91297c7dbb7b6a0c80e1eb1d46e8efcdb8c2dee65eb828eae3c95"
+
+
+def test_simulate_optimal_cops(tmp_path, capsys):
+    graph = tmp_path / "grid4.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "4", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--graph", str(graph), "--cops", "optimal:", "--robber", "greedy",
+            "--k", "2", "--max-rounds", "20"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
+    # the optimal cops capture any robber within the 4 rounds they need against the best one
+    assert err == "" and rec["outcome"] == "capture" and rec["rounds"] <= 4
+
+
+@pytest.mark.parametrize("robber", ["greedy", "optimal"])
+def test_experiment_with_optimal_cops(tmp_path, capsys, robber):
+    cfg = {"family": "grid2d", "family_params": {"n": 4}, "k": 2,
+           "cop_strategy": "optimal", "robber_strategy": robber,
+           "trials": 2, "master_seed": 7, "max_rounds": 20}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, *trials, aggregate = [line.split(",") for line in out.read_text().splitlines()]
+    assert [row[:2] for row in trials] == [["0", "7"], ["1", "8"]]
+    assert all(row[5:8] == ["optimal", robber, "capture"] for row in trials)
+    if robber == "optimal":
+        assert [row[8] for row in trials] == ["4", "4"]
+    assert aggregate[0] == "aggregate" and aggregate[7:] == ["survival_rate", "0"]
 
 
 def test_missing_family_param_is_usage_error(tmp_path):

@@ -38,7 +38,7 @@ from reference_balls import (
 from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
 from reference_paths import reference_count_paths
-from reference_separator import reference_separator
+from reference_separator import _ok, _prune, reference_separator
 
 
 # -- generators ---------------------------------------------------------------
@@ -645,6 +645,38 @@ def test_prune_separator_rejects_invalid_candidates():
     assert _prune_separator(P7, {3}, 4) == {3}
     assert _prune_separator(P7, {2, 3, 4}, 4) == {4}  # 2, then 3 rejoin the left part
     assert _prune_separator(P7, set(), 4) is None
+
+
+def _new_root_drops(G, s, limit):
+    """Vertices that reference `_prune` drops while all their neighbours are
+    still in the separator: where `_prune_separator` starts a new component."""
+    out, drops = set(s), []
+    for v in sorted(s):
+        if _ok(G, out - {v}, limit):
+            if all(w in out for w in G.neighbors(v)):
+                drops.append(v)
+            out.discard(v)
+    return drops
+
+
+def test_prune_separator_matches_reference_on_padded_separators():
+    assert _prune_separator(gen_named("path", 3), {0, 1}, 2) == {1}
+    assert _new_root_drops(gen_named("path", 3), {0, 1}, 2) == [0]
+    rng, graphs, new_roots = random.Random(5), 0, 0
+    for seed in range(200):
+        G = gen_gnp(12, 0.3, seed)
+        if not G.is_connected():
+            continue
+        graphs += 1
+        limit = 2 * G.n // 3
+        sep = find_balanced_separator(G)
+        for _ in range(5):
+            s = sep | set(rng.sample(range(G.n), rng.randint(1, 6)))
+            assert _prune_separator(G, s, limit) == _prune(G, s, limit), (seed, s)
+            new_roots += len(_new_root_drops(G, s, limit))
+        if graphs == 40:
+            break
+    assert graphs == 40 and new_roots > 0
 
 
 def test_separator_exact_small():

@@ -121,6 +121,17 @@ def test_move_no_cops_in_range_lowest_id():
     assert hypercube_robber_move(p, G, _state([far], 0)) == 1
 
 
+def test_move_stays_when_every_neighbor_holds_a_cop():
+    n = 8
+    G = gen_named("hypercube", n)
+    p = potential_params(n, 1)
+    v = 0b10110010
+    cops = [v ^ (1 << i) for i in range(n)]
+    assert hypercube_robber_move(p, G, _state(cops, v)) == v
+    # with one neighbour free, the robber takes it
+    assert hypercube_robber_move(p, G, _state(cops[1:] + [cops[1]], v)) == cops[0]
+
+
 def test_move_excludes_cop_occupied():
     n = 8
     G = gen_named("hypercube", n)

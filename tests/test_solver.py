@@ -283,3 +283,14 @@ def test_many_cops_on_a_tiny_graph_solve_fast():
     res = solve_lazy(gen_named("path", 2), 400)
     assert res.cop_win and res.states == 2 * 2 * 401
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("solve", [solve_lazy, solve_classic])
+def test_multiset_entries_capped_at_a_quarter_of_the_state_cap(monkeypatch, solve):
+    import lazycops.solver as solver
+
+    monkeypatch.setattr(solver, "STATE_CAP", 400)
+    G = Graph(1, [])   # one multiset and 2 states at any k
+    assert solve(G, 100).cop_win
+    with pytest.raises(CapExceededError, match=r"^multiset entries 101 exceed cap 100 \(n=1, k=101\)$"):
+        solve(G, 101)

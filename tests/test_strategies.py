@@ -6,24 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lazycops import game
+from lazycops import game, strategies
 from lazycops.errors import StrategyError, UsageError
 from lazycops.game import PASS, play
 from lazycops.gnp import GnpRobberStrategy
 from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
 from lazycops.potential import PotentialRobberStrategy
-from lazycops.solver import solve_lazy
+from lazycops.solver import COP_TURN, solve_lazy
 from lazycops.strategies import (
     DominatingCopStrategy,
     GreedyCopStrategy,
     GreedyRobberStrategy,
+    OptimalCopStrategy,
     OptimalRobberStrategy,
     RandomCopStrategy,
     RandomRobberStrategy,
     SeparatorCopStrategy,
     StationaryRobberStrategy,
-    make_cop_strategy,
-    make_robber_strategy,
+    make_players,
 )
 from reference_bfs import reference_bfs
 from reference_separator import ReferenceSeparatorCops
@@ -232,34 +232,92 @@ def test_separator_requires_connected():
         SeparatorCopStrategy(Graph(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize("G, k, rounds", [
+    (gen_named("grid2d", 4), 2, 4),
+    (gen_named("petersen"), 3, 1),
+    (gen_named("hypercube", 4), 3, 2),
+])
+def test_optimal_cops_capture_the_optimal_robber_in_solved_time(G, k, rounds):
+    result = solve_lazy(G, k)
+    cops, robber = OptimalCopStrategy(result), OptimalRobberStrategy(result)
+    placement = cops.place(G, k)
+    assert placement == list(result.placement)
+    d = result.distance(placement, robber.place(G, tuple(sorted(placement))), COP_TURN)
+    rec = play(G, cops, robber, k, 100)
+    assert rec.outcome == "capture" and rec.rounds_played == math.ceil(d / 2) == rounds
+
+
+def test_optimal_cops_pass_when_the_robber_wins():
+    G = gen_named("petersen")
+    result = solve_lazy(G, 2)
+    assert not result.cop_win
+    rec = play(G, OptimalCopStrategy(result), OptimalRobberStrategy(result), 2, 30)
+    assert rec.outcome == "survival" and rec.rounds_played == 30
+    cop_moves = [m["to"] for m in rec.transcript[2::2]]
+    assert len(cop_moves) == 30 and set(cop_moves) == {None}
+
+
+def test_optimal_cops_refuse_another_cop_count():
+    G = gen_named("grid2d", 4)
+    with pytest.raises(UsageError, match="different cop count"):
+        OptimalCopStrategy(solve_lazy(G, 2)).place(G, 3)
+
+
+def test_make_players_solves_once_for_two_optimal_sides(monkeypatch):
+    calls = []
+
+    def counted(G, k):
+        calls.append((G, k))
+        return solve_lazy(G, k)
+
+    monkeypatch.setattr(strategies, "solve_lazy", counted)
+    G = gen_named("grid2d", 4)
+    cops, robber = make_players("optimal", "optimal", G, 2)
+    assert calls == [(G, 2)]
+    assert cops._result is robber._result
+    make_players("greedy", "random", G, 2)
+    assert len(calls) == 1
+
+
 def test_registry_cops():
     G = gen_named("cycle", 8)
-    assert isinstance(make_cop_strategy("greedy"), GreedyCopStrategy)
-    assert isinstance(make_cop_strategy("random:seed=5"), RandomCopStrategy)
-    assert isinstance(make_cop_strategy("dominating", G), DominatingCopStrategy)
-    assert isinstance(make_cop_strategy("separator", G), SeparatorCopStrategy)
-    with pytest.raises(UsageError):
-        make_cop_strategy("nope")
-    with pytest.raises(UsageError):
-        make_cop_strategy("optimal")  # needs a solve result
+
+    def cops(spec):
+        return make_players(spec, "greedy", G, 2)[0]
+
+    assert isinstance(cops("greedy"), GreedyCopStrategy)
+    assert isinstance(cops("random:seed=5"), RandomCopStrategy)
+    assert isinstance(cops("dominating"), DominatingCopStrategy)
+    assert isinstance(cops("separator"), SeparatorCopStrategy)
+    assert isinstance(cops("optimal"), OptimalCopStrategy)
+    with pytest.raises(UsageError, match="unknown cop strategy 'nope'"):
+        cops("nope")
     with pytest.raises(UsageError, match="takes no option 'sed' \\(options: seed\\)"):
-        make_cop_strategy("greedy:sed=5")
+        cops("greedy:sed=5")
     with pytest.raises(UsageError, match="takes no option 'x' \\(options: none\\)"):
-        make_cop_strategy("dominating:x=1", G)
+        cops("dominating:x=1")
 
 
 def test_registry_robbers():
     from lazycops.gnp import GnpRobberStrategy
     from lazycops.potential import PotentialRobberStrategy
 
-    assert isinstance(make_robber_strategy("greedy"), GreedyRobberStrategy)
-    assert isinstance(make_robber_strategy("stationary"), StationaryRobberStrategy)
-    assert isinstance(make_robber_strategy("gnp:alpha=0.4"), GnpRobberStrategy)
-    assert isinstance(make_robber_strategy("potential:eps=1"), PotentialRobberStrategy)
-    with pytest.raises(UsageError):
-        make_robber_strategy("gnp")  # alpha required
-    with pytest.raises(UsageError):
-        make_robber_strategy("greedy:bad")  # malformed option
+    G = gen_named("cycle", 8)
+
+    def robber(spec):
+        return make_players("greedy", spec, G, 2)[1]
+
+    assert isinstance(robber("greedy"), GreedyRobberStrategy)
+    assert isinstance(robber("stationary"), StationaryRobberStrategy)
+    assert isinstance(robber("gnp:alpha=0.4"), GnpRobberStrategy)
+    assert isinstance(robber("potential:eps=1"), PotentialRobberStrategy)
+    assert isinstance(robber("optimal"), OptimalRobberStrategy)
+    with pytest.raises(UsageError, match="unknown robber strategy 'nope'"):
+        robber("nope")
+    with pytest.raises(UsageError, match="gnp robber needs alpha"):
+        robber("gnp")
+    with pytest.raises(UsageError, match="malformed strategy option"):
+        robber("greedy:bad")
 
 
 # -- move memos ---------------------------------------------------------------
