@@ -19,7 +19,7 @@ from .errors import (
 from .expansion import ExpansionReport, PropertyCheck, verify_expansion
 from .experiments import ExperimentConfig, run_experiment, run_trial
 from .game import PASS, CopMove, GameRecord, GameState, RobberMove, apply_move, play
-from .gnp import GnpRobberParams, GnpRobberStrategy, gnp_params, is_dangerous, is_safe
+from .gnp import GnpRobberParams, GnpRobberStrategy, gnp_params
 from .graph import (
     Graph,
     HypercubeGraph,

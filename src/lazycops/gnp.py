@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import UsageError
 from .game import GameState, MoveMemo, RobberMove
@@ -109,52 +108,16 @@ def gnp_params(n: int, p: float, alpha: float, regime: str = "auto") -> GnpRobbe
     )
 
 
-def _cop_level_counts(G: Graph, cop_counter: Counter, source: int,
-                      deleted: frozenset | set, max_level: int) -> list:
-    """Cumulative cop counts per level: out[i] = cops within distance i of
-    source in the graph induced on V minus `deleted`."""
-    if source in deleted:
-        raise ValueError("source vertex was deleted")
-    dist = bfs(G, (source,), deleted, max_level)
-    per_level = [0] * (max_level + 1)
-    for c, mult in cop_counter.items():
-        if dist[c] is not math.inf:
-            per_level[dist[c]] += mult
-    return list(accumulate(per_level))
-
-
-def is_safe(G: Graph, cops, v: int, x: int, params: GnpRobberParams) -> bool:
-    """True iff v passes every level threshold with the neighbour x deleted."""
-    if x == v or not G.has_edge(v, x):
-        raise UsageError(f"{x} is not a neighbour of {v}")
-    levels = _cop_level_counts(G, Counter(cops), v, {x}, params.max_level)
-    return all(
-        levels[i] <= params.thresholds[i] for i in range(params.max_level + 1)
-    )
-
-
-def is_dangerous(G: Graph, cops, v: int, x: int | None, y: int, r: int,
-                 params: GnpRobberParams) -> bool:
-    """True iff level r around y (with v and x deleted) exceeds its threshold."""
-    if y == v or (x is not None and y == x) or not G.has_edge(v, y):
-        raise UsageError(f"{y} is not a valid candidate neighbour of {v}")
-    if not 0 <= r <= params.max_level:
-        raise UsageError(f"level {r} outside 0..{params.max_level}")
-    deleted = {v} if x is None else {v, x}
-    levels = _cop_level_counts(G, Counter(cops), y, deleted, r)
-    return levels[r] > params.thresholds[r]
-
-
 def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
-                    prev: int | None, stats: dict | None = None) -> int:
-    """Next vertex for the robber; `prev` plays the deadly-neighbour role.
+                    prev: int | None) -> tuple:
+    """(robber's next vertex, whether a candidate survived); prev is the deadly neighbour.
 
     Candidates are neighbours of the current vertex other than prev, in id
     order.  The first one that is not r-dangerous at any level and has prev
     beyond distance j once the current vertex is deleted is returned.  If
     none survives (desk-scale graphs need not satisfy the source hypotheses)
     the fallback ranks by fewest violated levels, then largest distance to
-    the nearest cop, then lowest id, and counts up `stats["fallbacks"]`.
+    the nearest cop, then lowest id.
     """
     v = s.robber
     adj = G._adj
@@ -181,12 +144,10 @@ def gnp_robber_move(G: Graph, s: GameState, params: GnpRobberParams,
             violations += total > limit
         if violations == 0 and (reach is None or reach[y] is INF and min(
                 map(reach.__getitem__, adj[y])) is INF):
-            return y
+            return y, True
         nearest = next((r for r, count in enumerate(per_level) if count), top + 1)
         ranked.append((violations, -nearest, y))
-    if stats is not None:
-        stats["fallbacks"] += 1
-    return min(ranked)[2] if ranked else v
+    return (min(ranked)[2] if ranked else v), False
 
 
 class GnpRobberStrategy:
@@ -197,8 +158,8 @@ class GnpRobberStrategy:
     neighbour.  `stats()` counts the moves since placement and the
     fallbacks among them (moves where no candidate survived).  A move
     depends on the graph, the cops, the robber and the previous vertex
-    only, so it is memoised on them with its fallback count (0 or 1),
-    which is counted again on every repeat.
+    only, so it is memoised on them with whether a candidate survived; a
+    fallback is counted again on every repeat.
     """
 
     def __init__(self, alpha: float):
@@ -206,7 +167,7 @@ class GnpRobberStrategy:
         self._params: GnpRobberParams | None = None   # set by place() for its graph
         self._prev: int | None = None
         self._stats = {"moves": 0, "fallbacks": 0}
-        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, fallbacks)
+        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, survived)
 
     def place(self, G: Graph, cops) -> int:
         self._prev = None
@@ -218,18 +179,13 @@ class GnpRobberStrategy:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
-        target, fallbacks = self._memo.lookup(
-            G, (state.cops, state.robber, self._prev), self._decide, G, state)
+        target, survived = self._memo.lookup(
+            G, (state.cops, state.robber, self._prev), gnp_robber_move,
+            G, state, self._params, self._prev)
         self._stats["moves"] += 1
-        self._stats["fallbacks"] += fallbacks
+        self._stats["fallbacks"] += not survived
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
-
-    def _decide(self, G: Graph, state: GameState) -> tuple:
-        """(target, fallbacks of this move: 0 or 1)."""
-        counts = {"fallbacks": 0}
-        target = gnp_robber_move(G, state, self._params, self._prev, counts)
-        return target, counts["fallbacks"]
 
     def stats(self) -> dict:
         return dict(self._stats)

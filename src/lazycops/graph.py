@@ -24,7 +24,8 @@ BALL_TABLE_BYTES = 1 << 28
 CYCLE_LEN_CAP = 8
 # Most vertices that exact_domination_number searches.
 DOMINATION_N_CAP = 24
-# Most vertices that find_balanced_separator searches in exact mode.
+# find_balanced_separator's modes, and the most vertices its exact mode searches.
+HEURISTIC, EXACT = SEPARATOR_MODES = ("heuristic", "exact")
 SEPARATOR_N_CAP = 20
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # see _flags
@@ -516,7 +517,7 @@ def _prune_separator(G: Graph, s, limit: int):
     return out
 
 
-def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
+def find_balanced_separator(G: Graph, mode: str = HEURISTIC) -> set:
     """A set S whose removal leaves components of <= floor(2n/3) vertices.
 
     exact: minimum such S by increasing-size subset search (n <= 20).
@@ -528,17 +529,17 @@ def find_balanced_separator(G: Graph, mode: str = "heuristic") -> set:
     n = G.n
     limit = (2 * n) // 3
 
-    if mode == "exact":
+    if mode == EXACT:
         if n > SEPARATOR_N_CAP:
             raise CapExceededError(f"exact separator limited to n <= {SEPARATOR_N_CAP}, got {n}")
-        for size in range(n + 1):
+        for size in range(n):   # n - 1 vertices always do once n >= 2
             for s in combinations(range(n), size):
                 if _prune_separator(G, s, limit) is not None:
                     return set(s)
-        raise AssertionError("unreachable: removing all vertices is always valid")
+        return set(range(n))
 
-    if mode != "heuristic":
-        raise UsageError(f"unknown separator mode {mode!r}; use heuristic or exact")
+    if mode != HEURISTIC:
+        raise UsageError(f"unknown separator mode {mode!r}; use {HEURISTIC} or {EXACT}")
 
     candidates = []
     for start in range(n):

@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import math
 import random
+from fractions import Fraction
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
 from .game import PASS, CopMove, GameState, MoveMemo, RobberMove
 from .gnp import GnpRobberStrategy
-from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
-                    find_balanced_separator, greedy_dominating_set)
+from .graph import (HEURISTIC, SEPARATOR_MODES, Graph, bfs, component_of, components_without,
+                    farthest_vertex, find_balanced_separator, greedy_dominating_set)
 from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move, solve_lazy
 
@@ -53,16 +54,10 @@ class GreedyCopStrategy:
         for i, u in enumerate(state.cops):
             if dist[u] < best_d:
                 best_i, best_d = i, dist[u]
-        if best_i is None or best_d is math.inf:
+        if best_i is None:   # every cop is in another component
             return PASS
-        u = state.cops[best_i]
-        target = min(
-            (t for t in G.neighbors(u) if dist[t] < dist[u]),
-            default=None,
-        )
-        if target is None:
-            return PASS
-        return CopMove(best_i, target)
+        u = state.cops[best_i]   # at a finite distance >= 1: some neighbour is closer
+        return CopMove(best_i, min(t for t in G.neighbors(u) if dist[t] < dist[u]))
 
 
 class RandomCopStrategy:
@@ -141,10 +136,9 @@ class DominatingCopStrategy:
 
     def move(self, G: Graph, state: GameState):
         r = state.robber
-        for i, u in enumerate(state.cops):
+        for i, u in enumerate(state.cops):   # one is adjacent: the placement dominates
             if G.has_edge(u, r):
                 return CopMove(i, r)
-        return PASS  # unreachable after a dominating placement
 
 
 # -- separator cops --------------------------------------------------------------
@@ -159,7 +153,7 @@ class SeparatorCopStrategy:
     tie-breaks.  The root separator is occupied at placement time.
     """
 
-    def __init__(self, G: Graph, mode: str = "heuristic"):
+    def __init__(self, G: Graph, mode: str = HEURISTIC):
         if not G.is_connected():
             raise UsageError("separator strategy requires a connected graph")
         self._mode = mode
@@ -235,8 +229,6 @@ class SeparatorCopStrategy:
         if not self._targets:
             region = component_of(G, r, self._posted)
             self._targets = list(self._separator_of(region))
-        if not self._unposted:
-            return PASS  # budget exhausted; cannot happen at required_cops
 
         # the walker, the first unposted cop, stands on a posted root vertex or
         # on its way, and a target lies in the robber's region, off every posted
@@ -287,6 +279,12 @@ def _gnp_robber(alpha=None, **_):
     return GnpRobberStrategy(alpha)
 
 
+def _separator_mode(mode: str) -> str:
+    if mode not in SEPARATOR_MODES:
+        raise ValueError(f"unknown separator mode {mode!r}")
+    return mode
+
+
 # name -> (option -> converter, builder).  A builder takes the converted options
 # and G, solve (the game's one cached solve_lazy) and run_seed as keywords.
 _COPS = {
@@ -294,7 +292,8 @@ _COPS = {
     "random": ({"seed": int}, lambda run_seed, seed=None, **_:
                RandomCopStrategy(run_seed if seed is None else seed)),
     "dominating": ({}, lambda G, **_: DominatingCopStrategy(G)),
-    "separator": ({"mode": str}, lambda G, mode="heuristic", **_: SeparatorCopStrategy(G, mode)),
+    "separator": ({"mode": _separator_mode},
+                  lambda G, mode=HEURISTIC, **_: SeparatorCopStrategy(G, mode)),
     "optimal": ({}, lambda solve, **_: OptimalCopStrategy(solve())),
 }
 _ROBBERS = {
@@ -303,7 +302,7 @@ _ROBBERS = {
                RandomRobberStrategy(run_seed if seed is None else seed)),
     "stationary": ({}, lambda **_: StationaryRobberStrategy()),
     "gnp": ({"alpha": float}, _gnp_robber),
-    "potential": ({"eps": str}, lambda eps=1, **_: PotentialRobberStrategy(eps)),
+    "potential": ({"eps": Fraction}, lambda eps=1, **_: PotentialRobberStrategy(eps)),
     "optimal": ({}, lambda solve, **_: OptimalRobberStrategy(solve())),
 }
 
@@ -330,7 +329,7 @@ def _parse_spec(spec: str, table: dict, side: str):
     for key, val in kwargs.items():
         try:
             kwargs[key] = options[key](val)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad {key} {val!r} in strategy {spec!r}") from None
     return build, kwargs
 

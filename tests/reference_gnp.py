@@ -1,4 +1,4 @@
-"""Reference G(n,p) robber move for the differential tests.
+"""Reference G(n,p) robber move and safety predicates for the differential tests.
 
 The earlier form of `lazycops.gnp.gnp_robber_move`: one full-radius search
 from every cop position (radius max_level) and one from the previous vertex
@@ -7,12 +7,36 @@ or else the least ranked candidate.  The current function searches one
 level short, reads the last level from a neighbour's entry and stops at the
 first survivor; this copy does none of that, and it takes its distances
 from `reference_bfs`, so it can catch mistakes in those shortcuts.
+
+`reference_is_safe` and `reference_is_dangerous` state the safe and
+r-dangerous classifications one vertex and one level at a time, from one
+search each; `gnp_robber_move` applies the danger rule to every candidate
+and level at once.
 """
 
 import math
 from collections import Counter
 
 from reference_bfs import reference_bfs
+
+
+def _cops_within(G, cops, source, deleted, r):
+    """Cops, counted with multiplicity, within distance r of source in G minus deleted."""
+    dist = reference_bfs(G, (source,), deleted, r)
+    return sum(1 for c in cops if dist[c] <= r)
+
+
+def reference_is_safe(G, cops, v, x, params):
+    """True iff v passes every level threshold with its neighbour x deleted."""
+    return all(_cops_within(G, cops, v, {x}, r) <= params.thresholds[r]
+               for r in range(params.max_level + 1))
+
+
+def reference_is_dangerous(G, cops, v, x, y, r, params):
+    """True iff level r around the candidate y, with v and x (None: no x)
+    deleted, exceeds its threshold."""
+    deleted = {v} if x is None else {v, x}
+    return _cops_within(G, cops, y, deleted, r) > params.thresholds[r]
 
 
 def reference_gnp_move(G, s, params, prev):

@@ -15,8 +15,8 @@ import pytest
 
 from lazycops.bounds import genus_cop_budget, ght_separator_bound
 from lazycops.expansion import verify_expansion
-from lazycops.game import play
-from lazycops.gnp import GnpRobberStrategy, gnp_params, is_dangerous, is_safe
+from lazycops.game import ROBBER, GameState, play
+from lazycops.gnp import GnpRobberStrategy, gnp_params, gnp_robber_move
 from lazycops.graph import (
     components_without,
     exact_domination_number,
@@ -41,6 +41,8 @@ from lazycops.strategies import (
     RandomRobberStrategy,
     SeparatorCopStrategy,
 )
+from reference_bfs import reference_bfs
+from reference_gnp import reference_is_dangerous, reference_is_safe
 from reference_potential import reference_potential_at
 
 
@@ -147,8 +149,6 @@ def test_criterion_4_potential_system():
 
     # the exact potential equals the Fraction sum of the weights
     rng = random.Random(12)
-    from lazycops.game import ROBBER, GameState
-
     for _ in range(1000):
         r = rng.randrange(1 << n)
         cops = tuple(r ^ (rng.randrange(1 << n) & rng.randrange(1 << n)) for _ in range(5))
@@ -184,7 +184,10 @@ def test_criterion_4_potential_system():
 
 
 def test_criterion_5_gnp_robber():
-    # classifiers against an independent brute-force oracle
+    # the reference classifiers against an independent brute-force oracle,
+    # and the playing rule against the classifiers: with prev = x, some
+    # candidate survives iff a neighbour y != x of v is dangerous at no level
+    # and lies beyond distance j of x once v is deleted
     from collections import deque
 
     def oracle_counts(G, deleted, src, radius):
@@ -203,7 +206,7 @@ def test_criterion_5_gnp_robber():
         return dist
 
     rng = random.Random(1)
-    checked = 0
+    checked = survivals = 0
     while checked < 200:
         n = rng.randrange(8, 31)
         G = gen_gnp(n, 0.25, rng.randrange(10_000))
@@ -220,13 +223,22 @@ def test_criterion_5_gnp_robber():
             sum(1 for cp in cops if dist_v.get(cp, math.inf) <= i) <= params.thresholds[i]
             for i in range(params.max_level + 1)
         )
-        assert is_safe(G, cops, v, x, params) == expected_safe
+        assert reference_is_safe(G, cops, v, x, params) == expected_safe
         r = rng.randrange(0, params.j + 1)
         dist_y = oracle_counts(G, {v, x}, y, r)
         expected_danger = (
             sum(1 for cp in cops if dist_y.get(cp, math.inf) <= r) > params.thresholds[r]
         )
-        assert is_dangerous(G, cops, v, x, y, r, params) == expected_danger
+        assert reference_is_dangerous(G, cops, v, x, y, r, params) == expected_danger
+        reach = reference_bfs(G, (x,), (v,), params.j)
+        some_survivor = any(
+            reach[u] is math.inf and not any(
+                reference_is_dangerous(G, cops, v, x, u, level, params)
+                for level in range(params.max_level + 1))
+            for u in nbrs if u != x)
+        _, survived = gnp_robber_move(G, GameState(cops, v, ROBBER), params, x)
+        assert survived == some_survivor
+        survivals += survived
         checked += 1
 
     # formula check: the main-regime coefficient at alpha = 0.4
@@ -242,9 +254,10 @@ def test_criterion_5_gnp_robber():
         results["greedy"] += rec.outcome == "survival"
         rec = play(G, RandomCopStrategy(seed), GnpRobberStrategy(0.4), 1, 8000)
         results["random"] += rec.outcome == "survival"
-    ok = results["greedy"] >= 9 and results["random"] >= 9
+    ok = results["greedy"] >= 9 and results["random"] >= 9 and 0 < survivals < 200
     _report(5, ok,
-            f"oracle agreement 200/200, K coefficient exact, "
+            f"oracle agreement 200/200, move rule agrees ({survivals} survivor draws), "
+            f"K coefficient exact, "
             f"survivals greedy {results['greedy']}/10 random {results['random']}/10")
 
 

@@ -426,6 +426,24 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     assert err.startswith("lazycops: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cops,robber,needle", [
+    ("separator:mode=bogus", "nope", "bad mode 'bogus'"),
+    ("greedy", "potential:eps=abc", "bad eps 'abc'"),
+    ("greedy", "potential:eps=1/0", "bad eps '1/0'"),
+])
+def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber, needle):
+    # option values convert at parse time: the bad value is reported before
+    # the other side's bad name and before the grid fails the hypercube check
+    graph = tmp_path / "grid.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "4", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--graph", str(graph), "--cops", cops,
+                     "--robber", robber, "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lazycops: error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 @pytest.mark.parametrize("command,extra,needle", [
     ("gen", ["--kind", "gnp", "--n", "10", "--p", "1.5"], "p must lie in [0,1]"),
     ("experiment", {"family": "gnp", "family_params": {"n": 10, "p": -0.5}, "k": 1},

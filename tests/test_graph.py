@@ -686,6 +686,11 @@ def test_separator_exact_small():
     _check_balanced(P, sep)
 
 
+def test_separator_exact_one_vertex():
+    # no smaller set balances one vertex: the search ends with the whole graph
+    assert find_balanced_separator(Graph(1, []), "exact") == {0}
+
+
 def test_separator_heuristic_balanced():
     for kind, n in [("path", 30), ("cycle", 24), ("grid2d", 6), ("complete", 9)]:
         G = gen_named(kind, n)

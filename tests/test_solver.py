@@ -124,6 +124,16 @@ def test_self_consistency_classic():
     assert verify_self_consistency(solve_classic(gen_named("cycle", 6), 2))["ok"]
 
 
+def test_self_consistency_fails_on_halved_distances():
+    # a table that promises capture in about half the true time: the replay
+    # outruns the promised budget and reports the failure
+    res = solve_lazy(gen_named("grid2d", 4), 2)
+    for i, d in enumerate(res._dist):
+        if d > 0:
+            res._dist[i] = (d + 1) // 2
+    assert verify_self_consistency(res) == {"ok": False, "half_moves": 6, "budget": 4}
+
+
 def test_evasion_replay_reads_its_length_at_call_time(monkeypatch):
     import lazycops.solver as solver
 

@@ -38,6 +38,15 @@ def test_greedy_cop_captures_on_path():
             assert rec.outcome == "capture"
 
 
+def test_greedy_cop_passes_when_robber_in_other_component():
+    G = Graph(4, [(0, 1), (2, 3)])
+    rec = play(G, GreedyCopStrategy(), GreedyRobberStrategy(), 1, 5)
+    assert rec.outcome == "survival"
+    cop_moves = [e for e in rec.transcript[2:] if e["side"] == "cops"]
+    assert len(cop_moves) == 5
+    assert all(e == {"side": "cops", "from": None, "to": None} for e in cop_moves)
+
+
 def test_greedy_robber_stays_unreachable():
     from lazycops.graph import Graph
 
