@@ -40,9 +40,7 @@ from .potential import (
 )
 from .solver import (
     SolveResult,
-    classic_cop_number,
     cop_number,
-    lazy_cop_number,
     optimal_move,
     solve_classic,
     solve_lazy,

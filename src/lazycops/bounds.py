@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
+from .gnp import gnp_params
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
                 params.get("n"), params.get("p"), params.get("delta")
             )
         elif which == "gnp":
-            from .gnp import gnp_params
-
             value = gnp_params(
                 params["n"], params["p"], params["alpha"],
                 params.get("regime", "auto"),

@@ -278,19 +278,18 @@ def _random_tree(n: int, seed: int | None) -> Graph:
     degree = [1] * n
     for v in prufer:
         degree[v] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    # linear-time decoding: each edge joins the smallest leaf to the next
+    # code entry.  Leaves below `ptr` are used up, so an entry that becomes
+    # a leaf below `ptr` is the smallest; else the scan moves on.
+    edges, leaf = [], (ptr := degree.index(1))
     for v in prufer:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, v))
         degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w))
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n - 1))   # n - 1 is never the smallest of two leaves
     return Graph(n, edges)
 
 

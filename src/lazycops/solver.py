@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 
+from . import game
 from .errors import CapExceededError, UsageError
 from .graph import Graph
 
 LAZY = "lazy"
 CLASSIC = "classic"
-
-COP_TURN = 0
-ROBBER_TURN = 1
 
 # States count both sides, so the cap allows 25 M (multiset, robber) pairs.
 # Peak Python allocation measured with tracemalloc (CPython 3.11, 64-bit) is
@@ -90,26 +88,25 @@ class SolveResult:
         return worst + 1
 
     def _locate(self, cops, robber: int) -> int:
-        """Rank of `cops`, after checking that the robber vertex exists."""
-        mi = self._mindex.get(tuple(cops))
-        if mi is None:
+        """Rank of `cops` (in any order), after checking that the robber
+        vertex exists.  A sorted tuple is looked up without sorting."""
+        mi = self._mindex.get(cops := tuple(cops))
+        if mi is None and (mi := self._mindex.get(tuple(sorted(cops)))) is None:
             raise KeyError(f"cop multiset {cops!r} not in state table")
         if not 0 <= robber < self.G.n:
             raise KeyError(f"robber vertex {robber} out of range")
         return mi
 
-    def _state_dist(self, cops, robber: int, side: int) -> int:
+    def distance(self, cops, robber: int, side: str):
+        """Half-moves to capture under optimal play with `side`
+        (`game.COPS` or `game.ROBBER`) to move; None on robber-win states."""
         mi = self._locate(cops, robber)
-        if side == COP_TURN:
-            return self._dist[robber * len(self._msets) + mi]
-        return self._robber_dist(mi, robber)
-
-    def is_cop_win(self, cops, robber: int, side: int) -> bool:
-        return self._state_dist(cops, robber, side) >= 0
-
-    def distance(self, cops, robber: int, side: int):
-        """Half-moves to capture under optimal play; None on robber-win states."""
-        d = self._state_dist(cops, robber, side)
+        if side == game.COPS:
+            d = self._dist[robber * len(self._msets) + mi]
+        elif side == game.ROBBER:
+            d = self._robber_dist(mi, robber)
+        else:
+            raise UsageError(f"side must be {game.COPS!r} or {game.ROBBER!r}, got {side!r}")
         return d if d >= 0 else None
 
     def robber_placement_response(self, cops) -> int:
@@ -274,33 +271,43 @@ def solve_classic(G: Graph, k: int) -> SolveResult:
 
 def cop_number(G: Graph, k_max: int, mode: str = LAZY) -> int:
     """Smallest k <= k_max winning for the cops; raises if none."""
+    solve = {LAZY: solve_lazy, CLASSIC: solve_classic}.get(mode)
+    if solve is None:
+        raise UsageError(f"mode must be {LAZY!r} or {CLASSIC!r}, got {mode!r}")
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
     if not G.is_connected():
         raise UsageError("cop number is only defined here for connected graphs")
     for k in range(1, k_max + 1):
-        res = solve_lazy(G, k) if mode == LAZY else solve_classic(G, k)
-        if res.cop_win:
+        if solve(G, k).cop_win:
             return k
     raise CapExceededError(f"no cop win found for k <= {k_max}")
 
 
-def lazy_cop_number(G: Graph, k_max: int) -> int:
-    return cop_number(G, k_max, LAZY)
+def _moved(cops: tuple, new: tuple) -> tuple:
+    """(vertices the cops leave, vertices they enter) from sorted multiset
+    `cops` to sorted multiset `new`, each sorted."""
+    enter = list(new)
+    leave = []
+    for v in cops:
+        if v in enter:
+            enter.remove(v)
+        else:
+            leave.append(v)
+    return leave, enter
 
 
-def classic_cop_number(G: Graph, k_max: int) -> int:
-    return cop_number(G, k_max, CLASSIC)
-
-
-def _cop_replies(result: SolveResult, mi: int, robber: int) -> list:
-    """Ranks in `result._moves[mi]` with the least robber-to-move distance,
-    ascending; empty on a robber-win state, where the cops pass."""
+def _cop_reply(result: SolveResult, mi: int, robber: int) -> int:
+    """The cops' optimal successor rank from rank `mi`: among the least
+    robber-to-move distances, the smallest by `_moved`; `mi` itself (the
+    cops pass) on a robber-win state."""
     if result._dist[robber * len(result._msets) + mi] < 0:
-        return []
+        return mi
     scored = [(result._robber_dist(pm, robber), pm) for pm in result._moves[mi]]
     least = min(d for d, _ in scored if d >= 0)
-    return [pm for d, pm in scored if d == least]
+    cops, msets = result._msets[mi], result._msets
+    return min((pm for d, pm in scored if d == least),
+               key=lambda pm: _moved(cops, msets[pm]))
 
 
 def _robber_reply(result: SolveResult, cops, steps) -> int:
@@ -309,7 +316,7 @@ def _robber_reply(result: SolveResult, cops, steps) -> int:
     distance to capture."""
     best, best_d = None, -1
     for t in steps:
-        d = result.distance(cops, t, COP_TURN)  # 0 on a cop
+        d = result.distance(cops, t, game.COPS)  # 0 on a cop
         if d is None:
             return t
         if d > best_d:
@@ -320,31 +327,24 @@ def _robber_reply(result: SolveResult, cops, steps) -> int:
 def optimal_move(result: SolveResult, s):
     """Optimal move (game.Move) for the side to move, lazy mode only.
 
-    Cop side: the smallest CopMove(index, target) to the least successor
-    distance; Pass in a robber-win state, where every move ties and Pass
-    sorts first.  (In a cop-win state Pass is never optimal: it leaves the
-    cops facing a free robber move.)  Robber side: the first escape to a
-    robber-win state, else the lowest-id step with the greatest distance.
+    Cop side: the move to `_cop_reply`'s rank, which in lazy mode is the
+    smallest CopMove(index, target) to the least successor distance; Pass
+    in a robber-win state.  (In a cop-win state Pass is never optimal: it
+    leaves the cops facing a free robber move.)  Robber side: the first
+    escape to a robber-win state, else the lowest-id step with the greatest
+    distance.
     """
-    from . import game
-
     if result.mode != LAZY:
         raise UsageError("optimal_move emits lazy-game moves; use mode='lazy'")
     game._require_live(s)
     mi = result._locate(s.cops, s.robber)
     if s.to_move != game.COPS:
         return game.RobberMove(_robber_reply(result, s.cops, result._closed[s.robber]))
-    best = _cop_replies(result, mi, s.robber)
-    if not best:
+    pm = _cop_reply(result, mi, s.robber)
+    if pm == mi:
         return game.PASS
-    moves = []
-    for pm in best:
-        new = result._msets[pm]
-        # one cop leaves u for t: the multiset difference of the two ranks
-        u = next(v for v in s.cops if s.cops.count(v) > new.count(v))
-        t = next(v for v in new if new.count(v) > s.cops.count(v))
-        moves.append(game.CopMove(s.cops.index(u), t))
-    return min(moves)
+    (u,), (t,) = _moved(s.cops, result._msets[pm])
+    return game.CopMove(s.cops.index(u), t)
 
 
 def verify_self_consistency(result: SolveResult) -> dict:
@@ -352,30 +352,26 @@ def verify_self_consistency(result: SolveResult) -> dict:
 
     Returns a report asserting that play realizes the declared winner and,
     on cop wins, that capture occurs within the stored distance-to-capture.
-    Works for both lazy and classic mode: cop-side successors come from the
-    solver's move table.
+    Works for both lazy and classic mode: the cops step to `_cop_reply`'s
+    rank, so a lazy replay plays `optimal_move`'s game.  The cops move on
+    even half-moves.
     """
     cops = result.placement
     robber = result.robber_placement_response(cops)
-    side = COP_TURN
     if robber in cops:
         return {"ok": result.cop_win, "half_moves": 0, "budget": 0}
 
-    start_d = result.distance(cops, robber, COP_TURN)
+    start_d = result.distance(cops, robber, game.COPS)
     budget = start_d if start_d is not None else EVASION_STEPS
     half = 0
     while half <= budget + 1:
         if robber in cops:
             ok = result.cop_win and half <= (start_d or 0)
             return {"ok": ok, "half_moves": half, "budget": start_d}
-        if side == COP_TURN:
-            best = _cop_replies(result, result._mindex[cops], robber)
-            if best:  # smallest rank; in robber-win states the cops pass
-                cops = result._msets[best[0]]
-            side = ROBBER_TURN
+        if half % 2 == 0:
+            cops = result._msets[_cop_reply(result, result._mindex[cops], robber)]
         else:
             robber = _robber_reply(result, cops, result._closed[robber])
-            side = COP_TURN
         half += 1
         if not result.cop_win and half >= EVASION_STEPS:
             return {"ok": robber not in cops, "half_moves": half, "budget": None}

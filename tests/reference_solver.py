@@ -13,7 +13,7 @@ the solver's move table, and must give the same distance array, level
 count, labeled counts and placement as the row-AND labeling there.
 
 `reference_optimal_move` and `reference_robber_placement` read a solved
-result only through its public `distance` and `is_cop_win` (which the
+result only through its public `distance` (which the
 differential tests check against `reference_solve`).  The cop moves come
 from `game.legal_moves` and `game.apply_move`, not from the solver's move
 table, so they can catch mistakes in the tie-breaks of optimal play there.
@@ -25,14 +25,14 @@ from itertools import combinations_with_replacement, product
 
 from lazycops import game
 from lazycops.errors import UsageError
-from lazycops.solver import COP_TURN, LAZY, ROBBER_TURN, _move_table
+from lazycops.solver import LAZY, _move_table
 
 
 def reference_solve(G, k: int, mode: str):
     """Return (cop_win, placement, states, distance).
 
     `distance(cops, robber, side)` gives half-moves to capture, or None on a
-    robber-win state; side 0 is cops to move, side 1 robber to move.
+    robber-win state; side is `game.COPS` or `game.ROBBER`, the side to move.
     """
     n = G.n
     msets = list(combinations_with_replacement(range(n), k))
@@ -86,7 +86,7 @@ def reference_solve(G, k: int, mode: str):
     placement = best[1] if best is not None else msets[0]
 
     def distance(cops, robber, side):
-        d = dist[(mindex[tuple(cops)] * n + robber) * 2 + side]
+        d = dist[(mindex[tuple(cops)] * n + robber) * 2 + (side == game.ROBBER)]
         return d if d >= 0 else None
 
     return best is not None, placement, total, distance
@@ -158,17 +158,17 @@ def reference_optimal_move(result, s):
         ranked = []
         for m in game.legal_moves(G, s):
             succ = game.apply_move(G, s, m)
-            d = result.distance(succ.cops, succ.robber, ROBBER_TURN)
+            d = result.distance(succ.cops, succ.robber, game.ROBBER)
             key = (-1, -1) if m is game.PASS else (m.cop, m.target)
             ranked.append((d, key, m))
         wins = [(d, key, m) for d, key, m in ranked if d is not None]
-        if result.is_cop_win(s.cops, s.robber, COP_TURN) and wins:
+        if result.distance(s.cops, s.robber, game.COPS) is not None and wins:
             return min(wins, key=lambda t: (t[0], t[1]))[2]
         return min(ranked, key=lambda t: t[1])[2]
     ranked = []
     for m in game.legal_moves(G, s):
         succ = game.apply_move(G, s, m)
-        d = result.distance(succ.cops, succ.robber, COP_TURN)
+        d = result.distance(succ.cops, succ.robber, game.COPS)
         ranked.append((d, m.target, m))
     escapes = [t for t in ranked if t[0] is None]
     if escapes:
@@ -184,7 +184,7 @@ def reference_robber_placement(result, cops) -> int:
     free = [v for v in range(result.G.n) if v not in cops]
     if not free:
         return 0
-    scored = [(result.distance(cops, v, COP_TURN), v) for v in free]
+    scored = [(result.distance(cops, v, game.COPS), v) for v in free]
     escapes = [v for d, v in scored if d is None]
     if escapes:
         return escapes[0]

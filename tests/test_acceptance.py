@@ -26,8 +26,9 @@ from lazycops.graph import (
 )
 from lazycops.potential import hypercube_robber_move, potential, potential_at, potential_params
 from lazycops.solver import (
-    classic_cop_number,
-    lazy_cop_number,
+    CLASSIC,
+    LAZY,
+    cop_number,
     solve_classic,
     solve_lazy,
     verify_self_consistency,
@@ -72,17 +73,17 @@ def test_criterion_1_solver_ground_truth():
         n = 2 + (seed % 11)
         T = gen_named("random_tree", n, seed)
         t0 = time.perf_counter()
-        value = lazy_cop_number(T, 3)
+        value = cop_number(T, 3, LAZY)
         worst = max(worst, time.perf_counter() - t0)
         assert value == 1, f"tree seed {seed}"
     for n in range(4, 13):
         t0 = time.perf_counter()
-        value = lazy_cop_number(gen_named("cycle", n), 3)
+        value = cop_number(gen_named("cycle", n), 3, LAZY)
         worst = max(worst, time.perf_counter() - t0)
         assert value == 2, f"C_{n}"
     for n in range(1, 9):
         t0 = time.perf_counter()
-        value = lazy_cop_number(gen_named("complete", n), 3)
+        value = cop_number(gen_named("complete", n), 3, LAZY)
         worst = max(worst, time.perf_counter() - t0)
         assert value == 1, f"K_{n}"
     _report(1, worst < 1.0,
@@ -93,8 +94,8 @@ def test_criterion_2_inequality_chain():
     t0 = time.perf_counter()
     violations = 0
     for seed, G in _connected_gnp_samples(10, 0.3, 100):
-        c = classic_cop_number(G, 4)
-        cl = lazy_cop_number(G, 5)
+        c = cop_number(G, 4, CLASSIC)
+        cl = cop_number(G, 5, LAZY)
         gamma = exact_domination_number(G)
         _criterion2_cache.append((seed, G, c, cl))
         if not c <= cl <= gamma:
@@ -114,7 +115,7 @@ def test_criterion_3_solver_self_consistency():
     for n in range(1, 9):
         replays.append((f"K_{n}", solve_lazy(gen_named("complete", n), 1)))
     samples = _criterion2_cache or [
-        (seed, G, classic_cop_number(G, 4), lazy_cop_number(G, 5))
+        (seed, G, cop_number(G, 4, CLASSIC), cop_number(G, 5, LAZY))
         for seed, G in _connected_gnp_samples(10, 0.3, 100)
     ]
     for seed, G, c, cl in samples:

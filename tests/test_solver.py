@@ -4,22 +4,19 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from lazycops.errors import CapExceededError, IllegalMoveError, UsageError
-from lazycops.game import COPS, ROBBER, GameState, apply_move, captured, legal_moves
+from lazycops.game import COPS, ROBBER, GameState, apply_move, captured, legal_moves, play
 from lazycops.graph import Graph, gen_gnp, gen_named
 from lazycops.solver import (
     CLASSIC,
-    COP_TURN,
     LAZY,
-    ROBBER_TURN,
     _move_table,
-    classic_cop_number,
     cop_number,
-    lazy_cop_number,
     optimal_move,
     solve_classic,
     solve_lazy,
     verify_self_consistency,
 )
+from lazycops.strategies import OptimalCopStrategy, OptimalRobberStrategy
 
 
 def test_single_cop_wins_on_path():
@@ -38,18 +35,18 @@ def test_two_cops_win_on_cycle():
 
 
 def test_lazy_cop_number_known_values():
-    assert lazy_cop_number(gen_named("path", 8), 3) == 1
-    assert lazy_cop_number(gen_named("cycle", 7), 3) == 2
-    assert lazy_cop_number(gen_named("complete", 6), 3) == 1
-    assert lazy_cop_number(gen_named("random_tree", 11, 4), 3) == 1
+    assert cop_number(gen_named("path", 8), 3, LAZY) == 1
+    assert cop_number(gen_named("cycle", 7), 3, LAZY) == 2
+    assert cop_number(gen_named("complete", 6), 3, LAZY) == 1
+    assert cop_number(gen_named("random_tree", 11, 4), 3, LAZY) == 1
 
 
 def test_petersen_lazy_vs_classic():
     P = gen_named("petersen", None)
     assert not solve_lazy(P, 2).cop_win
     assert solve_lazy(P, 3).cop_win
-    assert classic_cop_number(P, 3) == 3
-    assert lazy_cop_number(P, 3) == 3
+    assert cop_number(P, 3, CLASSIC) == 3
+    assert cop_number(P, 3, LAZY) == 3
 
 
 def test_classic_le_lazy_le_domination():
@@ -59,8 +56,8 @@ def test_classic_le_lazy_le_domination():
         G = gen_gnp(9, 0.35, seed)
         if not G.is_connected():
             continue
-        c = classic_cop_number(G, 3)
-        cl = lazy_cop_number(G, 4)
+        c = cop_number(G, 3, CLASSIC)
+        cl = cop_number(G, 4, LAZY)
         assert c <= cl <= exact_domination_number(G)
 
 
@@ -76,20 +73,16 @@ def test_placement_is_winning():
     assert res.cop_win
     assert len(res.placement) == 2
     # every robber response from the stored placement is losing for the robber
-    from lazycops.solver import COP_TURN
-
     for v in range(G.n):
-        assert res.is_cop_win(res.placement, v, COP_TURN)
+        assert res.distance(res.placement, v, COPS) is not None
 
 
 def test_optimal_play_realizes_distance():
     G = gen_named("path", 7)
     res = solve_lazy(G, 1)
-    from lazycops.solver import COP_TURN, ROBBER_TURN
-
     s = GameState(cops=res.placement, robber=res.robber_placement_response(res.placement),
                   to_move=COPS, round=1)
-    budget = res.distance(s.cops, s.robber, COP_TURN)
+    budget = res.distance(s.cops, s.robber, COPS)
     steps = 0
     while not captured(s):
         m = optimal_move(res, s)
@@ -134,6 +127,62 @@ def test_self_consistency_fails_on_halved_distances():
     assert verify_self_consistency(res) == {"ok": False, "half_moves": 6, "budget": 4}
 
 
+@pytest.mark.parametrize("G,k", [(Graph(1, []), 1), (gen_named("path", 2), 2)],
+                         ids=["K1-k1", "P2-k2"])
+def test_self_consistency_capture_at_placement(G, k):
+    # every vertex holds a cop, so the robber is placed onto one
+    assert verify_self_consistency(solve_lazy(G, k)) == {"ok": True, "half_moves": 0, "budget": 0}
+
+
+@pytest.mark.parametrize("G", [gen_named("grid2d", 4), gen_named("cycle", 8), gen_gnp(12, 0.35, 5)],
+                         ids=["grid4", "C8", "gnp12-seed5"])
+def test_replay_plays_the_optimal_players_game(monkeypatch, G):
+    # the robber's replies in the replay (placement included) and in a game
+    # between the optimal strategies see the same cop multisets and agree
+    import lazycops.solver as solver
+
+    res = solve_lazy(G, 2)
+    replay, reply = [], solver._robber_reply
+
+    def recorded(result, cops, steps):
+        replay.append((tuple(cops), reply(result, cops, steps)))
+        return replay[-1][1]
+
+    monkeypatch.setattr(solver, "_robber_reply", recorded)
+    assert verify_self_consistency(res)["ok"]
+    monkeypatch.undo()
+    rec = play(G, OptimalCopStrategy(res), OptimalRobberStrategy(res), 2, 100)
+    cops, game = None, []
+    for entry in rec.transcript:
+        if entry["side"] == ROBBER:
+            game.append((cops, entry["to"]))
+        elif entry["to"] is None:  # a pass
+            continue
+        elif entry["from"] is None:  # the placement
+            cops = tuple(entry["to"])
+        else:
+            cops = list(cops)
+            cops[cops.index(entry["from"])] = entry["to"]
+            cops = tuple(sorted(cops))
+    assert replay == game
+
+
+def test_distance_accepts_cops_in_any_order():
+    res = solve_lazy(gen_named("grid2d", 3), 2)
+    for side in (COPS, ROBBER):
+        assert res.distance((8, 0), 4, side) == res.distance((0, 8), 4, side) is not None
+        assert res.distance([8, 0], 4, side) == res.distance((0, 8), 4, side)
+    with pytest.raises(KeyError):
+        res.distance((0, 9), 4, COPS)
+
+
+@pytest.mark.parametrize("side", [7, 0, 1, "cop", None])
+def test_distance_rejects_unknown_side(side):
+    res = solve_lazy(gen_named("grid2d", 3), 2)
+    with pytest.raises(UsageError, match="'cops' or 'robber'"):
+        res.distance((0, 8), 4, side)
+
+
 def test_evasion_replay_reads_its_length_at_call_time(monkeypatch):
     import lazycops.solver as solver
 
@@ -173,7 +222,7 @@ def test_one_cop_lazy_and_classic_coincide(G):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_classic_cop_number_of_hypercubes(dim):
     # Maamoun and Meyniel (1987): c(Q_n) = ceil((n + 1) / 2)
-    assert classic_cop_number(gen_named("hypercube", dim), 3) == (dim + 2) // 2
+    assert cop_number(gen_named("hypercube", dim), 3, CLASSIC) == (dim + 2) // 2
 
 
 def test_disconnected_rejected():
@@ -181,13 +230,18 @@ def test_disconnected_rejected():
 
     G = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(UsageError):
-        lazy_cop_number(G, 2)
+        cop_number(G, 2, LAZY)
 
 
 def test_cop_number_dispatch():
     G = gen_named("cycle", 6)
     assert cop_number(G, 3, "lazy") == 2
     assert cop_number(G, 3, "classic") == 2
+
+
+def test_cop_number_rejects_unknown_mode():
+    with pytest.raises(UsageError, match="'lazy' or 'classic', got 'bogus'"):
+        cop_number(gen_named("grid2d", 3), 3, "bogus")
 
 
 def test_state_count_reported():
@@ -212,14 +266,14 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     labeled = {side: [d for cops in combinations_with_replacement(range(G.n), k)
                       for r in range(G.n)
                       if (d := res.distance(cops, r, side)) is not None]
-               for side in (COP_TURN, ROBBER_TURN)}
-    assert st["cop_states_labeled"] == len(labeled[COP_TURN])
-    assert st["robber_states_labeled"] == len(labeled[ROBBER_TURN])
+               for side in (COPS, ROBBER)}
+    assert st["cop_states_labeled"] == len(labeled[COPS])
+    assert st["robber_states_labeled"] == len(labeled[ROBBER])
     assert (st["cop_states_labeled"] == res.states // 2) is cop_win
     # the greatest distance is levels - 1: the last level labels nothing
     assert st["levels"] == 1 + max(max(ds) for ds in labeled.values())
     # entry d counts the states at distance d, so each list sums to its total
-    for side, key in ((COP_TURN, "cop"), (ROBBER_TURN, "robber")):
+    for side, key in ((COPS, "cop"), (ROBBER, "robber")):
         per_level = st[f"{key}_labeled_per_level"]
         assert per_level == [labeled[side].count(d) for d in range(st["levels"])]
         assert sum(per_level) == st[f"{key}_states_labeled"]

@@ -18,11 +18,9 @@ from lazycops.game import COPS, ROBBER, GameState
 from lazycops.graph import Graph, gen_gnp, gen_named
 from lazycops.solver import (
     CLASSIC,
-    COP_TURN,
     LAZY,
-    ROBBER_TURN,
     _classic_terms,
-    classic_cop_number,
+    cop_number,
     optimal_move,
     solve_classic,
     solve_lazy,
@@ -91,7 +89,7 @@ def _assert_matches_reference(G, k, mode):
         (cops, r, side, res.distance(cops, r, side), distance(cops, r, side))
         for cops in combinations_with_replacement(range(G.n), k)
         for r in range(G.n)
-        for side in (COP_TURN, ROBBER_TURN)
+        for side in (COPS, ROBBER)
         if res.distance(cops, r, side) != distance(cops, r, side)
     ]
     assert not mismatches, f"{len(mismatches)} distances differ, first {mismatches[:3]}"
@@ -165,7 +163,7 @@ for name, G, _, _ in CORPUS:
 def test_classic_cop_number_at_most_lazy(G):
     # a lazy cop strategy is a classic one, so c <= c_L: the lazy game with
     # c - 1 cops is a robber win, as the classic one is
-    c = classic_cop_number(G, 3)
+    c = cop_number(G, 3, CLASSIC)
     assert c == 1 or not solve_lazy(G, c - 1).cop_win
 
 

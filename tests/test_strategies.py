@@ -12,7 +12,7 @@ from lazycops.game import PASS, play
 from lazycops.gnp import GnpRobberStrategy
 from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
 from lazycops.potential import PotentialRobberStrategy
-from lazycops.solver import COP_TURN, solve_lazy
+from lazycops.solver import solve_lazy
 from lazycops.strategies import (
     DominatingCopStrategy,
     GreedyCopStrategy,
@@ -251,7 +251,7 @@ def test_optimal_cops_capture_the_optimal_robber_in_solved_time(G, k, rounds):
     cops, robber = OptimalCopStrategy(result), OptimalRobberStrategy(result)
     placement = cops.place(G, k)
     assert placement == list(result.placement)
-    d = result.distance(placement, robber.place(G, tuple(sorted(placement))), COP_TURN)
+    d = result.distance(placement, robber.place(G, tuple(sorted(placement))), game.COPS)
     rec = play(G, cops, robber, k, 100)
     assert rec.outcome == "capture" and rec.rounds_played == math.ceil(d / 2) == rounds
 
