@@ -2,7 +2,12 @@
 
 Trial i uses seed master_seed + i.  Trials run in trial order on the
 calling thread; the `workers` config field is accepted and type-checked
-but does not change how trials run.  Floats are formatted at 6
+but does not change how trials run.  One run builds each distinct game
+once: trials reuse the last graph unless the family is in SEEDED_FAMILIES,
+k is resolved once, and the last player pair is reused on the same graph
+unless a spec reads the trial seed (strategies.players_seed).  Reused
+strategies keep their move memos, and a reused `optimal` side does not
+solve again.  The rows equal those of fresh builds per trial.  Floats are formatted at 6
 significant digits and the column order is fixed, making identical
 configs byte-identical on disk.
 """
@@ -18,7 +23,7 @@ from .errors import UsageError
 from .game import play
 from .graph import gen_gnp, gen_named
 from .bounds import theoretical_bounds
-from .strategies import make_players
+from .strategies import make_players, players_seed
 
 CSV_COLUMNS = (
     "trial", "seed", "n", "params", "k",
@@ -89,8 +94,14 @@ class ExperimentConfig:
         return cfg
 
 
+SEEDED_FAMILIES = ("gnp", "random_tree")   # the families whose graph reads the trial seed
+
+
 def _build_graph(cfg: ExperimentConfig, seed: int):
-    fp = cfg.family_params
+    fp = {key: v for key, v in cfg.family_params.items() if v is not None}
+    for key, kind, name in (("n", int, "an integer"), ("p", (int, float), "a number")):
+        if key in fp and (isinstance(fp[key], bool) or not isinstance(fp[key], kind)):
+            raise UsageError(f"family_params {key!r} must be {name}, got {fp[key]!r}")
     if cfg.family == "gnp":
         for key in ("n", "p"):
             if key not in fp:
@@ -116,11 +127,28 @@ def _params_label(cfg: ExperimentConfig) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(fp.items()) if k != "n") or "-"
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
+def _reuse(cache: dict, slot: str, key: tuple, build, *dependents: str):
+    """The value cache[slot] holds under `key`; on a miss, slot and the slots
+    built on it are dropped before build() fills slot under `key`."""
+    if cache.get(slot, (None,))[0] != key:
+        for name in (slot, *dependents):
+            cache.pop(name, None)
+        cache[slot] = key, build()
+    return cache[slot][1]
+
+
+def run_trial(cfg: ExperimentConfig, trial: int, cache: dict | None = None) -> dict:
+    """The row of trial `trial`.  `cache`, one per run, holds the last graph,
+    k and players, each under the key of what it is built from."""
     seed = cfg.master_seed + trial
-    G = _build_graph(cfg, seed)
-    k = _resolve_k(cfg)
-    cop, robber = make_players(cfg.cop_strategy, cfg.robber_strategy, G, k, seed)
+    cache = {} if cache is None else cache
+    G = _reuse(cache, "graph", (cfg.family, cfg.family_params,
+                                seed if cfg.family in SEEDED_FAMILIES else None),
+               lambda: _build_graph(cfg, seed), "players")
+    k = _reuse(cache, "k", (cfg.k, cfg.bounds_query), lambda: _resolve_k(cfg))
+    specs = cfg.cop_strategy, cfg.robber_strategy
+    cop, robber = _reuse(cache, "players", (G, k, *specs, players_seed(*specs, seed)),
+                         lambda: make_players(*specs, G, k, seed))
     record = play(G, cop, robber, k, cfg.max_rounds, record_transcript=False)
     return {
         "trial": trial,
@@ -137,7 +165,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list:
     """All trial rows plus the aggregate row; optionally written as CSV."""
-    rows = [run_trial(cfg, i) for i in range(cfg.trials)]
+    cache: dict = {}
+    rows = [run_trial(cfg, i, cache) for i in range(cfg.trials)]
 
     survivals = sum(1 for r in rows if r["outcome"] == "survival")
     rate = survivals / len(rows)

@@ -237,35 +237,24 @@ def component_of(G: Graph, v: int, removed) -> list:
 # -- generators --------------------------------------------------------------
 
 def gen_named(kind: str, n: int | None = None, seed: int | None = None) -> Graph:
-    """Standard graph families. `n` is the family size parameter.
-
-    Kinds: path, cycle, complete, grid2d (n = side length), hypercube
-    (n = dimension), petersen (no parameters), random_tree (seeded Pruefer
-    sequence).
-    """
-    if kind == "petersen":
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, i + 5) for i in range(5)]
-        return Graph(10, outer + inner + spokes)
-    if n is None or n < 1:
+    """The graph of a standard family, a key of NAMED_KINDS."""
+    if kind != "petersen" and (n is None or n < 1):
         raise GraphFormatError(f"kind {kind!r} needs a positive size, got {n}")
-    if kind == "path":
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        if n <= 2:
-            return Graph(n, [(0, 1)] if n == 2 else [])
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "complete":
-        return Graph(n, combinations(range(n), 2))
-    if kind == "grid2d":  # vertex r * n + c is row r, column c
-        rows = [(v, v + 1) for v in range(n * n) if v % n != n - 1]
-        return Graph(n * n, rows + [(v, v + n) for v in range(n * n - n)])
-    if kind == "hypercube":
-        return HypercubeGraph(n)
-    if kind == "random_tree":
-        return _random_tree(n, seed)
-    raise GraphFormatError(f"unknown graph kind {kind!r}")
+    if kind not in NAMED_KINDS:
+        raise GraphFormatError(f"unknown graph kind {kind!r}")
+    return NAMED_KINDS[kind](n, seed)
+
+
+def _petersen(n, seed) -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph(10, outer + inner + spokes)
+
+
+def _grid2d(n: int, seed) -> Graph:   # vertex r * n + c is row r, column c
+    rows = [(v, v + 1) for v in range(n * n) if v % n != n - 1]
+    return Graph(n * n, rows + [(v, v + n) for v in range(n * n - n)])
 
 
 def _random_tree(n: int, seed: int | None) -> Graph:
@@ -291,6 +280,18 @@ def _random_tree(n: int, seed: int | None) -> Graph:
             leaf = ptr = degree.index(1, ptr + 1)
     edges.append((leaf, n - 1))   # n - 1 is never the smallest of two leaves
     return Graph(n, edges)
+
+
+# gen_named's kinds: kind -> builder(n, seed), n the family size parameter
+NAMED_KINDS = {
+    "path": lambda n, seed: Graph(n, [(i, i + 1) for i in range(n - 1)]),
+    "cycle": lambda n, seed: Graph(n, [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)]),
+    "complete": lambda n, seed: Graph(n, combinations(range(n), 2)),
+    "grid2d": _grid2d,   # n = side length
+    "hypercube": lambda n, seed: HypercubeGraph(n),   # n = dimension
+    "petersen": _petersen,   # no parameters
+    "random_tree": _random_tree,   # a seeded Pruefer sequence
+}
 
 
 @lru_cache(maxsize=1)

@@ -10,6 +10,7 @@ one game at a time.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -286,7 +287,8 @@ def _separator_mode(mode: str) -> str:
 
 
 # name -> (option -> converter, builder).  A builder takes the converted options
-# and G, solve (the game's one cached solve_lazy) and run_seed as keywords.
+# and G, solve (the game's one cached solve_lazy) and run_seed as keywords; one
+# that names run_seed reads it unless its spec sets `seed`.
 _COPS = {
     "greedy": ({"seed": int}, lambda seed=None, **_: GreedyCopStrategy(seed)),
     "random": ({"seed": int}, lambda run_seed, seed=None, **_:
@@ -342,3 +344,11 @@ def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | 
     specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
     solve = functools.cache(lambda: solve_lazy(G, k))
     return tuple(build(G=G, solve=solve, run_seed=seed, **kw) for build, kw in specs)
+
+
+def players_seed(cop_spec: str, robber_spec: str, seed: int | None):
+    """`seed` if make_players(cop_spec, robber_spec, G, k, seed) reads it, else None."""
+    specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
+    reads = any("run_seed" in inspect.signature(build).parameters and "seed" not in kw
+                for build, kw in specs)
+    return seed if reads else None

@@ -378,6 +378,37 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("family,fp,needle", [
+    (family, {"n": n}, "'n' must be an integer")
+    for family in ("grid2d", "hypercube", "random_tree") for n in ("10", 4.5, True)
+] + [
+    ("gnp", {"n": 10, "p": "x"}, "'p' must be a number"),
+    ("gnp", {"n": 10, "p": True}, "'p' must be a number"),
+    ("gnp", {"n": "10", "p": 0.5}, "'n' must be an integer"),
+    ("gnp", {"n": 10.0, "p": 0.5}, "'n' must be an integer"),
+])
+def test_mistyped_family_params_exit_one_line(tmp_path, capsys, family, fp, needle):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": family, "family_params": fp, "k": 1}))
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lazycops: error: family_params ") and err.count("\n") == 1
+    assert needle in err and not (tmp_path / "x.csv").exists()
+
+
+def test_null_family_param_counts_as_absent(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "petersen", "family_params": {"n": None}, "k": 3}))
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    cfg_path.write_text(json.dumps({"family": "gnp", "family_params": {"n": None, "p": 0.5},
+                                    "k": 1}))
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "lazycops: error: gnp family_params needs 'n'\n"
+
+
 def test_config_without_family_exits_one_line(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": 1}))

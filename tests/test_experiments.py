@@ -1,0 +1,154 @@
+"""The experiment runner's per-run reuse of graphs, k and players.
+
+A run keeps the last graph and player pair across trials; its rows must be
+those of a loop that builds a fresh graph and fresh players for each trial.
+"""
+
+import itertools
+
+import pytest
+
+from lazycops import experiments, strategies
+from lazycops.experiments import SEEDED_FAMILIES, ExperimentConfig, run_experiment
+from lazycops.game import play
+from lazycops.graph import NAMED_KINDS, gen_gnp, gen_named
+from lazycops.strategies import make_players
+
+
+def _fresh_rows(cfg: ExperimentConfig) -> list:
+    """The trial rows, each from a graph and players built for that trial alone."""
+    rows = []
+    for trial in range(cfg.trials):
+        seed = cfg.master_seed + trial
+        fp = cfg.family_params
+        G = (gen_gnp(fp["n"], fp["p"], seed) if cfg.family == "gnp"
+             else gen_named(cfg.family, fp.get("n"), seed))
+        cops, robber = make_players(cfg.cop_strategy, cfg.robber_strategy, G, cfg.k, seed)
+        record = play(G, cops, robber, cfg.k, cfg.max_rounds, record_transcript=False)
+        rows.append({"trial": trial, "seed": seed, "n": G.n,
+                     "params": experiments._params_label(cfg), "k": cfg.k,
+                     "cop_strategy": cfg.cop_strategy, "robber_strategy": cfg.robber_strategy,
+                     "outcome": record.outcome, "rounds": record.rounds_played})
+    return rows
+
+
+_FAMILIES = {
+    "grid2d": {"n": 4},
+    "hypercube": {"n": 3},
+    "random_tree": {"n": 11},
+    "gnp": {"n": 11, "p": 0.45},
+}
+# (cops, robber, k): every spec, each against a seeded and a deterministic side
+_PAIRS = [
+    ("greedy", "greedy", 2),
+    ("random", "random", 2),
+    ("random:seed=3", "random:seed=3", 2),
+    ("greedy", "random", 1),
+    ("random", "greedy", 1),
+    ("optimal", "optimal", 2),
+    ("optimal", "random", 2),
+    ("random:seed=3", "optimal", 1),
+    ("separator", "random", 11),
+    ("separator", "greedy", 11),
+    ("dominating", "random", 11),
+    ("greedy", "gnp:alpha=0.4", 1),
+    ("random", "gnp:alpha=0.4", 1),
+]
+# the potential robber needs a larger hypercube (dimension 6 has no weight system)
+_CASES = [(family, _FAMILIES[family], *pair)
+          for family, pair in itertools.product(_FAMILIES, _PAIRS)] + [
+    ("hypercube", {"n": 8}, "greedy", "potential", 1),
+    ("hypercube", {"n": 8}, "random", "potential", 2),
+    ("hypercube", {"n": 8}, "random:seed=3", "potential", 2),
+    ("hypercube", {"n": 8}, "dominating", "potential", 32),
+]
+
+
+@pytest.mark.parametrize("family,fp,cops,robber,k", _CASES,
+                         ids=[f"{c[0]}{c[1]['n']}-{c[2]}-{c[3]}-k{c[4]}" for c in _CASES])
+def test_reused_builds_give_the_fresh_rows(family, fp, cops, robber, k):
+    cfg = ExperimentConfig(family=family, family_params=fp, k=k,
+                           cop_strategy=cops, robber_strategy=robber,
+                           trials=4, master_seed=5, max_rounds=40)
+    rows = run_experiment(cfg)
+    assert rows[:-1] == _fresh_rows(cfg)
+
+
+def test_random_rows_vary_across_trials():
+    # the trial seed reaches random players built on a reused graph
+    cfg = ExperimentConfig(family="grid2d", family_params={"n": 5}, k=1,
+                           cop_strategy="random", robber_strategy="random",
+                           trials=6, max_rounds=60)
+    assert len({row["rounds"] for row in run_experiment(cfg)[:-1]}) > 1
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_optimal_run_solves_once(monkeypatch):
+    solves = _count_calls(monkeypatch, strategies, "solve_lazy")
+    cfg = ExperimentConfig(family="grid2d", family_params={"n": 6}, k=2,
+                           cop_strategy="optimal", robber_strategy="optimal", trials=10)
+    rows = run_experiment(cfg)
+    assert len(solves) == 1
+    assert {row["outcome"] for row in rows[:-1]} == {"capture"}
+
+
+@pytest.mark.parametrize("family,fp,builder,graphs", [
+    ("gnp", {"n": 30, "p": 0.2}, "gen_gnp", 5),
+    ("random_tree", {"n": 30}, "gen_named", 5),
+    ("grid2d", {"n": 5}, "gen_named", 1),
+    ("hypercube", {"n": 4}, "gen_named", 1),
+])
+def test_graphs_built_per_seed_read(monkeypatch, family, fp, builder, graphs):
+    built = _count_calls(monkeypatch, experiments, builder)
+    cfg = ExperimentConfig(family=family, family_params=fp, k=1, trials=5)
+    run_experiment(cfg)
+    assert len(built) == graphs
+
+
+@pytest.mark.parametrize("cops,robber,k,builds", [
+    ("random", "greedy", 2, 5),
+    ("greedy", "random", 2, 5),
+    ("random", "random:seed=3", 2, 5),
+    ("random:seed=3", "random:seed=4", 2, 1),
+    ("greedy:seed=2", "greedy", 2, 1),
+    ("separator", "optimal", 5, 1),
+])
+def test_players_built_per_seed_read(monkeypatch, cops, robber, k, builds):
+    made = _count_calls(monkeypatch, experiments, "make_players")
+    cfg = ExperimentConfig(family="grid2d", family_params={"n": 3}, k=k,
+                           cop_strategy=cops, robber_strategy=robber, trials=5)
+    run_experiment(cfg)
+    assert len(made) == builds
+
+
+def test_seeded_graph_players_rebuilt_on_each_graph(monkeypatch):
+    # players of a deterministic pair still follow the graph they play on
+    made = _count_calls(monkeypatch, experiments, "make_players")
+    cfg = ExperimentConfig(family="random_tree", family_params={"n": 9}, k=1, trials=4)
+    run_experiment(cfg)
+    assert [args[2] for args in made] == [gen_named("random_tree", 9, s) for s in range(4)]
+
+
+@pytest.mark.parametrize("kind", sorted(set(NAMED_KINDS) - set(SEEDED_FAMILIES)))
+def test_unseeded_kinds_ignore_the_seed(kind):
+    for n in (1, 2, 3, 5, 8):
+        assert gen_named(kind, n, 0) == gen_named(kind, n, 1)
+
+
+@pytest.mark.parametrize("family", SEEDED_FAMILIES)
+def test_seeded_families_read_the_seed(family):
+    assert family in NAMED_KINDS or family == "gnp"
+    cfg = ExperimentConfig(family=family, family_params={"n": 12, "p": 0.3}, k=1)
+    graphs = {experiments._build_graph(cfg, seed) for seed in range(4)}
+    assert len(graphs) > 1
