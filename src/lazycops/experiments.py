@@ -95,15 +95,22 @@ class ExperimentConfig:
 
 
 SEEDED_FAMILIES = ("gnp", "random_tree")   # the families whose graph reads the trial seed
+# the family_params keys a family reads; every other family reads only "n"
+_READ_KEYS = {"gnp": ("n", "p"), "petersen": ()}
 
 
 def _build_graph(cfg: ExperimentConfig, seed: int):
     fp = {key: v for key, v in cfg.family_params.items() if v is not None}
+    read = _READ_KEYS.get(cfg.family, ("n",))
+    unread = sorted(set(fp) - set(read))
+    if unread:
+        raise UsageError(f"family_params {', '.join(map(repr, unread))} "
+                         f"not read by family {cfg.family!r}")
     for key, kind, name in (("n", int, "an integer"), ("p", (int, float), "a number")):
         if key in fp and (isinstance(fp[key], bool) or not isinstance(fp[key], kind)):
             raise UsageError(f"family_params {key!r} must be {name}, got {fp[key]!r}")
     if cfg.family == "gnp":
-        for key in ("n", "p"):
+        for key in read:
             if key not in fp:
                 raise UsageError(f"gnp family_params needs {key!r}")
         return gen_gnp(fp["n"], fp["p"], seed)
@@ -121,10 +128,10 @@ def _resolve_k(cfg: ExperimentConfig) -> int:
 
 
 def _params_label(cfg: ExperimentConfig) -> str:
-    fp = cfg.family_params
+    # n has its own column, and other families read no other key
     if cfg.family == "gnp":
-        return f"p={_fmt(float(fp['p']))}"
-    return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(fp.items()) if k != "n") or "-"
+        return f"p={_fmt(float(cfg.family_params['p']))}"
+    return "-"
 
 
 def _reuse(cache: dict, slot: str, key: tuple, build, *dependents: str):

@@ -280,6 +280,15 @@ def test_simulate_golden_digest(tmp_path, capsys, graph, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_expansion_golden_digest(capsys):
+    # G(600, 600^-0.52): its radius-2 growth check is in the dense regime
+    argv = ["verify-expansion", "--n", "600", "--alpha", "0.48", "--eps", "0.05", "--seed", "4"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9c2a296c93da36d519a9d75eb097be5b726ea55dba0981aef62b548eecd26ca3"
+
+
 def test_experiment_golden_digest(tmp_path, capsys):
     cfg = {"family": "grid2d", "family_params": {"n": 5}, "k": 12,
            "cop_strategy": "separator", "robber_strategy": "greedy",
@@ -386,6 +395,11 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text):
     ("gnp", {"n": 10, "p": True}, "'p' must be a number"),
     ("gnp", {"n": "10", "p": 0.5}, "'n' must be an integer"),
     ("gnp", {"n": 10.0, "p": 0.5}, "'n' must be an integer"),
+    # keys the family does not read
+    ("path", {"n": 3, "m": "x"}, "'m' not read by family 'path'"),
+    ("gnp", {"n": 10, "p": 0.5, "q": 1}, "'q' not read by family 'gnp'"),
+    ("grid2d", {"N": 5}, "'N' not read by family 'grid2d'"),
+    ("petersen", {"n": 7}, "'n' not read by family 'petersen'"),
 ])
 def test_mistyped_family_params_exit_one_line(tmp_path, capsys, family, fp, needle):
     cfg_path = tmp_path / "cfg.json"

@@ -13,14 +13,6 @@ def test_hypothesis_eps_range_enforced():
         verify_expansion(G, 0.03, 0.05)  # alpha <= eps
 
 
-@pytest.mark.parametrize("samples", [
-    {"vertex_samples": 0}, {"pair_samples": 0}, {"edge_samples": 0}, {"pair_samples": -3},
-])
-def test_sample_counts_must_be_positive(samples):
-    with pytest.raises(UsageError, match="sample counts"):
-        verify_expansion(gen_gnp(200, 0.1, 0), 0.5, 0.05, **samples)
-
-
 def test_complete_graph_flags_density_mismatch():
     G = gen_named("complete", 40)
     rep = verify_expansion(G, 0.5, 0.05, seed=1)
@@ -29,7 +21,7 @@ def test_complete_graph_flags_density_mismatch():
 
 def test_tree_has_no_cycles():
     T = gen_named("random_tree", 300, 2)
-    rep = verify_expansion(T, 0.5, 0.05, seed=1, d=300 ** 0.5)
+    rep = verify_expansion(T, 0.5, 0.05, seed=1)
     cycle_checks = [c for c in rep.checks if c.name.startswith("cycles")]
     assert cycle_checks and all(c.passed for c in cycle_checks)
     assert all(c.maximum == 0 for c in cycle_checks)
@@ -43,6 +35,17 @@ def test_gnp_neighborhood_growth_passes():
     assert growth and growth[0].passed
     # extremes recorded for audit
     assert growth[0].minimum <= growth[0].mean <= growth[0].maximum
+
+
+def test_dense_growth_target_is_a_share_of_n():
+    # G(600, 600^-0.52): d^2 > n/log n, so radius 2 is scored against
+    # (1 - e^-c) n with c = d^2/n, the expected size of the ball
+    n = 600
+    G = gen_gnp(n, n ** -0.52, 4)
+    rep = verify_expansion(G, 0.48, 0.05, seed=4)
+    growth = next(c for c in rep.checks if c.name == "neighborhood_growth_i=2")
+    assert growth.note.startswith("dense regime")
+    assert growth.passed and abs(growth.mean - 1.0) < 0.1
 
 
 def test_report_serializes():

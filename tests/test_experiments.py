@@ -149,6 +149,7 @@ def test_unseeded_kinds_ignore_the_seed(kind):
 @pytest.mark.parametrize("family", SEEDED_FAMILIES)
 def test_seeded_families_read_the_seed(family):
     assert family in NAMED_KINDS or family == "gnp"
-    cfg = ExperimentConfig(family=family, family_params={"n": 12, "p": 0.3}, k=1)
+    fp = {"n": 12, "p": 0.3} if family == "gnp" else {"n": 12}
+    cfg = ExperimentConfig(family=family, family_params=fp, k=1)
     graphs = {experiments._build_graph(cfg, seed) for seed in range(4)}
     assert len(graphs) > 1
