@@ -89,12 +89,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "gnp":
-        if args.n is None or args.p is None:
-            raise UsageError("gnp needs --n and --p")
-        G = gen_gnp(args.n, args.p, args.seed)
-    else:
-        G = gen_named(args.kind, args.n, args.seed)
+    G = gen_named(args.kind, args.n, args.seed, p=args.p)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(serialize_graph(G))
     print(json.dumps({"kind": args.kind, "n": G.n, "m": G.m, "out": args.out}))

@@ -3,13 +3,13 @@
 Trial i uses seed master_seed + i.  Trials run in trial order on the
 calling thread; the `workers` config field is accepted and type-checked
 but does not change how trials run.  One run builds each distinct game
-once: trials reuse the last graph unless the family is in SEEDED_FAMILIES,
-k is resolved once, and the last player pair is reused on the same graph
-unless a spec reads the trial seed (strategies.players_seed).  Reused
-strategies keep their move memos, and a reused `optimal` side does not
-solve again.  The rows equal those of fresh builds per trial.  Floats are formatted at 6
-significant digits and the column order is fixed, making identical
-configs byte-identical on disk.
+once: trials reuse the last graph unless its family reads the seed
+(graph.SEEDED_KINDS), k is resolved once, and the last player pair is
+reused on the same graph unless a spec reads the trial seed
+(strategies.players_seed).  Reused strategies keep their move memos, and
+a reused `optimal` side does not solve again.  The rows equal those of
+fresh builds per trial.  Floats are formatted at 6 significant digits and
+the column order is fixed, making identical configs byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .game import play
-from .graph import gen_gnp, gen_named
+from .graph import SEEDED_KINDS, gen_named
 from .bounds import theoretical_bounds
 from .strategies import make_players, players_seed
 
@@ -94,29 +94,6 @@ class ExperimentConfig:
         return cfg
 
 
-SEEDED_FAMILIES = ("gnp", "random_tree")   # the families whose graph reads the trial seed
-# the family_params keys a family reads; every other family reads only "n"
-_READ_KEYS = {"gnp": ("n", "p"), "petersen": ()}
-
-
-def _build_graph(cfg: ExperimentConfig, seed: int):
-    fp = {key: v for key, v in cfg.family_params.items() if v is not None}
-    read = _READ_KEYS.get(cfg.family, ("n",))
-    unread = sorted(set(fp) - set(read))
-    if unread:
-        raise UsageError(f"family_params {', '.join(map(repr, unread))} "
-                         f"not read by family {cfg.family!r}")
-    for key, kind, name in (("n", int, "an integer"), ("p", (int, float), "a number")):
-        if key in fp and (isinstance(fp[key], bool) or not isinstance(fp[key], kind)):
-            raise UsageError(f"family_params {key!r} must be {name}, got {fp[key]!r}")
-    if cfg.family == "gnp":
-        for key in read:
-            if key not in fp:
-                raise UsageError(f"gnp family_params needs {key!r}")
-        return gen_gnp(fp["n"], fp["p"], seed)
-    return gen_named(cfg.family, fp.get("n"), seed)
-
-
 def _resolve_k(cfg: ExperimentConfig) -> int:
     if cfg.k is not None:
         return cfg.k
@@ -128,10 +105,9 @@ def _resolve_k(cfg: ExperimentConfig) -> int:
 
 
 def _params_label(cfg: ExperimentConfig) -> str:
-    # n has its own column, and other families read no other key
-    if cfg.family == "gnp":
-        return f"p={_fmt(float(cfg.family_params['p']))}"
-    return "-"
+    # n has its own column; the other keys a family reads are numbers
+    keys = sorted((key, v) for key, v in cfg.family_params.items() if key != "n" and v is not None)
+    return ",".join(f"{key}={_fmt(float(v))}" for key, v in keys) or "-"
 
 
 def _reuse(cache: dict, slot: str, key: tuple, build, *dependents: str):
@@ -150,8 +126,8 @@ def run_trial(cfg: ExperimentConfig, trial: int, cache: dict | None = None) -> d
     seed = cfg.master_seed + trial
     cache = {} if cache is None else cache
     G = _reuse(cache, "graph", (cfg.family, cfg.family_params,
-                                seed if cfg.family in SEEDED_FAMILIES else None),
-               lambda: _build_graph(cfg, seed), "players")
+                                seed if cfg.family in SEEDED_KINDS else None),
+               lambda: gen_named(cfg.family, None, seed, **cfg.family_params), "players")
     k = _reuse(cache, "k", (cfg.k, cfg.bounds_query), lambda: _resolve_k(cfg))
     specs = cfg.cop_strategy, cfg.robber_strategy
     cop, robber = _reuse(cache, "players", (G, k, *specs, players_seed(*specs, seed)),

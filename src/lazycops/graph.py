@@ -236,16 +236,30 @@ def component_of(G: Graph, v: int, removed) -> list:
 
 # -- generators --------------------------------------------------------------
 
-def gen_named(kind: str, n: int | None = None, seed: int | None = None) -> Graph:
-    """The graph of a standard family, a key of NAMED_KINDS."""
-    if kind != "petersen" and (n is None or n < 1):
-        raise GraphFormatError(f"kind {kind!r} needs a positive size, got {n}")
-    if kind not in NAMED_KINDS:
+def gen_named(kind: str, n: int | None = None, seed: int | None = None, /, **params) -> Graph:
+    """The graph of family `kind`, a key of FAMILIES, built from `n`, the
+    keyword `params` (a null counts as absent) and, if the family reads it,
+    `seed`.  Every key must be one the family reads."""
+    if kind not in FAMILIES:
         raise GraphFormatError(f"unknown graph kind {kind!r}")
-    return NAMED_KINDS[kind](n, seed)
+    reads, _, build = FAMILIES[kind]
+    params = {key: v for key, v in {"n": n, **params}.items() if v is not None}
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise UsageError(f"family_params {', '.join(map(repr, unread))} "
+                         f"not read by family {kind!r}")
+    for key, types, name in (("n", int, "an integer"), ("p", (int, float), "a number")):
+        if key in params and (isinstance(params[key], bool) or not isinstance(params[key], types)):
+            raise UsageError(f"family_params {key!r} must be {name}, got {params[key]!r}")
+    for key in reads:
+        if key not in params:
+            raise UsageError(f"{kind} family_params needs {key!r}")
+    if params.get("n", 1) < 1:
+        raise GraphFormatError(f"kind {kind!r} needs a positive size, got {params['n']}")
+    return build(**params, seed=seed)
 
 
-def _petersen(n, seed) -> Graph:
+def _petersen(seed) -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -282,16 +296,21 @@ def _random_tree(n: int, seed: int | None) -> Graph:
     return Graph(n, edges)
 
 
-# gen_named's kinds: kind -> builder(n, seed), n the family size parameter
-NAMED_KINDS = {
-    "path": lambda n, seed: Graph(n, [(i, i + 1) for i in range(n - 1)]),
-    "cycle": lambda n, seed: Graph(n, [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)]),
-    "complete": lambda n, seed: Graph(n, combinations(range(n), 2)),
-    "grid2d": _grid2d,   # n = side length
-    "hypercube": lambda n, seed: HypercubeGraph(n),   # n = dimension
-    "petersen": _petersen,   # no parameters
-    "random_tree": _random_tree,   # a seeded Pruefer sequence
+# gen_named's families: kind -> (the keys it reads, whether it reads the seed,
+# builder(**keys, seed)); n is the family's size parameter
+FAMILIES = {
+    "path": (("n",), False, lambda n, seed: Graph(n, [(i, i + 1) for i in range(n - 1)])),
+    "cycle": (("n",), False, lambda n, seed: Graph(
+        n, [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)])),
+    "complete": (("n",), False, lambda n, seed: Graph(n, combinations(range(n), 2))),
+    "grid2d": (("n",), False, _grid2d),   # n = side length
+    "hypercube": (("n",), False, lambda n, seed: HypercubeGraph(n)),   # n = dimension
+    "petersen": ((), False, _petersen),
+    "random_tree": (("n",), True, _random_tree),   # a seeded Pruefer sequence
+    # looked up at call time, so a wrapper set on the module's gen_gnp sees the call
+    "gnp": (("n", "p"), True, lambda n, p, seed: gen_gnp(n, p, seed)),
 }
+SEEDED_KINDS = frozenset(kind for kind, (_, seeded, _) in FAMILIES.items() if seeded)
 
 
 @lru_cache(maxsize=1)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lazycops import cli
+from lazycops.graph import FAMILIES
 
 
 def _run(*args, **kw):
@@ -411,6 +412,25 @@ def test_mistyped_family_params_exit_one_line(tmp_path, capsys, family, fp, need
     assert needle in err and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("kind", sorted(kind for kind, (reads, _, _) in FAMILIES.items()
+                                        if {"n", "p"} - set(reads)))
+def test_unread_key_same_line_from_both_front_ends(tmp_path, capsys, kind):
+    # --p on the families that read only n, --n on petersen
+    reads, _, _ = FAMILIES[kind]
+    unread = min({"n", "p"} - set(reads))
+    fp = {key: {"n": 3, "p": 0.3}[key] for key in (*reads, unread)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": kind, "family_params": fp, "k": 1}))
+    flags = [arg for key, v in fp.items() for arg in (f"--{key}", str(v))]
+    errs = []
+    for argv in (["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")],
+                 ["gen", "--kind", kind, *flags, "--out", str(tmp_path / "g.txt")]):
+        assert cli.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == 2 * [f"lazycops: error: family_params {unread!r} not read by family {kind!r}\n"]
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "g.txt").exists()
+
+
 def test_null_family_param_counts_as_absent(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "petersen", "family_params": {"n": None}, "k": 3}))
@@ -528,6 +548,10 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
      "parameter 'n' is too large for a float"),
     ("bounds", ["--which", "hypercube", "--n", "10", "--eps", "1", "--constant=-5"],
      "constant > 0"),
+    # an unknown family is named before any key it is given, or not given
+    ("experiment", {"family": "foo", "family_params": {"p": 0.3}, "k": 1},
+     "unknown graph kind 'foo'"),
+    ("gen", ["--kind", "foo"], "unknown graph kind 'foo'"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"

@@ -9,9 +9,9 @@ import itertools
 import pytest
 
 from lazycops import experiments, strategies
-from lazycops.experiments import SEEDED_FAMILIES, ExperimentConfig, run_experiment
+from lazycops.experiments import ExperimentConfig, run_experiment
 from lazycops.game import play
-from lazycops.graph import NAMED_KINDS, gen_gnp, gen_named
+from lazycops.graph import FAMILIES, SEEDED_KINDS, gen_gnp, gen_named
 from lazycops.strategies import make_players
 
 
@@ -103,14 +103,14 @@ def test_optimal_run_solves_once(monkeypatch):
     assert {row["outcome"] for row in rows[:-1]} == {"capture"}
 
 
-@pytest.mark.parametrize("family,fp,builder,graphs", [
-    ("gnp", {"n": 30, "p": 0.2}, "gen_gnp", 5),
-    ("random_tree", {"n": 30}, "gen_named", 5),
-    ("grid2d", {"n": 5}, "gen_named", 1),
-    ("hypercube", {"n": 4}, "gen_named", 1),
+@pytest.mark.parametrize("family,fp,graphs", [
+    ("gnp", {"n": 30, "p": 0.2}, 5),
+    ("random_tree", {"n": 30}, 5),
+    ("grid2d", {"n": 5}, 1),
+    ("hypercube", {"n": 4}, 1),
 ])
-def test_graphs_built_per_seed_read(monkeypatch, family, fp, builder, graphs):
-    built = _count_calls(monkeypatch, experiments, builder)
+def test_graphs_built_per_seed_read(monkeypatch, family, fp, graphs):
+    built = _count_calls(monkeypatch, experiments, "gen_named")
     cfg = ExperimentConfig(family=family, family_params=fp, k=1, trials=5)
     run_experiment(cfg)
     assert len(built) == graphs
@@ -140,16 +140,16 @@ def test_seeded_graph_players_rebuilt_on_each_graph(monkeypatch):
     assert [args[2] for args in made] == [gen_named("random_tree", 9, s) for s in range(4)]
 
 
-@pytest.mark.parametrize("kind", sorted(set(NAMED_KINDS) - set(SEEDED_FAMILIES)))
+@pytest.mark.parametrize("kind", sorted(set(FAMILIES) - SEEDED_KINDS))
 def test_unseeded_kinds_ignore_the_seed(kind):
-    for n in (1, 2, 3, 5, 8):
+    reads, _, _ = FAMILIES[kind]
+    for n in (1, 2, 3, 5, 8) if "n" in reads else (None,):
         assert gen_named(kind, n, 0) == gen_named(kind, n, 1)
 
 
-@pytest.mark.parametrize("family", SEEDED_FAMILIES)
+@pytest.mark.parametrize("family", sorted(SEEDED_KINDS))
 def test_seeded_families_read_the_seed(family):
-    assert family in NAMED_KINDS or family == "gnp"
-    fp = {"n": 12, "p": 0.3} if family == "gnp" else {"n": 12}
-    cfg = ExperimentConfig(family=family, family_params=fp, k=1)
-    graphs = {experiments._build_graph(cfg, seed) for seed in range(4)}
+    reads, _, _ = FAMILIES[family]
+    fp = {key: v for key, v in {"n": 12, "p": 0.3}.items() if key in reads}
+    graphs = {gen_named(family, None, seed, **fp) for seed in range(4)}
     assert len(graphs) > 1
