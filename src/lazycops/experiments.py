@@ -7,9 +7,10 @@ once: trials reuse the last graph unless its family reads the seed
 (graph.SEEDED_KINDS), k is resolved once, and the last player pair is
 reused on the same graph unless a spec reads the trial seed
 (strategies.players_seed).  Reused strategies keep their move memos, and
-a reused `optimal` side does not solve again.  The rows equal those of
-fresh builds per trial.  Floats are formatted at 6 significant digits and
-the column order is fixed, making identical configs byte-identical on disk.
+the `optimal` sides of every pair on one graph share one solve.  The rows
+equal those of fresh builds per trial.  Floats are formatted at 6
+significant digits and the column order is fixed, making identical configs
+byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import UsageError
 from .game import play
 from .graph import SEEDED_KINDS, gen_named
 from .bounds import theoretical_bounds
-from .strategies import make_players, players_seed
+from .strategies import make_players, players_seed, solve_once
 
 CSV_COLUMNS = (
     "trial", "seed", "n", "params", "k",
@@ -122,16 +123,18 @@ def _reuse(cache: dict, slot: str, key: tuple, build, *dependents: str):
 
 def run_trial(cfg: ExperimentConfig, trial: int, cache: dict | None = None) -> dict:
     """The row of trial `trial`.  `cache`, one per run, holds the last graph,
-    k and players, each under the key of what it is built from."""
+    k, lazy solve and players, each under the key of what it is built from."""
     seed = cfg.master_seed + trial
     cache = {} if cache is None else cache
     G = _reuse(cache, "graph", (cfg.family, cfg.family_params,
                                 seed if cfg.family in SEEDED_KINDS else None),
-               lambda: gen_named(cfg.family, None, seed, **cfg.family_params), "players")
+               lambda: gen_named(cfg.family, None, seed, **cfg.family_params),
+               "players", "solve")
     k = _reuse(cache, "k", (cfg.k, cfg.bounds_query), lambda: _resolve_k(cfg))
+    solve = _reuse(cache, "solve", (G, k), lambda: solve_once(G, k))
     specs = cfg.cop_strategy, cfg.robber_strategy
     cop, robber = _reuse(cache, "players", (G, k, *specs, players_seed(*specs, seed)),
-                         lambda: make_players(*specs, G, k, seed))
+                         lambda: make_players(*specs, G, k, seed, solve=solve))
     record = play(G, cop, robber, k, cfg.max_rounds, record_transcript=False)
     return {
         "trial": trial,

@@ -177,6 +177,17 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
 
     Strategies must provide place()/move(); an illegal move aborts with a
     diagnostic rather than being silently corrected.
+
+    A strategy whose class sets `positional = True` promises that each move
+    is a function of the graph and (cops, robber) alone; a subclass whose
+    move reads anything else (an RNG, a cursor, earlier moves, a counter)
+    must set `positional = False`.  Between two positional players a
+    position that recurs at the start of a cop turn recurs forever, so the
+    game is a survival: `play` finds the first repeat with one saved
+    position, moved to rounds 0, 1, 2, 4, 8, ... (Brent's cycle detection),
+    and fills the rest of the transcript with copies of the cycle's
+    entries.  Those copies share their dicts, so treat a transcript as
+    read-only.
     """
     if k < 1:
         raise UsageError(f"cop count must be >= 1, got {k}")
@@ -199,7 +210,18 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     if captured(state):
         return GameRecord("capture", 0, transcript)
 
+    positional = all(getattr(s, "positional", False) for s in (cop_strategy, robber_strategy))
+    saved = saved_round = None
     while state.round < max_rounds:
+        if positional:
+            r = state.round
+            if state[:2] == saved:
+                q, rem = divmod(max_rounds - r, r - saved_round)
+                block = transcript[-2 * (r - saved_round):]
+                transcript += block * q + block[:2 * rem]
+                return GameRecord("survival", max_rounds, transcript)
+            if r & (r - 1) == 0:   # r is 0 or a power of two
+                saved, saved_round = state[:2], r
         m = cop_strategy.move(G, state)
         prev = state
         state = apply_move(G, state, m)

@@ -139,6 +139,8 @@ class PotentialRobberStrategy:
     memoised on (cops, robber), all that they depend on besides the graph.
     """
 
+    positional = True
+
     def __init__(self, eps=1):
         self._eps = eps
         self._params: PotentialParams | None = None   # set by place() for its graph

@@ -5,6 +5,13 @@ Strategy objects are immutable except for explicit per-game cursors reset
 in place() and the move memos of the deterministic strategies (game.MoveMemo,
 keyed on everything a move depends on besides the graph); one instance serves
 one game at a time.
+
+A strategy class that sets `positional = True` promises that its move is a
+function of the graph and (cops, robber) only; `game.play` fast-forwards a
+game between two such players once a position repeats.  A subclass whose
+move reads anything else must set `positional = False`.  The random
+strategies (an RNG), the separator cops (cursors) and the G(n,p) robber
+(its previous vertex, and a move counter) are not positional.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ class GreedyCopStrategy:
     Placement is the k highest-degree vertices (ties to lowest id), or k
     uniform random vertices when a seed is given.
     """
+
+    positional = True
 
     def __init__(self, seed: int | None = None):
         self._seed = seed
@@ -85,6 +94,8 @@ class RandomCopStrategy:
 class GreedyRobberStrategy:
     """Maximize the distance to the nearest cop; stay if no cop can reach."""
 
+    positional = True
+
     def place(self, G: Graph, cops) -> int:
         return farthest_vertex(G, cops)
 
@@ -122,6 +133,8 @@ class StationaryRobberStrategy(GreedyRobberStrategy):
 
 class DominatingCopStrategy:
     """Occupy a greedy dominating set; the dominating cop captures at once."""
+
+    positional = True
 
     def __init__(self, G: Graph):
         self.dominating_set = sorted(greedy_dominating_set(G))
@@ -251,6 +264,8 @@ class _OptimalStrategy:
     """Moves from the solver's table, memoised on (cops, robber): an instance
     plays one side only, so the side to move is fixed."""
 
+    positional = True
+
     def __init__(self, result: SolveResult):
         self._result = result
         self._memo = MoveMemo()   # (cops, robber) -> move
@@ -336,13 +351,22 @@ def _parse_spec(spec: str, table: dict, side: str):
     return build, kwargs
 
 
-def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | None = 0):
+def solve_once(G: Graph, k: int):
+    """A callable that runs solve_lazy(G, k) at its first call and returns
+    that result at every call."""
+    return functools.cache(lambda: solve_lazy(G, k))
+
+
+def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | None = 0,
+                 solve=None):
     """(cops, robber) for a game of k cops on G, from specs "name" or
     "name:key=value,..." of _COPS and _ROBBERS.  Both specs are parsed before
     either side is built; the solver-optimal sides share one solve_lazy(G, k),
-    run only if one is built.  A seed option defaults to `seed` (greedy: None)."""
+    run only if one is built: `solve`, a solve_once(G, k) that the caller
+    keeps across player pairs, else a new one.  A seed option defaults to
+    `seed` (greedy: None)."""
     specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
-    solve = functools.cache(lambda: solve_lazy(G, k))
+    solve = solve_once(G, k) if solve is None else solve
     return tuple(build(G=G, solve=solve, run_seed=seed, **kw) for build, kw in specs)
 
 

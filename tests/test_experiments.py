@@ -103,6 +103,17 @@ def test_optimal_run_solves_once(monkeypatch):
     assert {row["outcome"] for row in rows[:-1]} == {"capture"}
 
 
+def test_optimal_against_unseeded_random_solves_once(monkeypatch):
+    # the random robber reads the trial seed, so each trial builds new players
+    solves = _count_calls(monkeypatch, strategies, "solve_lazy")
+    made = _count_calls(monkeypatch, experiments, "make_players")
+    cfg = ExperimentConfig(family="grid2d", family_params={"n": 6}, k=2,
+                           cop_strategy="optimal", robber_strategy="random", trials=10)
+    rows = run_experiment(cfg)
+    assert len(solves) == 1 and len(made) == 10
+    assert rows[:-1] == _fresh_rows(cfg)
+
+
 @pytest.mark.parametrize("family,fp,graphs", [
     ("gnp", {"n": 30, "p": 0.2}, 5),
     ("random_tree", {"n": 30}, 5),

@@ -7,7 +7,7 @@ lazy results, `optimal_move` must choose the move of
 sides, and the robber's placement reply must match too.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
@@ -194,3 +194,29 @@ def test_optimal_move_matches_reference(G, k):
 @given(_small_connected_graphs(), st.integers(1, 2))
 def test_optimal_move_matches_reference_on_small_graphs(G, k):
     _assert_optimal_play_matches_reference(G, k)
+
+
+# -- graphs where laziness costs a cop ----------------------------------------
+
+def _k3_box_k3():
+    # cells (row, column) of a 3x3 rook's graph, adjacent along a row or a column
+    return Graph(9, [(a, b) for a, b in combinations(range(9), 2)
+                     if a // 3 == b // 3 or a % 3 == b % 3])
+
+
+def _cuboctahedron():
+    # the line graph of Q3: its 12 edges, adjacent when they share an end
+    edges = [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit]
+    return Graph(12, [(a, b) for a, b in combinations(range(12), 2)
+                      if set(edges[a]) & set(edges[b])])
+
+
+@pytest.mark.parametrize("G, m", [(_k3_box_k3(), 18), (_cuboctahedron(), 24)],
+                         ids=["K3xK3", "cuboctahedron"])
+def test_laziness_costs_a_cop(G, m):
+    assert G.m == m and all(G.degree(v) == 4 for v in range(G.n))
+    assert cop_number(G, 4, CLASSIC) == 2
+    assert cop_number(G, 4, LAZY) == 3
+    for k in (2, 3):
+        _assert_matches_reference(G, k, LAZY)
+        assert solve_lazy(G, k).cop_win == (k == 3)

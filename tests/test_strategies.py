@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lazycops import game, strategies
 from lazycops.errors import StrategyError, UsageError
-from lazycops.game import PASS, play
+from lazycops.game import PASS, GameRecord, play
 from lazycops.gnp import GnpRobberStrategy
 from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
 from lazycops.potential import PotentialRobberStrategy
@@ -26,6 +26,7 @@ from lazycops.strategies import (
     make_players,
 )
 from reference_bfs import reference_bfs
+from reference_game import reference_play
 from reference_separator import ReferenceSeparatorCops
 
 
@@ -403,3 +404,89 @@ def test_move_memos_hold_at_most_their_cap(monkeypatch):
     record = play(G, cop, WatchedRobber(0.4), 1, 500)
     assert record.outcome == "survival" and len(sizes) == 500
     assert max(max(s) for s in sizes) == 4
+
+
+# -- positional players -----------------------------------------------------------
+
+# (graph, robber, k) of games between greedy cops and positional robbers: the
+# memoised robbers of _PERIODIC_GAMES, and the greedy and stationary robbers,
+# some of which are captured
+_POSITIONAL_GAMES = {
+    **{name: game for name, game in _PERIODIC_GAMES.items() if name != "gnp300"},
+    **{f"{name}-{robber.__name__}-k{k}": (make_graph, lambda G, robber=robber: robber(), k)
+       for name, make_graph in (("cycle11", lambda: gen_named("cycle", 11)),
+                                ("grid5", lambda: gen_named("grid2d", 5)),
+                                ("petersen", lambda: gen_named("petersen")))
+       for robber in (GreedyRobberStrategy, StationaryRobberStrategy)
+       for k in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POSITIONAL_GAMES))
+def test_fast_forwarded_games_equal_played_out_games(name):
+    make_graph, make_robber, k = _POSITIONAL_GAMES[name]
+    G = make_graph()
+    fast = GreedyCopStrategy(), make_robber(G)
+    slow = GreedyCopStrategy(), make_robber(G)
+    assert all(player.positional for player in fast)
+    for max_rounds in [*range(41), 1500]:
+        record = play(G, *fast, k, max_rounds)
+        expected = reference_play(G, *slow, k, max_rounds)
+        assert (record.outcome, record.rounds_played) == (expected.outcome,
+                                                          expected.rounds_played)
+        assert record.to_json() == expected.to_json(), max_rounds
+        assert play(G, *fast, k, max_rounds, record_transcript=False) == GameRecord(
+            expected.outcome, expected.rounds_played, [])
+
+
+class _CountedMoves:
+    """Counts the move calls of the strategy class it is mixed into."""
+
+    calls = 0
+
+    def move(self, G, state):
+        self.calls += 1
+        return super().move(G, state)
+
+
+class _CountedPotentialRobber(_CountedMoves, PotentialRobberStrategy):
+    pass
+
+
+class _UnpositionalPotentialRobber(_CountedMoves, PotentialRobberStrategy):
+    positional = False
+
+
+class _CountedGreedyRobber:
+    """The greedy robber's moves, from a robber with no `positional` attribute."""
+
+    calls = 0
+
+    def __init__(self):
+        self._greedy = GreedyRobberStrategy()
+
+    def place(self, G, cops):
+        return self._greedy.place(G, cops)
+
+    def move(self, G, state):
+        self.calls += 1
+        return self._greedy.move(G, state)
+
+
+def test_positional_players_skip_the_repeated_rounds():
+    robber = _CountedPotentialRobber()
+    record = play(gen_named("hypercube", 12), GreedyCopStrategy(), robber, 5, 5000)
+    assert record.outcome == "survival" and len(record.transcript) == 2 + 2 * 5000
+    assert 0 < robber.calls < 100
+
+
+@pytest.mark.parametrize("G, robber, k", [
+    (gen_named("hypercube", 8), _UnpositionalPotentialRobber(), 2),
+    (gen_named("cycle", 12), _CountedGreedyRobber(), 1),
+    (gen_named("petersen"), _CountedGreedyRobber(), 2),
+], ids=["q8-potential", "cycle12-greedy", "petersen-greedy"])
+def test_non_positional_players_move_every_round(G, robber, k):
+    # each of these games survives, and positions repeat from early on
+    record = play(G, GreedyCopStrategy(), robber, k, 300)
+    assert record.outcome == "survival" and robber.calls == 300
+    assert record.to_json() == reference_play(G, GreedyCopStrategy(), robber, k, 300).to_json()
