@@ -94,7 +94,9 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
 
     d is (n-1) times the observed edge density.  Neighborhood ratios pass
     when the sample mean of |N_i[v]| / target lies in [1-tau, 1+tau]; the
-    target is d^i, or (1 - e^-c) n with c = d^i / n once d^i > n / log n.
+    target is the expected closed-ball size 1 + d + ... + d^i, the sum of
+    the sphere sizes d^j (Chung and Lu, "The diameter of sparse random
+    graphs", 2001), or (1 - e^-c) n with c = d^i / n once d^i > n / log n.
     Path and cycle checks pass when the sample mean stays below the
     closed-form ceiling.
     """
@@ -125,7 +127,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     # (i) neighborhood growth
     i = 1
     while d ** i <= n:
-        target = d ** i
+        target = sum(d ** j for j in range(i + 1))
         note = ""
         if d ** i > n / logn:
             # the expected ball size once balls hold a share of the vertices

@@ -3,6 +3,11 @@
 A round is one cop half-move followed by one robber half-move; the round
 counter increments after the robber moves.  Exactly one cop moves per round
 (or the cop side passes); capture is checked after every half-move.
+
+`play` stops a game between positional players (see its docstring) at the
+first repeated position and memory, and fills the rest of the transcript
+with shared copies of the cycle's entries; `GameRecord.to_json` encodes such
+a repeated tail once.
 """
 
 from __future__ import annotations
@@ -162,13 +167,28 @@ class GameRecord:
     transcript: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "outcome": self.outcome,
-                "rounds": self.rounds_played,
-                "transcript": self.transcript,
-            }
-        )
+        """`json.dumps` of outcome, rounds and transcript.
+
+        A tail of the transcript that repeats the same entry objects with
+        one period (as `play` fills a fast-forwarded game) is encoded once
+        and joined by reference; identical objects encode to identical
+        text, so the result is the same for any transcript.
+        """
+        t = self.transcript
+        record = {"outcome": self.outcome, "rounds": self.rounds_played, "transcript": t}
+        ids = list(map(id, t))   # ids of live objects: equal iff identical
+        try:   # the period: how far back the last entry's previous copy lies
+            period = ids[::-1].index(ids[-1], 1)
+        except (IndexError, ValueError):   # empty, or the last entry is unique
+            return json.dumps(record)
+        start = len(t) - period   # t[start:] repeats with the period
+        while start and ids[start - 1] == ids[start - 1 + period]:
+            start -= 1
+        q, rem = divmod(len(t) - start, period)
+        record["transcript"] = t[:start + period]
+        block = ", " + json.dumps(t[start:start + period])[1:-1]
+        tail = ", " + json.dumps(t[start:start + rem])[1:-1] if rem else ""
+        return "".join([json.dumps(record)[:-2], *[block] * (q - 1), tail, "]}"])
 
 
 def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
@@ -179,15 +199,18 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     diagnostic rather than being silently corrected.
 
     A strategy whose class sets `positional = True` promises that each move
-    is a function of the graph and (cops, robber) alone; a subclass whose
-    move reads anything else (an RNG, a cursor, earlier moves, a counter)
-    must set `positional = False`.  Between two positional players a
-    position that recurs at the start of a cop turn recurs forever, so the
-    game is a survival: `play` finds the first repeat with one saved
-    position, moved to rounds 0, 1, 2, 4, 8, ... (Brent's cycle detection),
-    and fills the rest of the transcript with copies of the cycle's
-    entries.  Those copies share their dicts, so treat a transcript as
-    read-only.
+    is a function of the graph, (cops, robber) and, if it defines
+    `memory()`, the hashable value that returns; its next `memory()` must be
+    a function of the same.  A subclass whose move reads or counts anything
+    else (an RNG, a cursor, a call counter that `repeat` leaves behind) must
+    set `positional = False`.  Between two positional players a position and
+    memory that recur at the start of a cop turn recur forever, so the game
+    is a survival: `play` finds the first repeat with one saved key, moved
+    to rounds 0, 1, 2, 4, 8, ... (Brent's cycle detection), calls
+    `repeat(period, q, rem)` on each player that defines it (the skipped
+    rounds are q more periods and then the first rem rounds of one), and
+    fills the rest of the transcript with copies of the cycle's entries.
+    Those copies share their dicts, so treat a transcript as read-only.
     """
     if k < 1:
         raise UsageError(f"cop count must be >= 1, got {k}")
@@ -210,18 +233,25 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     if captured(state):
         return GameRecord("capture", 0, transcript)
 
-    positional = all(getattr(s, "positional", False) for s in (cop_strategy, robber_strategy))
+    players = cop_strategy, robber_strategy
+    positional = all(getattr(p, "positional", False) for p in players)
+    memories = [p.memory for p in players if hasattr(p, "memory")]
     saved = saved_round = None
     while state.round < max_rounds:
         if positional:
             r = state.round
-            if state[:2] == saved:
-                q, rem = divmod(max_rounds - r, r - saved_round)
-                block = transcript[-2 * (r - saved_round):]
+            key = (*state[:2], *[memory() for memory in memories])
+            if key == saved:
+                period = r - saved_round
+                q, rem = divmod(max_rounds - r, period)
+                for p in players:
+                    if hasattr(p, "repeat"):
+                        p.repeat(period, q, rem)
+                block = transcript[-2 * period:]
                 transcript += block * q + block[:2 * rem]
                 return GameRecord("survival", max_rounds, transcript)
             if r & (r - 1) == 0:   # r is 0 or a power of two
-                saved, saved_round = state[:2], r
+                saved, saved_round = key, r
         m = cop_strategy.move(G, state)
         prev = state
         state = apply_move(G, state, m)

@@ -7,6 +7,11 @@ x is the robber's previous vertex.  A candidate neighbour y is r-dangerous
 when the analogous counts around y (with v and x deleted) exceed the same
 thresholds.  At the boundary exponent alpha = 1/(j+1) the base 2cj becomes
 2c(j+1) and, in the sparsest branch, an extra level j+1 is tracked.
+
+`GnpRobberStrategy` is a positional player of `game.play`: its one piece of
+state, the previous vertex, is its `memory()`, so a game against positional
+cops stops at the first repeated (cops, robber, previous vertex), and
+`repeat` adds the skipped moves and fallbacks to `stats()`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .game import GameState, MoveMemo, RobberMove
+from .game import GameState, RobberMove
 from .graph import INF, Graph, bfs, farthest_vertex
 
 MAIN = "main"
@@ -158,20 +163,24 @@ class GnpRobberStrategy:
     neighbour.  `stats()` counts the moves since placement and the
     fallbacks among them (moves where no candidate survived).  A move
     depends on the graph, the cops, the robber and the previous vertex
-    only, so it is memoised on them with whether a candidate survived; a
-    fallback is counted again on every repeat.
+    only, so the robber is positional with `memory()` the previous vertex;
+    it keeps one fallback flag per move it plays, and `repeat` counts the
+    moves `game.play` skips from the flags of the last period.
     """
+
+    positional = True
 
     def __init__(self, alpha: float):
         self._alpha = alpha
         self._params: GnpRobberParams | None = None   # set by place() for its graph
         self._prev: int | None = None
-        self._stats = {"moves": 0, "fallbacks": 0}
-        self._memo = MoveMemo()   # (cops, robber, prev) -> (target, survived)
+        self._fell_back = bytearray()   # per move played since placement: 1 on a fallback
+        self._skipped = (0, 0)          # (moves, fallbacks) that play skipped
 
     def place(self, G: Graph, cops) -> int:
         self._prev = None
-        self._stats = {"moves": 0, "fallbacks": 0}
+        self._fell_back = bytearray()
+        self._skipped = (0, 0)
         self._params = None   # a lone vertex is captured at placement: no move reads it
         if G.n > 1:
             p = 2.0 * G.m / (G.n * (G.n - 1))   # G's density
@@ -179,13 +188,20 @@ class GnpRobberStrategy:
         return farthest_vertex(G, cops)
 
     def move(self, G: Graph, state: GameState):
-        target, survived = self._memo.lookup(
-            G, (state.cops, state.robber, self._prev), gnp_robber_move,
-            G, state, self._params, self._prev)
-        self._stats["moves"] += 1
-        self._stats["fallbacks"] += not survived
+        target, survived = gnp_robber_move(G, state, self._params, self._prev)
+        self._fell_back.append(not survived)
         self._prev = state.robber if target != state.robber else self._prev
         return RobberMove(target)
 
+    def memory(self):
+        return self._prev
+
+    def repeat(self, period: int, q: int, rem: int) -> None:
+        """Count q more periods like the last one, then its first rem moves."""
+        last = self._fell_back[-period:]
+        self._skipped = (q * period + rem, q * sum(last) + sum(last[:rem]))
+
     def stats(self) -> dict:
-        return dict(self._stats)
+        moves, fallbacks = self._skipped
+        return {"moves": len(self._fell_back) + moves,
+                "fallbacks": sum(self._fell_back) + fallbacks}

@@ -7,11 +7,13 @@ keyed on everything a move depends on besides the graph); one instance serves
 one game at a time.
 
 A strategy class that sets `positional = True` promises that its move is a
-function of the graph and (cops, robber) only; `game.play` fast-forwards a
-game between two such players once a position repeats.  A subclass whose
-move reads anything else must set `positional = False`.  The random
-strategies (an RNG), the separator cops (cursors) and the G(n,p) robber
-(its previous vertex, and a move counter) are not positional.
+function of the graph, (cops, robber) and the value of its `memory()`, if it
+has one; `game.play` fast-forwards a game between two such players once a
+position and memory repeat, and calls `repeat` on a player that counts its
+moves.  A subclass whose move reads or counts anything else must set
+`positional = False`.  The random strategies (an RNG) and the separator cops
+(cursors) are not positional; the G(n,p) robber is, with its previous vertex
+as its memory.
 """
 
 from __future__ import annotations

@@ -281,13 +281,38 @@ def test_simulate_golden_digest(tmp_path, capsys, graph, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `simulate --stats` stdout and stderr for greedy cops against the
+# G(n,p) robber, pinned when every round was played: the game repeats a short
+# cycle long before round 5,000, with fallbacks in the cycle at k = 1
+_GOLDEN_GNP_STATS = [
+    ("1", "0b60cf66736cfcbdb3f732d40059da1dc981d05c8f7bc9d6c68ecc550c928eb1",
+     "f60f476bb16d6d318bbfbe118a19e85428dfddb4c35b5bafea37c34da2a9f565"),
+    ("2", "608f998f76d553378f6ed91a9e36a82408ffd89f2cc82f65546f47554ed2d6b2",
+     "06115b7122dcb831b4126b9f4b3470e9abe4ed79849a1f0c16f98f7fcb6d9573"),
+]
+
+
+@pytest.mark.parametrize("k,out_digest,err_digest", _GOLDEN_GNP_STATS, ids=["k1", "k2"])
+def test_simulate_gnp_stats_golden_digest(tmp_path, capsys, k, out_digest, err_digest):
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen", "--kind", "gnp", "--n", "300", "--p", "0.033", "--seed", "1",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--graph", str(path), "--k", k, "--cops", "greedy",
+                     "--robber", "gnp:alpha=0.4", "--max-rounds", "5000", "--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(err)["robber"]["moves"] == 5000
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
 def test_verify_expansion_golden_digest(capsys):
     # G(600, 600^-0.52): its radius-2 growth check is in the dense regime
     argv = ["verify-expansion", "--n", "600", "--alpha", "0.48", "--eps", "0.05", "--seed", "4"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "9c2a296c93da36d519a9d75eb097be5b726ea55dba0981aef62b548eecd26ca3"
+        "4cda1b97f023157a19e178917c30271bb008ef337456939b49c2ba3fc8cd1ca1"
 
 
 def test_experiment_golden_digest(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from lazycops.errors import UsageError
 from lazycops.expansion import verify_expansion
-from lazycops.graph import gen_gnp, gen_named
+from lazycops.graph import Graph, gen_gnp, gen_named
 
 
 def test_hypothesis_eps_range_enforced():
@@ -46,6 +46,32 @@ def test_dense_growth_target_is_a_share_of_n():
     growth = next(c for c in rep.checks if c.name == "neighborhood_growth_i=2")
     assert growth.note.startswith("dense regime")
     assert growth.passed and abs(growth.mean - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+@pytest.mark.parametrize("seed", range(5))
+def test_sparse_growth_target_is_the_expected_ball(n, seed):
+    # G(n, n^-0.8), d about 4: the closed ball N_i[v] holds about
+    # 1 + d + ... + d^i vertices, a quarter more than d^i at i = 1
+    rep = verify_expansion(gen_gnp(n, n ** -0.8, seed), 0.2, 0.05, seed=seed)
+    growth = {c.name: c for c in rep.checks}
+    for i in (1, 2, 3):
+        check = growth[f"neighborhood_growth_i={i}"]
+        assert check.note == "" and check.passed, check
+
+
+def test_sparse_growth_fails_on_a_torus():
+    # C_30 x C_30 has d = 4 but grows quadratically: its radius-i ball holds
+    # 2i^2 + 2i + 1 vertices, which equals the expected 1 + 4 + ... + 4^i at i = 1 only
+    s = 30
+    G = Graph(s * s, [(r * s + c, r * s + (c + 1) % s) for r in range(s) for c in range(s)]
+              + [(r * s + c, (r + 1) % s * s + c) for r in range(s) for c in range(s)])
+    growth = {c.name: c for c in verify_expansion(G, 0.2, 0.05, seed=0).checks}
+    for i in (1, 2, 3):
+        check = growth[f"neighborhood_growth_i={i}"]
+        expected = sum(4 ** j for j in range(i + 1))
+        assert check.note == "" and check.mean == pytest.approx((2 * i * i + 2 * i + 1) / expected)
+        assert check.passed == (i == 1)
 
 
 def test_report_serializes():

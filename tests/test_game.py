@@ -3,11 +3,13 @@ import json
 import pickle
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lazycops import game
 from lazycops.errors import IllegalMoveError
-from lazycops.game import (COPS, PASS, ROBBER, CopMove, GameState, MoveMemo, RobberMove,
-                           apply_move, captured, legal_moves, play)
+from lazycops.game import (COPS, PASS, ROBBER, CopMove, GameRecord, GameState, MoveMemo,
+                           RobberMove, apply_move, captured, legal_moves, play)
 from lazycops.graph import gen_named
 from lazycops.strategies import GreedyCopStrategy, GreedyRobberStrategy, StationaryRobberStrategy
 
@@ -144,6 +146,33 @@ def test_record_json_round_trip():
     data = json.loads(rec.to_json())
     assert data["outcome"] == "capture"
     assert data["transcript"][0]["side"] == "cops"
+
+
+def _entry_pool():
+    # entries 1 and 2 are equal but encode differently (1 against 1.0)
+    return [{"side": COPS, "from": None, "to": [0, 1]}, {"side": ROBBER, "from": 2, "to": 1},
+            {"side": ROBBER, "from": 2, "to": 1.0}, {"side": COPS, "from": None, "to": None}]
+
+
+# a transcript is blocks of pool entries, each repeated, then cut short; -1
+# stands for a fresh copy of entry 1 (equal to it, but another object)
+@given(segments=st.lists(st.tuples(st.lists(st.integers(-1, 3), min_size=1, max_size=4),
+                                   st.integers(1, 6)), max_size=4),
+       cut=st.integers(0, 3), mutate=st.sampled_from([None, 0, 1, 2, 3]))
+@example(segments=[([1], 9)], cut=0, mutate=None)                  # period 1
+@example(segments=[([0, 1, 2], 4)], cut=2, mutate=None)            # a repeat from index 0
+@example(segments=[([3, 0], 5), ([1], 1), ([-1, 2], 1)], cut=0, mutate=None)  # in the middle
+@example(segments=[([3], 2), ([0, 1], 4)], cut=1, mutate=1)        # a mutated shared entry
+def test_to_json_equals_json_dumps(segments, cut, mutate):
+    pool = _entry_pool()
+    transcript = [pool[i] if i >= 0 else dict(pool[1])
+                  for block, copies in segments for i in block * copies]
+    del transcript[len(transcript) - min(cut, len(transcript)):]
+    if mutate is not None:
+        pool[mutate]["to"] = ["mutated", mutate]
+    record = GameRecord("survival", 7, transcript)
+    assert record.to_json() == json.dumps(
+        {"outcome": "survival", "rounds": 7, "transcript": transcript})
 
 
 def test_placement_robber_sees_cops():

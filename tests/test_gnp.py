@@ -279,7 +279,13 @@ def test_robber_move_matches_oracle():
 
 
 class _CheckedRobber(GnpRobberStrategy):
-    """G(n,p) robber that checks each move against the reference move."""
+    """G(n,p) robber that checks each move against the reference move.
+
+    It counts every move call, so it is not positional: `play` asks it for
+    every round.
+    """
+
+    positional = False
 
     def __init__(self, alpha):
         super().__init__(alpha)

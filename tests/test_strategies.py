@@ -332,10 +332,8 @@ def test_registry_robbers():
 
 # -- move memos ---------------------------------------------------------------
 
-# long games that repeat a short cycle of positions, one per memoised robber;
-# the G(300) robber falls back on some moves and not on others
+# long games that repeat a short cycle of positions, one per memoised robber
 _PERIODIC_GAMES = {
-    "gnp300": (lambda: gen_gnp(300, 0.033, 1), lambda G: GnpRobberStrategy(0.4), 1),
     "q8": (lambda: gen_named("hypercube", 8), lambda G: PotentialRobberStrategy(), 2),
     "q12": (lambda: gen_named("hypercube", 12), lambda G: PotentialRobberStrategy(), 5),
     "grid6": (lambda: gen_named("grid2d", 6),
@@ -370,8 +368,6 @@ def test_memoised_moves_match_recomputed_moves(monkeypatch, name):
     assert entries == [0, 0]
     assert _digest(bare) == _digest(record)
     assert bare_stats == stats
-    if name == "gnp300":
-        assert 0 < stats["fallbacks"] < stats["moves"] == 1500
 
 
 @pytest.mark.parametrize("first, second, make_robber, k", [
@@ -391,17 +387,19 @@ def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, ma
 
 def test_move_memos_hold_at_most_their_cap(monkeypatch):
     monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", 4)
-    G = gen_gnp(300, 0.033, 1)
+    G = gen_named("grid2d", 6)
     sizes = []
 
-    class WatchedRobber(GnpRobberStrategy):
+    class WatchedRobber(OptimalRobberStrategy):
+        positional = False   # it watches every move call
+
         def move(self, G, state):
             m = super().move(G, state)
             sizes.append((len(cop._memo), len(self._memo)))
             return m
 
     cop = GreedyCopStrategy()
-    record = play(G, cop, WatchedRobber(0.4), 1, 500)
+    record = play(G, cop, WatchedRobber(solve_lazy(G, 2)), 2, 500)
     assert record.outcome == "survival" and len(sizes) == 500
     assert max(max(s) for s in sizes) == 4
 
@@ -409,10 +407,14 @@ def test_move_memos_hold_at_most_their_cap(monkeypatch):
 # -- positional players -----------------------------------------------------------
 
 # (graph, robber, k) of games between greedy cops and positional robbers: the
-# memoised robbers of _PERIODIC_GAMES, and the greedy and stationary robbers,
-# some of which are captured
+# memoised robbers of _PERIODIC_GAMES, the G(n,p) robber, whose memory is its
+# previous vertex, and the greedy and stationary robbers, some of which are
+# captured
 _POSITIONAL_GAMES = {
-    **{name: game for name, game in _PERIODIC_GAMES.items() if name != "gnp300"},
+    **_PERIODIC_GAMES,
+    **{f"gnp300-s{seed}-k{k}": (lambda seed=seed: gen_gnp(300, 0.033, seed),
+                                lambda G: GnpRobberStrategy(0.4), k)
+       for seed in (1, 2) for k in (1, 2, 3)},
     **{f"{name}-{robber.__name__}-k{k}": (make_graph, lambda G, robber=robber: robber(), k)
        for name, make_graph in (("cycle11", lambda: gen_named("cycle", 11)),
                                 ("grid5", lambda: gen_named("grid2d", 5)),
@@ -429,14 +431,20 @@ def test_fast_forwarded_games_equal_played_out_games(name):
     fast = GreedyCopStrategy(), make_robber(G)
     slow = GreedyCopStrategy(), make_robber(G)
     assert all(player.positional for player in fast)
+    stats = getattr(fast[1], "stats", dict)
     for max_rounds in [*range(41), 1500]:
         record = play(G, *fast, k, max_rounds)
         expected = reference_play(G, *slow, k, max_rounds)
+        expected_stats = getattr(slow[1], "stats", dict)()
         assert (record.outcome, record.rounds_played) == (expected.outcome,
                                                           expected.rounds_played)
         assert record.to_json() == expected.to_json(), max_rounds
+        assert stats() == expected_stats, max_rounds
         assert play(G, *fast, k, max_rounds, record_transcript=False) == GameRecord(
             expected.outcome, expected.rounds_played, [])
+        assert stats() == expected_stats, max_rounds
+    if name == "gnp300-s1-k1":   # the robber falls back on some moves of its cycle
+        assert 0 < stats()["fallbacks"] < stats()["moves"] == 1500
 
 
 class _CountedMoves:
@@ -450,6 +458,10 @@ class _CountedMoves:
 
 
 class _CountedPotentialRobber(_CountedMoves, PotentialRobberStrategy):
+    pass
+
+
+class _CountedGnpRobber(_CountedMoves, GnpRobberStrategy):
     pass
 
 
@@ -478,6 +490,13 @@ def test_positional_players_skip_the_repeated_rounds():
     record = play(gen_named("hypercube", 12), GreedyCopStrategy(), robber, 5, 5000)
     assert record.outcome == "survival" and len(record.transcript) == 2 + 2 * 5000
     assert 0 < robber.calls < 100
+    # the G(n,p) robber's memory is its previous vertex; its stats count the
+    # skipped moves, fallbacks among them
+    robber = _CountedGnpRobber(0.4)
+    record = play(gen_gnp(300, 0.033, 1), GreedyCopStrategy(), robber, 1, 5000)
+    assert record.outcome == "survival" and 0 < robber.calls < 200
+    stats = robber.stats()
+    assert stats["moves"] == 5000 and stats["fallbacks"] > robber._fell_back.count(1) > 0
 
 
 @pytest.mark.parametrize("G, robber, k", [
