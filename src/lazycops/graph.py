@@ -491,35 +491,29 @@ def exact_domination_number(G: Graph) -> int:
 
 # -- balanced separators ------------------------------------------------------
 
-def _prune_separator(G: Graph, s, limit: int):
-    """None if G minus `s` has a component of more than `limit` vertices;
-    else `s` visited in increasing order, dropping each vertex whose removal
-    from it leaves every component within `limit`.
+def _find(parent: list, c: int) -> int:
+    """Root of c in the union-find forest `parent`, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = parent[parent[c]]
+        c = parent[c]
+    return c
 
-    Putting v back changes only v's own component: it joins v with the
-    components next to it.  One component search checks and labels the
-    vertices, and a union-find over the labels then tracks the merged sizes.
+
+def _prune(G: Graph, s, label: list, size: list, limit: int) -> set:
+    """`s` visited in increasing order, dropping each vertex whose removal
+    from it leaves every component within `limit`; G minus `s` must have no
+    component above `limit`.
+
+    label[u] is -1 for u in `s` and otherwise names u's component of G minus
+    `s`, whose size is size[label[u]].  Only the labels of vertices next to
+    `s` are read.  Putting v back changes only v's own component: it joins
+    v with the components next to it, so a union-find over the labels tracks
+    the merged sizes.  `label` and `size` are updated in place.
     """
-    comps = components_without(G, s)
-    if any(len(c) > limit for c in comps):
-        return None
-    label = [-1] * G.n  # -1 for vertices still in the separator
-    size = []
-    for c in comps:
-        for u in c:
-            label[u] = len(size)
-        size.append(len(c))
     parent = list(range(len(size)))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
     out = set(s)
     for v in sorted(s):
-        roots = {find(label[w]) for w in G._adj[v] if label[w] >= 0}
+        roots = {_find(parent, label[w]) for w in G._adj[v] if label[w] >= 0}
         merged = 1 + sum(size[c] for c in roots)
         if merged <= limit:
             out.discard(v)
@@ -536,12 +530,73 @@ def _prune_separator(G: Graph, s, limit: int):
     return out
 
 
+def _prune_separator(G: Graph, s, limit: int):
+    """None if G minus `s` has a component of more than `limit` vertices;
+    else `s` pruned by `_prune`, with labels from one component search."""
+    comps = components_without(G, s)
+    if any(len(c) > limit for c in comps):
+        return None
+    label = [-1] * G.n
+    for i, c in enumerate(comps):
+        for u in c:
+            label[u] = i
+    return _prune(G, s, label, [len(c) for c in comps], limit)
+
+
+def _level_separators(G: Graph, start: int, limit: int):
+    """(level, pruned level) for each BFS level from `start` that leaves no
+    component above `limit`, farthest level first; the graph is connected.
+
+    The levels are added to a union-find from the far end inward, each
+    vertex joined to its neighbours already added.  Before level d is
+    added, they are the vertices beyond it, so the largest component
+    outside the level is known; the ball inside it is one component.  The
+    pruning labels come from the same sweep: the roots for level d + 1,
+    one label for the ball on level d - 1.
+    """
+    n = G.n
+    adj = G._adj
+    dist = G.distances_from(start)
+    # one empty level past the farthest, also read as level -1
+    levels: list = [[] for _ in range(max(dist) + 2)]
+    for v, d in enumerate(dist):
+        levels[d].append(v)
+    parent = [-1] * n   # -1 until added
+    size = [1] * n
+    biggest = 0         # largest component of the vertices added so far
+    inside = n
+    for d in range(len(levels) - 2, -1, -1):
+        if biggest > limit:
+            return      # components only grow as levels are added
+        lvl = levels[d]
+        inside -= len(lvl)
+        if len(lvl) < n and inside <= limit:
+            label = [-1] * n
+            for u in levels[d + 1]:
+                label[u] = _find(parent, u)
+            for u in levels[d - 1]:
+                label[u] = n
+            yield lvl, _prune(G, lvl, label, size + [inside], limit)
+        for u in lvl:
+            parent[u] = root = u
+            for w in adj[u]:
+                if parent[w] >= 0 and (other := _find(parent, w)) != root:
+                    if size[other] > size[root]:
+                        root, other = other, root
+                    parent[other] = root
+                    size[root] += size[other]
+            biggest = max(biggest, size[root])
+
+
 def find_balanced_separator(G: Graph, mode: str = HEURISTIC) -> set:
     """A set S whose removal leaves components of <= floor(2n/3) vertices.
 
     exact: minimum such S by increasing-size subset search (n <= 20).
-    heuristic: best of BFS-level separators from every start vertex and
-    repeated highest-degree removal, each pruned to a minimal valid subset.
+    heuristic: the smallest, then lexicographically first, of the BFS-level
+    separators from every start vertex (one union-find sweep per start, see
+    `_level_separators`) and the set left by repeated highest-degree
+    removal, each pruned to a minimal valid subset by `_prune`.  Component
+    searches remain only in the removal loop and in exact mode.
     """
     if not G.is_connected():
         raise ValueError("separator finder requires a connected graph")
@@ -560,20 +615,8 @@ def find_balanced_separator(G: Graph, mode: str = HEURISTIC) -> set:
     if mode != HEURISTIC:
         raise UsageError(f"unknown separator mode {mode!r}; use {HEURISTIC} or {EXACT}")
 
-    candidates = []
-    for start in range(n):
-        dist = G.distances_from(start)
-        levels: dict = {}
-        for v, d in enumerate(dist):
-            levels.setdefault(d, []).append(v)
-        # the ball inside level d is one component of G minus the level
-        inside = 0
-        for d in range(len(levels)):
-            lvl = levels[d]
-            if len(lvl) < n and inside <= limit and (
-                    pruned := _prune_separator(G, lvl, limit)) is not None:
-                candidates.append(pruned)
-            inside += len(lvl)
+    candidates = [pruned for start in range(n)
+                  for _, pruned in _level_separators(G, start, limit)]
 
     removed: set = set()
     while (pruned := _prune_separator(G, removed, limit)) is None:

@@ -23,6 +23,7 @@ import inspect
 import math
 import random
 from fractions import Fraction
+from time import perf_counter
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
@@ -167,17 +168,20 @@ class SeparatorCopStrategy:
     by a factor <= 2/3 per completed level.  One cop walks at a time (the
     lowest-indexed unposted cop), along shortest paths with lowest-id
     tie-breaks.  The root separator is occupied at placement time.
+    `stats()` reports the plan and the guards posted so far.
     """
 
     def __init__(self, G: Graph, mode: str = HEURISTIC):
         if not G.is_connected():
             raise UsageError("separator strategy requires a connected graph")
+        t0 = perf_counter()
         self._mode = mode
         self._G = G
         self.root_separator = sorted(find_balanced_separator(G, mode))
         # region tuple -> its separator, filled by planning in visit order; play and report read it
         self._plan: dict = {tuple(range(G.n)): tuple(self.root_separator)}
         self.required_cops = self._required(sorted(range(G.n)))
+        self._plan_s = perf_counter() - t0
         # per-game cursors
         self._cops: list = []
         self._posted: set = set()
@@ -212,6 +216,10 @@ class SeparatorCopStrategy:
                 s <= ght_separator_bound(r, 0) for r, s in sizes),
             "levels": [{"region_size": r, "separator_size": s} for r, s in sizes],
         }
+
+    def stats(self) -> dict:
+        return {"required_cops": self.required_cops, "regions": len(self._plan),
+                "posted": len(self._posted), "plan_s": self._plan_s}
 
     # -- game protocol ---------------------------------------------------
 

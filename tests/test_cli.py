@@ -306,6 +306,28 @@ def test_simulate_gnp_stats_golden_digest(tmp_path, capsys, k, out_digest, err_d
     assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
+def test_simulate_separator_golden_digest_and_stats(tmp_path, capsys):
+    # the benchmark's grid 10x10 separator game, pinned before the level
+    # sweep replaced the per-level component searches of the separator plan
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "10", "--out", str(path)]) == 0
+    argv = ["simulate", "--graph", str(path), "--cops", "separator", "--robber", "greedy",
+            "--k", "26", "--max-rounds", "1000"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert hashlib.sha256(plain.out.encode()).hexdigest() == \
+        "cf2245ddba3d15961e2e89a7358c8608168d889e8792c07bf8a0ad915c41055a"
+    assert cli.main(argv + ["--stats"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out and plain.err == ""
+    stats = json.loads(traced.err)
+    assert list(stats) == ["cops"]
+    plan_s = stats["cops"].pop("plan_s")
+    assert 0 < plan_s < 60
+    assert stats["cops"] == {"required_cops": 26, "regions": 76, "posted": 24}
+
+
 def test_verify_expansion_golden_digest(capsys):
     # G(600, 600^-0.52): its radius-2 growth check is in the dense regime
     argv = ["verify-expansion", "--n", "600", "--alpha", "0.48", "--eps", "0.05", "--seed", "4"]

@@ -13,6 +13,7 @@ from lazycops.graph import (
     HypercubeGraph,
     _ball_and_row,
     _ball_table,
+    _level_separators,
     _paths_to,
     _prune_separator,
     bfs,
@@ -679,6 +680,56 @@ def test_prune_separator_matches_reference_on_padded_separators():
     assert graphs == 40 and new_roots > 0
 
 
+def _spider():
+    """A path 0-1-2 to the centre 3, which has legs of 1, 2 and 15 vertices:
+    from 0, the centre's level leaves three components outside it, and only
+    the long leg is above the limit of 14."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (3, 7)]
+    edges += [(v, v + 1) for v in range(7, 21)]
+    return Graph(22, edges)
+
+
+def _sweep_corpus():
+    graphs = [gen_named("grid2d", side) for side in range(1, 9)]
+    graphs += [gen_named("cycle", n) for n in range(3, 16)]
+    graphs += [gen_named("path", n) for n in range(1, 16)]
+    graphs += [gen_named("random_tree", n, seed) for n in (5, 12, 30) for seed in range(4)]
+    for seed in range(60):
+        G = gen_gnp(5 + seed % 36, 0.2 + 0.1 * (seed % 4), seed)
+        if G.is_connected():
+            graphs.append(G)
+    graphs += [gen_named("petersen"), gen_named("hypercube", 4), gen_named("complete", 6)]
+    return graphs + [_spider()]
+
+
+def test_level_separators_match_direct_check():
+    spider, accepted = _spider(), 0
+    limit = 2 * spider.n // 3
+    centre_comps = [len(c) for c in components_without(spider, {3})]
+    assert len(centre_comps) == 4 and [c > limit for c in centre_comps].count(True) == 1
+    for G in _sweep_corpus():
+        n, limit = G.n, 2 * G.n // 3
+        for start in range(n):
+            dist = G.distances_from(start)
+            expected = []
+            for d in range(max(dist), -1, -1):
+                lvl = [v for v in range(n) if dist[v] == d]
+                ball = sum(x < d for x in dist)
+                if len(lvl) < n and ball <= limit and all(
+                        len(c) <= limit for c in components_without(G, lvl)):
+                    expected.append(lvl)
+            swept = list(_level_separators(G, start, limit))
+            assert [lvl for lvl, _ in swept] == expected, (G, start)
+            for lvl, pruned in swept:
+                assert pruned == _prune_separator(G, lvl, limit), (G, start, lvl)
+            accepted += len(swept)
+    assert accepted > 1000
+    # from 0 the centre's level is rejected for the long leg alone, and the
+    # sweep stops there: nearer levels leave that leg in one piece too
+    swept = [lvl for lvl, _ in _level_separators(spider, 0, limit)]
+    assert swept == [[14], [13], [12], [11], [10], [9], [6, 8], [4, 5, 7]]
+
+
 def test_separator_exact_small():
     P = gen_named("path", 7)
     sep = find_balanced_separator(P, "exact")
@@ -742,7 +793,7 @@ def test_separator_matches_reference(G):
 
 
 def test_separator_matches_reference_on_fixed_graphs():
-    graphs = [gen_named("grid2d", side) for side in (6, 7, 8)]
+    graphs = [gen_named("grid2d", side) for side in (6, 7, 8, 9, 10, 12)]
     graphs += [gen_named("hypercube", 4), gen_named("petersen"), gen_named("complete", 7)]
     graphs += [gen_named("random_tree", 40, seed) for seed in range(3)]
     for G in graphs:

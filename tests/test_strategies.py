@@ -186,6 +186,20 @@ def test_separator_report_structure():
         (2, 1), (1, 1), (2, 1), (1, 1), (6, 1), (1, 1), (4, 1), (1, 1), (1, 1), (1, 1)]
 
 
+def test_separator_stats_follow_plan_and_guards():
+    G = gen_named("grid2d", 5)
+    strat = SeparatorCopStrategy(G)
+    stats = strat.stats()
+    assert stats["plan_s"] > 0
+    assert stats == {"required_cops": 12, "regions": 20, "posted": 0, "plan_s": stats["plan_s"]}
+    strat.place(G, 12)
+    assert strat.stats()["posted"] == len(strat.root_separator) == 4
+    rec = play(G, strat, GreedyRobberStrategy(), 12, 200)
+    # the root separator's cops and every walker that reached its target
+    assert rec.outcome == "capture" and 4 < strat.stats()["posted"] == 12 - len(strat._unposted)
+    assert strat.stats()["regions"] == len(strat.separator_report()["levels"])
+
+
 def _separator_corpus():
     cases = [pytest.param(gen_named("grid2d", s), id=f"grid{s}") for s in range(3, 9)]
     cases += [pytest.param(gen_named("random_tree", 30, s), id=f"tree{s}") for s in range(5)]
