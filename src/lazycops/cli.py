@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import CapExceededError, LazyCopsError, UsageError
-from .expansion import verify_expansion
+from .expansion import check_parameters, verify_expansion
 from .experiments import ExperimentConfig, run_experiment
 from .game import play
 from .graph import gen_gnp, gen_named, parse_graph, serialize_graph
@@ -128,8 +128,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_expansion(args) -> int:
     if args.n < 2:
         raise UsageError(f"n must be >= 2, got {args.n}")
-    p = args.n ** (args.alpha - 1.0)
-    G = gen_gnp(args.n, p, args.seed)
+    check_parameters(args.alpha, args.eps, args.tolerance)
+    G = gen_gnp(args.n, args.n ** (args.alpha - 1.0), args.seed)
     report = verify_expansion(G, args.alpha, args.eps, tau=args.tolerance,
                               seed=args.seed)
     print(json.dumps(report.to_dict()))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .gnp import _level_count
-from .graph import Graph, _ball_and_row, _paths_to, count_cycles_through_edge, kth_neighborhood
+from .graph import (Graph, _ball_row, _ball_table, _kth_bit, _paths_to,
+                    count_cycles_through_edge, kth_neighborhood)
 
 # Longest cycle that the verifier counts through sampled edges, and the
 # sample counts of the growth, path-count and cycle checks.
@@ -88,6 +89,16 @@ def _summarize(name, values, bound, note="", passes=None) -> PropertyCheck:
     )
 
 
+def check_parameters(alpha: float, eps: float, tau: float) -> None:
+    """Raise UsageError unless verify_expansion accepts alpha, eps and tau."""
+    if not 0 < eps < 0.1:
+        raise UsageError("eps must lie in (0, 0.1)")
+    if not eps < alpha < 1 - eps:
+        raise UsageError("alpha must lie in (eps, 1-eps)")
+    if not 0 <= tau < math.inf:
+        raise UsageError(f"tau must be finite and >= 0, got {tau}")
+
+
 def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
                      seed: int = 0) -> ExpansionReport:
     """Check the expansion properties on sampled vertices/pairs/edges.
@@ -100,12 +111,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     Path and cycle checks pass when the sample mean stays below the
     closed-form ceiling.
     """
-    if not 0 < eps < 0.1:
-        raise UsageError("eps must lie in (0, 0.1)")
-    if not eps < alpha < 1 - eps:
-        raise UsageError("alpha must lie in (eps, 1-eps)")
-    if not 0 <= tau < math.inf:
-        raise UsageError(f"tau must be finite and >= 0, got {tau}")
+    check_parameters(alpha, eps, tau)
     n = G.n
     d = (n - 1) * (2.0 * G.m / (n * (n - 1))) if n > 1 else 0.0
     if d <= 1:
@@ -167,10 +173,11 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
             v = rng.randrange(n)
             if not G.neighbors(v):
                 continue
-            # paths are symmetric in their endpoints: search from w, pruned
-            # by the distances to v that v's own balls give
-            ball, row = _ball_and_row(G, v, i)
-            counts.append(_paths_to(G, rng.choice(ball), v, i, row))
+            # paths are symmetric in their endpoints: search from w, drawn by its
+            # rank in v's ball, pruned by the distances to v that v's balls give
+            ball = _ball_table(G, i)[v] ^ (1 << v)
+            w = _kth_bit(ball, rng.randrange(ball.bit_count()))
+            counts.append(_paths_to(G, w, v, i, _ball_row(G, v, i) if i > 3 else None))
         report.checks.append(
             _summarize(f"path_count_i={i}", counts, ceiling, note=label)
         )

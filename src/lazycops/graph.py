@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import combinations, compress
 from operator import or_
@@ -379,42 +380,48 @@ def count_paths(G: Graph, v: int, w: int, i: int) -> int:
 def _paths_to(G: Graph, v: int, w: int, i: int, dist_to_w) -> int:
     """Simple v-w paths with exactly i edges, v != w and i >= 1.
 
-    `dist_to_w` need only be exact up to i, like bfs(G, (w,), radius=i) or
-    min(dist, i + 1): the search enters a vertex only if w is still in reach
-    from it.  Entries below the distance but above 1 only prune less.
+    The last two edges are counted at once, as the common neighbours of w
+    and the current vertex off the path.  A step that leaves 3 or more edges
+    enters a vertex only if w is still in reach from it by `dist_to_w`, which
+    need only be exact up to i, like bfs(G, (w,), radius=i) or min(dist,
+    i + 1); entries below the distance only prune less, and i <= 3 needs none.
     """
     adj = G._adj
-    visited = [False] * G.n
-    visited[v] = True
+    near_w = set(adj[w])
+    path = {v}
 
     def dfs(cur: int, remaining: int) -> int:
-        if remaining == 1:
-            return 1 if dist_to_w[cur] == 1 else 0
+        if remaining == 2:
+            common = near_w.intersection(adj[cur])
+            return len(common) - len(common & path)
         total = 0
         for nb in adj[cur]:
-            if dist_to_w[nb] < remaining and nb != w and not visited[nb]:
-                visited[nb] = True
+            if nb != w and nb not in path and (remaining == 3 or dist_to_w[nb] < remaining):
+                path.add(nb)
                 total += dfs(nb, remaining - 1)
-                visited[nb] = False
+                path.remove(nb)
         return total
 
-    return dfs(v, i)
+    return dfs(v, i) if i > 1 else int(v in near_w)
 
 
-def _ball_and_row(G: Graph, v: int, i: int):
-    """The radius-i ball around v (i >= 1) without v, sorted, and the row of
-    min(dist(u, v), i + 1) as bytes: i + 1 minus the number of radii 0..i
-    whose ball holds u, summed in one big int with a byte lane per vertex.
-    Lanes cap the row at 255, which for i >= 255 only prunes less.
+def _kth_bit(x: int, k: int) -> int:
+    """Position of the k-th lowest set bit of x, for 0 <= k < x.bit_count()."""
+    return bisect_right(range(x.bit_length()), k, key=lambda p: (x & ((2 << p) - 1)).bit_count())
+
+
+def _ball_row(G: Graph, v: int, i: int) -> bytes:
+    """The row of min(dist(u, v), i + 1) over all u (i >= 1) as bytes: i + 1
+    minus the number of radii 0..i whose ball holds u, summed in one big int
+    with a byte lane per vertex.  Lanes cap the row at 255, which for
+    i >= 255 only prunes less.
     """
     n = G.n
     bit = 1 << v
     flags = [_flags(_ball_table(G, r)[v] ^ bit) for r in range(1, min(i, 254) + 1)]
     top = len(flags) + 1
     lanes = top * int.from_bytes(b"\1" * n, "little") - (top << 8 * v)
-    row = (lanes - sum(int.from_bytes(f, "little") for f in flags)).to_bytes(n, "little")
-    last = flags[-1] if i < 255 else _flags(_ball_table(G, i)[v] ^ bit)
-    return list(compress(_ids(n), last)), row
+    return (lanes - sum(int.from_bytes(f, "little") for f in flags)).to_bytes(n, "little")
 
 
 def count_cycles_through_edge(G: Graph, e, L: int) -> int:

@@ -337,6 +337,36 @@ def test_verify_expansion_golden_digest(capsys):
         "4cda1b97f023157a19e178917c30271bb008ef337456939b49c2ba3fc8cd1ca1"
 
 
+def test_verify_expansion_sparse_golden_digest(capsys):
+    # G(600, 600^-0.8): path counts of lengths 2-5, so the searches of
+    # lengths 4 and 5 are pruned by ball-table rows
+    argv = ["verify-expansion", "--n", "600", "--alpha", "0.2", "--eps", "0.05", "--seed", "1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert [c["name"] for c in json.loads(out)["checks"] if c["name"].startswith("path")] == \
+        [f"path_count_i={i}" for i in range(2, 6)]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e23b7c9a055bdbd485d94a530954992d06a9832b09c7d289c0847b807a342942"
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--n", "6000", "--alpha", "0.01", "--eps", "0.05"], "alpha must lie in (eps, 1-eps)"),
+    (["--n", "300", "--alpha", "1.5", "--eps", "0.05"], "alpha must lie in (eps, 1-eps)"),
+    (["--n", "300", "--alpha", "nan", "--eps", "0.05"], "alpha must lie in (eps, 1-eps)"),
+    (["--n", "300", "--alpha", "0.5", "--eps", "0.2"], "eps must lie in (0, 0.1)"),
+    (["--n", "300", "--alpha", "0.5", "--eps", "0.05", "--tolerance", "nan"],
+     "tau must be finite and >= 0, got nan"),
+])
+def test_verify_expansion_checks_inputs_before_building_the_graph(monkeypatch, capsys,
+                                                                  extra, needle):
+    def no_graph(*args):
+        raise AssertionError("G(n,p) built before the inputs were checked")
+
+    monkeypatch.setattr(cli, "gen_gnp", no_graph)
+    assert cli.main(["verify-expansion", *extra]) == 1
+    assert capsys.readouterr() == ("", f"lazycops: error: {needle}\n")
+
+
 def test_experiment_golden_digest(tmp_path, capsys):
     cfg = {"family": "grid2d", "family_params": {"n": 5}, "k": 12,
            "cop_strategy": "separator", "robber_strategy": "greedy",

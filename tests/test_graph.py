@@ -3,16 +3,17 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lazycops.errors import CapExceededError, GraphFormatError, UsageError
-from lazycops.expansion import verify_expansion
+from lazycops.expansion import PAIR_SAMPLES, VERTEX_SAMPLES, verify_expansion
 from lazycops.graph import (
     Graph,
     HypercubeGraph,
-    _ball_and_row,
+    _ball_row,
     _ball_table,
+    _kth_bit,
     _level_separators,
     _paths_to,
     _prune_separator,
@@ -35,6 +36,7 @@ from reference_balls import (
     reference_ball_and_row,
     reference_ball_table,
     reference_kth_neighborhood,
+    reference_path_samples,
 )
 from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
@@ -365,15 +367,17 @@ def _ball_graphs(draw):
 
 
 def _check_balls(G):
-    """Every ball, sorted ball, row and table of G up to radius diameter + 2
-    (diameter over the components) against the search-based references."""
+    """Every ball, ball read by rank, row and table of G up to radius
+    diameter + 2 (diameter over the components) against the search-based
+    references."""
     diameter = max(d for v in range(G.n) for d in bfs(G, (v,)) if d is not math.inf)
     for r in range(diameter + 3):
         for v in range(G.n):
             assert kth_neighborhood(G, v, r) == reference_kth_neighborhood(G, v, r)
             if r:
-                ball, row = _ball_and_row(G, v, r)
-                assert (ball, list(row)) == reference_ball_and_row(G, v, r)
+                ball = _ball_table(G, r)[v] ^ (1 << v)
+                ranked = [_kth_bit(ball, k) for k in range(ball.bit_count())]
+                assert (ranked, list(_ball_row(G, v, r))) == reference_ball_and_row(G, v, r)
         if r:
             assert _ball_table(G, r) == reference_ball_table(G, r)
     assert G._whole and len(G._balls) <= max(1, diameter)
@@ -427,9 +431,8 @@ def test_ball_row_beyond_byte_lanes_only_prunes_less():
     # radius 260 on a 520-cycle: the far half of the row is capped at 255,
     # below the distance, which keeps the path count exact
     C = gen_named("cycle", 520)
-    ball, row = _ball_and_row(C, 0, 260)
+    row = _ball_row(C, 0, 260)
     near = bfs(C, (0,))
-    assert ball == list(range(1, 520))
     assert list(row) == [min(d, 255) for d in near]
     assert _paths_to(C, 260, 0, 260, row) == reference_count_paths(C, 260, 0, 260) == 2
     assert _paths_to(C, 259, 0, 259, row) == 1
@@ -480,10 +483,64 @@ def test_count_paths_matches_reference_and_networkx():
         assert reference_count_paths(G, v, w, i) == expected
         for a, b in ((v, w), (w, v)):
             assert count_paths(G, a, b, i) == expected
-            for row in (G.distances_from(b), bfs(G, (b,), radius=i)):
+            for row in _rows_to(G, b, i):
                 assert _paths_to(G, a, b, i, row) == expected
 
     check()
+
+
+def _rows_to(G, w, i):
+    """Every form of distance row to w that `_paths_to` is given for length
+    i: the full row, the radius-i search, the verifier's ball-table row,
+    and no row where i <= 3."""
+    rows = [G.distances_from(w), bfs(G, (w,), radius=i), _ball_row(G, w, i)]
+    return rows + [None] * (i <= 3)
+
+
+def test_count_paths_skips_common_neighbours_on_the_path():
+    # in K_4 and K_5 both ends of the last two edges have the earlier path
+    # vertices as common neighbours; only the others may close a path
+    for n, i, expected in ((4, 3, 2), (4, 4, 0), (5, 3, 6), (5, 4, 6)):
+        K = gen_named("complete", n)
+        assert count_paths(K, 0, 1, i) == reference_count_paths(K, 0, 1, i) == expected
+        for row in _rows_to(K, 1, i):
+            assert _paths_to(K, 0, 1, i, row) == expected
+
+
+@example(1)
+@example(1 << 599)
+@example((1 << 600) - 1)
+@example(0b1000000001)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 600))
+def test_kth_bit_matches_sorted_bits(x):
+    bits = [p for p in range(x.bit_length()) if x >> p & 1]
+    assert [_kth_bit(x, k) for k in range(len(bits))] == sorted(bits)
+
+
+@pytest.mark.parametrize("alpha, longest", [(0.48, 3), (0.2, 5)])
+def test_path_samples_match_the_ball_list_sampler(monkeypatch, alpha, longest):
+    import lazycops.expansion as expansion
+
+    G = gen_gnp(600, 600 ** (alpha - 1), 1)
+    drawn = []
+
+    def recorded(G, w, v, i, row):
+        count = _paths_to(G, w, v, i, row)
+        drawn.append((i, v, w, count))
+        return count
+
+    monkeypatch.setattr(expansion, "_paths_to", recorded)
+    report = verify_expansion(G, alpha, 0.05, seed=5)
+    lengths = [int(c.name.split("=")[1]) for c in report.checks if c.name.startswith("path_count")]
+    assert lengths == list(range(2, longest + 1))
+    # the verifier's draws: its growth-check vertices, then the path samples
+    rng = random.Random(5)
+    rng.sample(range(G.n), min(VERTEX_SAMPLES, G.n))
+    per_length = PAIR_SAMPLES // len(lengths)
+    expected = [(i, *sample) for i in lengths
+                for sample in reference_path_samples(G, rng, i, per_length)]
+    assert drawn == expected
 
 
 def test_count_cycles_through_edge():
@@ -494,6 +551,31 @@ def test_count_cycles_through_edge():
     T = gen_named("random_tree", 10, 0)
     e = T.edges()[0]
     assert count_cycles_through_edge(T, e, 6) == 0
+
+
+@st.composite
+def _cycle_edges(draw):
+    """A graph on at most 9 vertices, one of its edges and a length bound."""
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    return Graph(n, edges), draw(st.sampled_from(sorted(edges))), draw(st.integers(3, 8))
+
+
+def test_count_cycles_through_edge_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cycle_edges())
+    def check(case):
+        G, (u, v), L = case
+        through = 0
+        for cycle in nx.simple_cycles(nx.Graph(G.edges()), length_bound=L):
+            steps = set(zip(cycle, cycle[1:] + cycle[:1]))
+            through += (u, v) in steps or (v, u) in steps
+        assert count_cycles_through_edge(G, (u, v), L) == through
+
+    check()
 
 
 def test_count_cycles_cap():
