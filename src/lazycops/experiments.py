@@ -6,8 +6,8 @@ but does not change how trials run.  One run builds each distinct game
 once: trials reuse the last graph unless its family reads the seed
 (graph.SEEDED_KINDS), k is resolved once, and the last player pair is
 reused on the same graph unless a spec reads the trial seed
-(strategies.players_seed).  Reused strategies keep their move memos, and
-the `optimal` sides of every pair on one graph share one solve.  The rows
+(strategies.players_seed), and the `optimal` sides of every pair on one
+graph share one solve.  The rows
 equal those of fresh builds per trial.  Floats are formatted at 6
 significant digits and the column order is fixed, making identical configs
 byte-identical on disk.

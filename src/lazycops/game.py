@@ -22,11 +22,13 @@ from .graph import Graph
 COPS = "cops"
 ROBBER = "robber"
 
-# Entries that one MoveMemo keeps before it empties itself.  Measured with
-# tracemalloc (CPython 3.11, 64-bit, 2^16 entries, every vertex id its own
-# int), an entry costs 390 bytes with 1 cop and 545 bytes with 5, key, move
-# and dict slot included: a full memo holds 6-9 MB.
-MOVE_MEMO_ENTRIES = 1 << 14
+# Positions that `play` remembers while it looks for a repeat.  The table
+# empties itself once full, so it finds a cycle of period p <= SEEN_ENTRIES
+# at most p - 1 rounds past its first repeat (at it, if that comes by round
+# SEEN_ENTRIES) and plays a longer one round by round.  An entry costs 224
+# bytes with 1 cop and 361 with 5 (tracemalloc, CPython 3.11, 64-bit, fresh
+# ints), key, round and dict slot included: a full table holds 3.7-5.9 MB.
+SEEN_ENTRIES = 1 << 14
 
 
 class CopMove(NamedTuple):
@@ -125,41 +127,6 @@ def apply_move(G: Graph, s: GameState, m) -> GameState:
     return tuple.__new__(GameState, (s.cops, m.target, COPS, s.round + 1))
 
 
-class MoveMemo:
-    """A deterministic strategy's moves by position, for one graph at a time.
-
-    A strategy whose move depends only on the graph and on `key` asks
-    `lookup`, which computes a move once per key; a move is never None.  The
-    memo forgets every move when it is asked about another graph object
-    (checked by identity, and it holds that graph), and it empties itself
-    before an insert once it holds MOVE_MEMO_ENTRIES entries.  One writer at
-    a time.
-    """
-
-    __slots__ = ("_graph", "_moves")
-
-    def __init__(self):
-        self._graph = None
-        self._moves: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._moves)
-
-    def lookup(self, G: Graph, key, decide, *args):
-        """The move stored for `key` on G, else `decide(*args)`, stored."""
-        if G is not self._graph:
-            self._graph, self._moves = G, {}
-        moves = self._moves
-        move = moves.get(key)
-        if move is None:
-            move = decide(*args)
-            if len(moves) >= MOVE_MEMO_ENTRIES:
-                moves.clear()
-            if MOVE_MEMO_ENTRIES > 0:
-                moves[key] = move
-        return move
-
-
 @dataclass
 class GameRecord:
     outcome: str                 # "capture" | "survival"
@@ -205,8 +172,8 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     else (an RNG, a cursor, a call counter that `repeat` leaves behind) must
     set `positional = False`.  Between two positional players a position and
     memory that recur at the start of a cop turn recur forever, so the game
-    is a survival: `play` finds the first repeat with one saved key, moved
-    to rounds 0, 1, 2, 4, 8, ... (Brent's cycle detection), calls
+    is a survival: `play` keeps the round of each position and memory it
+    has seen (up to SEEN_ENTRIES of them), stops at the first repeat, calls
     `repeat(period, q, rem)` on each player that defines it (the skipped
     rounds are q more periods and then the first rem rounds of one), and
     fills the rest of the transcript with copies of the cycle's entries.
@@ -236,13 +203,13 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     players = cop_strategy, robber_strategy
     positional = all(getattr(p, "positional", False) for p in players)
     memories = [p.memory for p in players if hasattr(p, "memory")]
-    saved = saved_round = None
+    seen: dict = {}   # (cops, robber, *memories) -> the round it first began
     while state.round < max_rounds:
         if positional:
             r = state.round
             key = (*state[:2], *[memory() for memory in memories])
-            if key == saved:
-                period = r - saved_round
+            if key in seen:
+                period = r - seen[key]
                 q, rem = divmod(max_rounds - r, period)
                 for p in players:
                     if hasattr(p, "repeat"):
@@ -250,8 +217,9 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
                 block = transcript[-2 * period:]
                 transcript += block * q + block[:2 * rem]
                 return GameRecord("survival", max_rounds, transcript)
-            if r & (r - 1) == 0:   # r is 0 or a power of two
-                saved, saved_round = key, r
+            if len(seen) >= SEEN_ENTRIES:
+                seen.clear()
+            seen[key] = r
         m = cop_strategy.move(G, state)
         prev = state
         state = apply_move(G, state, m)

@@ -25,9 +25,6 @@ BALL_TABLE_BYTES = 1 << 28
 CYCLE_LEN_CAP = 8
 # Most vertices that exact_domination_number searches.
 DOMINATION_N_CAP = 24
-# find_balanced_separator's modes, and the most vertices its exact mode searches.
-HEURISTIC, EXACT = SEPARATOR_MODES = ("heuristic", "exact")
-SEPARATOR_N_CAP = 20
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # see _flags
 
@@ -595,32 +592,20 @@ def _level_separators(G: Graph, start: int, limit: int):
             biggest = max(biggest, size[root])
 
 
-def find_balanced_separator(G: Graph, mode: str = HEURISTIC) -> set:
+def find_balanced_separator(G: Graph) -> set:
     """A set S whose removal leaves components of <= floor(2n/3) vertices.
 
-    exact: minimum such S by increasing-size subset search (n <= 20).
-    heuristic: the smallest, then lexicographically first, of the BFS-level
-    separators from every start vertex (one union-find sweep per start, see
+    The smallest, then lexicographically first, of the BFS-level separators
+    from every start vertex (one union-find sweep per start, see
     `_level_separators`) and the set left by repeated highest-degree
     removal, each pruned to a minimal valid subset by `_prune`.  Component
-    searches remain only in the removal loop and in exact mode.
+    searches remain only in the removal loop.  It is a heuristic: a smaller
+    balanced set may exist.
     """
     if not G.is_connected():
         raise ValueError("separator finder requires a connected graph")
     n = G.n
     limit = (2 * n) // 3
-
-    if mode == EXACT:
-        if n > SEPARATOR_N_CAP:
-            raise CapExceededError(f"exact separator limited to n <= {SEPARATOR_N_CAP}, got {n}")
-        for size in range(n):   # n - 1 vertices always do once n >= 2
-            for s in combinations(range(n), size):
-                if _prune_separator(G, s, limit) is not None:
-                    return set(s)
-        return set(range(n))
-
-    if mode != HEURISTIC:
-        raise UsageError(f"unknown separator mode {mode!r}; use {HEURISTIC} or {EXACT}")
 
     candidates = [pruned for start in range(n)
                   for _, pruned in _level_separators(G, start, limit)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 
 from .errors import UsageError
-from .game import GameState, MoveMemo, RobberMove
+from .game import GameState, RobberMove
 from .graph import HypercubeGraph
 
 
@@ -135,8 +135,8 @@ class PotentialRobberStrategy:
     """Robber driven by the hypercube potential function.
 
     Placement: lowest-id vertex of potential zero if one exists (every cop
-    beyond max_level), else the vertex of minimum potential.  Moves are
-    memoised on (cops, robber), all that they depend on besides the graph.
+    beyond max_level), else the vertex of minimum potential.  A move is a
+    function of the graph and (cops, robber), so the robber is positional.
     """
 
     positional = True
@@ -144,7 +144,6 @@ class PotentialRobberStrategy:
     def __init__(self, eps=1):
         self._eps = eps
         self._params: PotentialParams | None = None   # set by place() for its graph
-        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def place(self, G, cops) -> int:
         if not isinstance(G, HypercubeGraph):
@@ -162,7 +161,4 @@ class PotentialRobberStrategy:
         return best_v
 
     def move(self, G, state: GameState):
-        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
-
-    def _decide(self, G, state: GameState):
         return RobberMove(hypercube_robber_move(self._params, G, state))

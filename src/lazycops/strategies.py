@@ -2,9 +2,7 @@
 solver-optimal wrappers, and the CLI name registry.
 
 Strategy objects are immutable except for explicit per-game cursors reset
-in place() and the move memos of the deterministic strategies (game.MoveMemo,
-keyed on everything a move depends on besides the graph); one instance serves
-one game at a time.
+in place(); one instance serves one game at a time.
 
 A strategy class that sets `positional = True` promises that its move is a
 function of the graph, (cops, robber) and the value of its `memory()`, if it
@@ -27,10 +25,10 @@ from time import perf_counter
 
 from .bounds import ght_separator_bound
 from .errors import StrategyError, UsageError
-from .game import PASS, CopMove, GameState, MoveMemo, RobberMove
+from .game import PASS, CopMove, GameState, RobberMove
 from .gnp import GnpRobberStrategy
-from .graph import (HEURISTIC, SEPARATOR_MODES, Graph, bfs, component_of, components_without,
-                    farthest_vertex, find_balanced_separator, greedy_dominating_set)
+from .graph import (Graph, bfs, component_of, components_without, farthest_vertex,
+                    find_balanced_separator, greedy_dominating_set)
 from .potential import PotentialRobberStrategy
 from .solver import SolveResult, optimal_move, solve_lazy
 
@@ -48,7 +46,6 @@ class GreedyCopStrategy:
 
     def __init__(self, seed: int | None = None):
         self._seed = seed
-        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def place(self, G: Graph, k: int) -> list:
         if self._seed is not None:
@@ -58,10 +55,6 @@ class GreedyCopStrategy:
         return [ranked[i % len(ranked)] for i in range(k)]
 
     def move(self, G: Graph, state: GameState):
-        return self._memo.lookup(G, (state.cops, state.robber), self._decide, G, state)
-
-    @staticmethod
-    def _decide(G: Graph, state: GameState):
         dist = G.distances_from(state.robber)
         best_i, best_d = None, math.inf
         for i, u in enumerate(state.cops):
@@ -171,13 +164,12 @@ class SeparatorCopStrategy:
     `stats()` reports the plan and the guards posted so far.
     """
 
-    def __init__(self, G: Graph, mode: str = HEURISTIC):
+    def __init__(self, G: Graph):
         if not G.is_connected():
             raise UsageError("separator strategy requires a connected graph")
         t0 = perf_counter()
-        self._mode = mode
         self._G = G
-        self.root_separator = sorted(find_balanced_separator(G, mode))
+        self.root_separator = sorted(find_balanced_separator(G))
         # region tuple -> its separator, filled by planning in visit order; play and report read it
         self._plan: dict = {tuple(range(G.n)): tuple(self.root_separator)}
         self.required_cops = self._required(sorted(range(G.n)))
@@ -196,7 +188,7 @@ class SeparatorCopStrategy:
                 sep = key
             else:
                 sub, order = self._G.induced_subgraph(region)
-                sep = tuple(sorted(order[i] for i in find_balanced_separator(sub, self._mode)))
+                sep = tuple(sorted(order[i] for i in find_balanced_separator(sub)))
             self._plan[key] = sep
         return sep
 
@@ -271,18 +263,16 @@ class SeparatorCopStrategy:
 # -- solver-optimal wrappers ------------------------------------------------------
 
 class _OptimalStrategy:
-    """Moves from the solver's table, memoised on (cops, robber): an instance
-    plays one side only, so the side to move is fixed."""
+    """Moves from the solver's table: an instance plays one side only, so
+    its move is a function of (cops, robber)."""
 
     positional = True
 
     def __init__(self, result: SolveResult):
         self._result = result
-        self._memo = MoveMemo()   # (cops, robber) -> move
 
     def move(self, G: Graph, state: GameState):
-        return self._memo.lookup(G, (state.cops, state.robber), optimal_move,
-                                 self._result, state)
+        return optimal_move(self._result, state)
 
 
 class OptimalCopStrategy(_OptimalStrategy):
@@ -305,12 +295,6 @@ def _gnp_robber(alpha=None, **_):
     return GnpRobberStrategy(alpha)
 
 
-def _separator_mode(mode: str) -> str:
-    if mode not in SEPARATOR_MODES:
-        raise ValueError(f"unknown separator mode {mode!r}")
-    return mode
-
-
 # name -> (option -> converter, builder).  A builder takes the converted options
 # and G, solve (the game's one cached solve_lazy) and run_seed as keywords; one
 # that names run_seed reads it unless its spec sets `seed`.
@@ -319,8 +303,7 @@ _COPS = {
     "random": ({"seed": int}, lambda run_seed, seed=None, **_:
                RandomCopStrategy(run_seed if seed is None else seed)),
     "dominating": ({}, lambda G, **_: DominatingCopStrategy(G)),
-    "separator": ({"mode": _separator_mode},
-                  lambda G, mode=HEURISTIC, **_: SeparatorCopStrategy(G, mode)),
+    "separator": ({}, lambda G, **_: SeparatorCopStrategy(G)),
     "optimal": ({}, lambda solve, **_: OptimalCopStrategy(solve())),
 }
 _ROBBERS = {

@@ -1,11 +1,15 @@
-"""Reference separator heuristic and separator cops for the differential tests.
+"""Reference separators and separator cops for the differential tests.
 
-The direct form of `find_balanced_separator(G, "heuristic")`: every BFS
+The direct form of `find_balanced_separator(G)`: every BFS
 level from every start vertex that is a valid separator, and the repeated
 highest-degree removal, each pruned by re-checking the whole separator once
 per vertex.  It is slow, but it shares no code with `lazycops.graph` beyond
 the graph's accessors, so it can catch mistakes in the level shortcuts and
 the union-find pruning there.
+
+`exact_separator` is the minimum balanced separator by increasing-size
+subset search, exponential in n: the oracle that the heuristic is never
+smaller than.
 
 `ReferenceSeparatorCops` keeps the separator cops' earlier bookkeeping: the
 walking cop and its distance row held in two cursors, and the report built
@@ -13,6 +17,8 @@ from a log appended during planning.  The strategy itself derives the walk
 from its unposted cops and targets and reads the report off its plan; the
 differential tests check that both forms play and report alike.
 """
+
+from itertools import combinations
 
 from lazycops.bounds import ght_separator_bound
 from lazycops.game import PASS
@@ -86,12 +92,25 @@ def reference_separator(G):
     return min(candidates, key=lambda s: (len(s), sorted(s)))
 
 
+def exact_separator(G):
+    """The first, in increasing size and then lexicographic order, of the
+    smallest sets whose removal leaves components of <= floor(2n/3)
+    vertices."""
+    n = G.n
+    limit = (2 * n) // 3
+    for size in range(n):   # n - 1 vertices always do once n >= 2
+        for s in combinations(range(n), size):
+            if _ok(G, s, limit):
+                return set(s)
+    return set(range(n))
+
+
 class ReferenceSeparatorCops(SeparatorCopStrategy):
     """Separator cops with a stored walk and a log-built report."""
 
-    def __init__(self, G, mode="heuristic"):
+    def __init__(self, G):
         self._log = []  # (region, separator, within the GHT bound), in visit order
-        super().__init__(G, mode)
+        super().__init__(G)
 
     def _required(self, region):
         sep = self._separator_of(region)

@@ -279,7 +279,7 @@ def test_criterion_6_separator_machinery():
         if G.is_connected():
             graphs.append(G)
     for G in graphs:
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         limit = (2 * G.n) // 3
         for comp in components_without(G, set(sep)):
             assert len(comp) <= limit, f"unbalanced separator on n={G.n}"
@@ -287,7 +287,7 @@ def test_criterion_6_separator_machinery():
     # heuristic size on grids up to 8x8
     for side in range(2, 9):
         G = gen_named("grid2d", side)
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         assert len(sep) <= 2 * math.sqrt(2 * G.n) + 1, f"grid {side}"
 
     # capture of the solver-optimal robber on small connected graphs

@@ -569,7 +569,7 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
 
 
 @pytest.mark.parametrize("cops,robber,needle", [
-    ("separator:mode=bogus", "nope", "bad mode 'bogus'"),
+    ("random:seed=x", "nope", "bad seed 'x'"),
     ("greedy", "potential:eps=abc", "bad eps 'abc'"),
     ("greedy", "potential:eps=1/0", "bad eps '1/0'"),
 ])

@@ -4,7 +4,10 @@ A run keeps the last graph and player pair across trials; its rows must be
 those of a loop that builds a fresh graph and fresh players for each trial.
 """
 
+import csv
+import io
 import itertools
+import json
 
 import pytest
 
@@ -164,3 +167,21 @@ def test_seeded_families_read_the_seed(family):
     fp = {key: v for key, v in {"n": 12, "p": 0.3}.items() if key in reads}
     graphs = {gen_named(family, None, seed, **fp) for seed in range(4)}
     assert len(graphs) > 1
+
+
+def test_json_out_rows_equal_the_csv_rows(tmp_path):
+    json_path, csv_path = tmp_path / "rows.json", tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="gnp", family_params={"n": 11, "p": 0.45}, k=1,
+                           cop_strategy="random", robber_strategy="random",
+                           trials=5, master_seed=2, max_rounds=30, json_out=str(json_path))
+    rows = run_experiment(cfg, str(csv_path))
+    text = json_path.read_text(encoding="utf-8")
+    assert text.endswith("]\n") and not text.endswith("\n\n")
+    written = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+    header, *body = csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8")))
+    assert tuple(header) == experiments.CSV_COLUMNS and len(body) == len(rows) == 6
+    for pairs, row, csv_row in zip(written, rows, body):
+        assert [key for key, _ in pairs] == sorted(experiments.CSV_COLUMNS)
+        assert dict(pairs) == row
+        assert [str(row[col]) for col in header] == csv_row
+    assert body[-1][0] == "aggregate"

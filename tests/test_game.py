@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lazycops import game
 from lazycops.errors import IllegalMoveError
-from lazycops.game import (COPS, PASS, ROBBER, CopMove, GameRecord, GameState, MoveMemo,
-                           RobberMove, apply_move, captured, legal_moves, play)
+from lazycops.game import (COPS, PASS, ROBBER, CopMove, GameRecord, GameState, RobberMove,
+                           apply_move, captured, legal_moves, play)
 from lazycops.graph import gen_named
 from lazycops.strategies import GreedyCopStrategy, GreedyRobberStrategy, StationaryRobberStrategy
 
@@ -184,34 +183,3 @@ def test_placement_robber_sees_cops():
     # the greedy robber placed as far as possible from the cop
     dist = G.distances_from(cop_place["to"][0])
     assert dist[robber_place["to"]] == max(dist)
-
-
-def _counting(calls):
-    def decide(key):
-        calls.append(key)
-        return RobberMove(key)
-    return decide
-
-
-def test_move_memo_decides_each_key_once_per_graph():
-    G, H, calls = gen_named("path", 3), gen_named("path", 3), []
-    memo, decide = MoveMemo(), _counting(calls)
-    assert [memo.lookup(G, k, decide, k).target for k in (0, 1, 0, 1)] == [0, 1, 0, 1]
-    assert calls == [0, 1] and len(memo) == 2
-    # an equal graph is another object: the memo starts over
-    assert memo.lookup(H, 0, decide, 0) == RobberMove(0)
-    assert calls == [0, 1, 0] and len(memo) == 1
-
-
-@pytest.mark.parametrize("cap", [0, 1, 4])
-def test_move_memo_never_exceeds_its_cap(monkeypatch, cap):
-    monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", cap)
-    G, calls = gen_named("path", 3), []
-    memo, decide = MoveMemo(), _counting(calls)
-    sizes = []
-    for k in list(range(10)) * 2:
-        assert memo.lookup(G, k, decide, k) == RobberMove(k)
-        sizes.append(len(memo))
-    assert max(sizes) == cap
-    if cap == 0:
-        assert len(calls) == 20   # nothing stored, every lookup decides

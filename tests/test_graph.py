@@ -41,7 +41,7 @@ from reference_balls import (
 from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
 from reference_paths import reference_count_paths
-from reference_separator import _ok, _prune, reference_separator
+from reference_separator import _ok, _prune, exact_separator, reference_separator
 
 
 # -- generators ---------------------------------------------------------------
@@ -681,11 +681,8 @@ def test_exact_caps_read_at_call_time(monkeypatch):
 
     P5 = gen_named("path", 5)
     monkeypatch.setattr(graph, "DOMINATION_N_CAP", 4)
-    monkeypatch.setattr(graph, "SEPARATOR_N_CAP", 4)
     with pytest.raises(CapExceededError, match="exact domination limited to n <= 4, got 5"):
         exact_domination_number(P5)
-    with pytest.raises(CapExceededError, match="exact separator limited to n <= 4, got 5"):
-        find_balanced_separator(P5, "exact")
     assert exact_domination_number(gen_named("path", 4)) == 2
 
 
@@ -814,20 +811,39 @@ def test_level_separators_match_direct_check():
 
 def test_separator_exact_small():
     P = gen_named("path", 7)
-    sep = find_balanced_separator(P, "exact")
+    sep = exact_separator(P)
     assert len(sep) == 1
     _check_balanced(P, sep)
+    assert sep == {2} and len(find_balanced_separator(P)) == 1
 
 
 def test_separator_exact_one_vertex():
     # no smaller set balances one vertex: the search ends with the whole graph
-    assert find_balanced_separator(Graph(1, []), "exact") == {0}
+    assert exact_separator(Graph(1, [])) == find_balanced_separator(Graph(1, [])) == {0}
+
+
+def test_separator_never_smaller_than_the_exact_minimum():
+    # every connected graph of the networkx atlas, 1 to 7 vertices
+    nx = pytest.importorskip("networkx")
+    graphs = agree = 0
+    for H in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(H):
+            continue
+        G = Graph(H.number_of_nodes(), H.edges())
+        sep, minimum = find_balanced_separator(G), exact_separator(G)
+        _check_balanced(G, sep)
+        assert len(sep) >= len(minimum), (sorted(H.edges()), sep, minimum)
+        graphs += 1
+        agree += len(sep) == len(minimum)
+    print(f"heuristic separator of minimum size on {agree} of {graphs} atlas graphs")
+    # measured: the heuristic finds a minimum separator on every one of them
+    assert graphs == 996 and agree == 996
 
 
 def test_separator_heuristic_balanced():
     for kind, n in [("path", 30), ("cycle", 24), ("grid2d", 6), ("complete", 9)]:
         G = gen_named(kind, n)
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         _check_balanced(G, sep)
 
 
@@ -840,14 +856,14 @@ def test_separator_heuristic_random_graphs():
         if not G.is_connected():
             continue
         found += 1
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         _check_balanced(G, sep)
 
 
 def test_separator_grid_size():
     for side in range(3, 9):
         G = gen_named("grid2d", side)
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         _check_balanced(G, sep)
         assert len(sep) <= 2 * math.sqrt(2 * G.n) + 1
 
@@ -871,7 +887,7 @@ def _connected_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_connected_graphs())
 def test_separator_matches_reference(G):
-    assert find_balanced_separator(G, "heuristic") == reference_separator(G)
+    assert find_balanced_separator(G) == reference_separator(G)
 
 
 def test_separator_matches_reference_on_fixed_graphs():
@@ -879,7 +895,7 @@ def test_separator_matches_reference_on_fixed_graphs():
     graphs += [gen_named("hypercube", 4), gen_named("petersen"), gen_named("complete", 7)]
     graphs += [gen_named("random_tree", 40, seed) for seed in range(3)]
     for G in graphs:
-        assert find_balanced_separator(G, "heuristic") == reference_separator(G)
+        assert find_balanced_separator(G) == reference_separator(G)
 
 
 def test_separator_balanced_and_minimal_networkx():
@@ -896,7 +912,7 @@ def test_separator_balanced_and_minimal_networkx():
             rest = H.subgraph(set(range(G.n)) - removed)
             return max((len(c) for c in nx.connected_components(rest)), default=0)
 
-        sep = find_balanced_separator(G, "heuristic")
+        sep = find_balanced_separator(G)
         assert largest(sep) <= limit
         for v in sep:
             assert largest(sep - {v}) > limit
@@ -970,5 +986,5 @@ def test_separator_always_balanced(n, seed):
     G = gen_gnp(n, 0.5, seed)
     if not G.is_connected():
         return
-    sep = find_balanced_separator(G, "heuristic")
+    sep = find_balanced_separator(G)
     _check_balanced(G, sep)

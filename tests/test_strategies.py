@@ -344,9 +344,9 @@ def test_registry_robbers():
         robber("greedy:bad")
 
 
-# -- move memos ---------------------------------------------------------------
+# -- reused players -----------------------------------------------------------
 
-# long games that repeat a short cycle of positions, one per memoised robber
+# long games that repeat a short cycle of positions
 _PERIODIC_GAMES = {
     "q8": (lambda: gen_named("hypercube", 8), lambda G: PotentialRobberStrategy(), 2),
     "q12": (lambda: gen_named("hypercube", 12), lambda G: PotentialRobberStrategy(), 5),
@@ -360,28 +360,6 @@ _PERIODIC_GAMES = {
 def _digest(record):
     # a digest, not the JSON, so that a mismatch does not diff megabytes
     return hashlib.sha256(record.to_json().encode()).hexdigest()
-
-
-def _periodic_game(name, rounds=1500):
-    make_graph, make_robber, k = _PERIODIC_GAMES[name]
-    G = make_graph()
-    cop, robber = GreedyCopStrategy(), make_robber(G)
-    record = play(G, cop, robber, k, rounds)
-    stats = robber.stats() if hasattr(robber, "stats") else None
-    return record, stats, len(cop._memo), len(robber._memo)
-
-
-@pytest.mark.parametrize("name", sorted(_PERIODIC_GAMES))
-def test_memoised_moves_match_recomputed_moves(monkeypatch, name):
-    record, stats, cop_entries, robber_entries = _periodic_game(name)
-    # the game is long and periodic, so the memos answered most moves
-    assert record.outcome == "survival"
-    assert 0 < cop_entries < 100 and 0 < robber_entries < 100
-    monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", 0)
-    bare, bare_stats, *entries = _periodic_game(name)
-    assert entries == [0, 0]
-    assert _digest(bare) == _digest(record)
-    assert bare_stats == stats
 
 
 @pytest.mark.parametrize("first, second, make_robber, k", [
@@ -399,31 +377,11 @@ def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, ma
     assert getattr(robber, "stats", dict)() == getattr(fresh_robber, "stats", dict)()
 
 
-def test_move_memos_hold_at_most_their_cap(monkeypatch):
-    monkeypatch.setattr(game, "MOVE_MEMO_ENTRIES", 4)
-    G = gen_named("grid2d", 6)
-    sizes = []
-
-    class WatchedRobber(OptimalRobberStrategy):
-        positional = False   # it watches every move call
-
-        def move(self, G, state):
-            m = super().move(G, state)
-            sizes.append((len(cop._memo), len(self._memo)))
-            return m
-
-    cop = GreedyCopStrategy()
-    record = play(G, cop, WatchedRobber(solve_lazy(G, 2)), 2, 500)
-    assert record.outcome == "survival" and len(sizes) == 500
-    assert max(max(s) for s in sizes) == 4
-
-
 # -- positional players -----------------------------------------------------------
 
 # (graph, robber, k) of games between greedy cops and positional robbers: the
-# memoised robbers of _PERIODIC_GAMES, the G(n,p) robber, whose memory is its
-# previous vertex, and the greedy and stationary robbers, some of which are
-# captured
+# robbers of _PERIODIC_GAMES, the G(n,p) robber, whose memory is its previous
+# vertex, and the greedy and stationary robbers, some of which are captured
 _POSITIONAL_GAMES = {
     **_PERIODIC_GAMES,
     **{f"gnp300-s{seed}-k{k}": (lambda seed=seed: gen_gnp(300, 0.033, seed),
@@ -461,25 +419,19 @@ def test_fast_forwarded_games_equal_played_out_games(name):
         assert 0 < stats()["fallbacks"] < stats()["moves"] == 1500
 
 
-class _CountedMoves:
-    """Counts the move calls of the strategy class it is mixed into."""
+def _count_moves(player):
+    """`player`, its `move` calls counted in `player.calls`."""
+    move = player.move
 
-    calls = 0
+    def counted(G, state):
+        player.calls += 1
+        return move(G, state)
 
-    def move(self, G, state):
-        self.calls += 1
-        return super().move(G, state)
-
-
-class _CountedPotentialRobber(_CountedMoves, PotentialRobberStrategy):
-    pass
+    player.calls, player.move = 0, counted
+    return player
 
 
-class _CountedGnpRobber(_CountedMoves, GnpRobberStrategy):
-    pass
-
-
-class _UnpositionalPotentialRobber(_CountedMoves, PotentialRobberStrategy):
+class _UnpositionalPotentialRobber(PotentialRobberStrategy):
     positional = False
 
 
@@ -500,21 +452,93 @@ class _CountedGreedyRobber:
 
 
 def test_positional_players_skip_the_repeated_rounds():
-    robber = _CountedPotentialRobber()
+    robber = _count_moves(PotentialRobberStrategy())
     record = play(gen_named("hypercube", 12), GreedyCopStrategy(), robber, 5, 5000)
     assert record.outcome == "survival" and len(record.transcript) == 2 + 2 * 5000
     assert 0 < robber.calls < 100
     # the G(n,p) robber's memory is its previous vertex; its stats count the
     # skipped moves, fallbacks among them
-    robber = _CountedGnpRobber(0.4)
+    robber = _count_moves(GnpRobberStrategy(0.4))
     record = play(gen_gnp(300, 0.033, 1), GreedyCopStrategy(), robber, 1, 5000)
     assert record.outcome == "survival" and 0 < robber.calls < 200
     stats = robber.stats()
     assert stats["moves"] == 5000 and stats["fallbacks"] > robber._fell_back.count(1) > 0
 
 
+def _first_repeat(transcript, memory: bool):
+    """(first, again): the first round `again` whose (cops, robber) at the
+    start of the cop turn, and with `memory` the robber's previous vertex,
+    were also those of round `first`; None if none recurs in `transcript`."""
+    cops, robber, prev = sorted(transcript[0]["to"]), transcript[1]["to"], None
+    seen = {}
+    for r, (cop, step) in enumerate(zip([*transcript[2::2], None], [*transcript[3::2], None])):
+        key = (tuple(cops), robber, prev if memory else None)
+        if key in seen:
+            return seen[key], r
+        seen[key] = r
+        if step is None:   # the transcript ends: captured, or out of rounds
+            return None
+        if cop["from"] is not None:
+            cops[cops.index(cop["from"])] = cop["to"]
+            cops.sort()
+        if step["to"] != step["from"]:
+            prev = step["from"]
+        robber = step["to"]
+
+
+@pytest.mark.parametrize("name", sorted(_POSITIONAL_GAMES))
+def test_positional_games_stop_at_the_first_repeat(name):
+    make_graph, make_robber, k = _POSITIONAL_GAMES[name]
+    G = make_graph()
+    cop, robber = _count_moves(GreedyCopStrategy()), _count_moves(make_robber(G))
+    record = play(G, cop, robber, k, 1500)
+    expected = reference_play(G, GreedyCopStrategy(), make_robber(G), k, 1500)
+    assert _digest(record) == _digest(expected)
+    repeat = _first_repeat(expected.transcript, hasattr(robber, "memory"))
+    if repeat is None:   # a capture: every move is played
+        moves = expected.transcript[2:]
+        assert (cop.calls, robber.calls) == (len(moves[::2]), len(moves[1::2]))
+    else:
+        assert record.outcome == "survival" and cop.calls == robber.calls == repeat[1]
+
+
+# (graph, robber, k, period): greedy cops against a robber that they cannot
+# reach (the cops pass and the robber stays), and cycles of periods 2, 5 and
+# 10, the last with the G(n,p) robber, whose stats() count fallbacks
+_CYCLE_GAMES = {
+    "unreachable-p1": (lambda: Graph(4, [(0, 1), (2, 3)]), lambda G: GreedyRobberStrategy(),
+                       1, 1),
+    "q8-p2": (*_PERIODIC_GAMES["q8"], 2),
+    "grid6-p2": (*_PERIODIC_GAMES["grid6"], 2),
+    "petersen-p5": (lambda: gen_named("petersen"), lambda G: GreedyRobberStrategy(), 1, 5),
+    "gnp300-p10": (*_POSITIONAL_GAMES["gnp300-s1-k1"], 10),
+}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3], ids=lambda cap: f"cap{cap}")
+@pytest.mark.parametrize("name", sorted(_CYCLE_GAMES))
+def test_seen_table_finds_the_cycles_it_can_hold(monkeypatch, cap, name):
+    monkeypatch.setattr(game, "SEEN_ENTRIES", cap)
+    make_graph, make_robber, k, period = _CYCLE_GAMES[name]
+    G = make_graph()
+    cop, robber = _count_moves(GreedyCopStrategy()), _count_moves(make_robber(G))
+    slow = GreedyCopStrategy(), make_robber(G)
+    for max_rounds in (60, 300):
+        cop.calls = robber.calls = 0
+        record = play(G, cop, robber, k, max_rounds)
+        expected = reference_play(G, *slow, k, max_rounds)
+        assert _digest(record) == _digest(expected)
+        assert getattr(robber, "stats", dict)() == getattr(slow[1], "stats", dict)()
+        first, again = _first_repeat(expected.transcript, hasattr(robber, "memory"))
+        assert again - first == period
+        if period > cap:   # the table never holds a whole cycle
+            assert cop.calls == robber.calls == max_rounds
+        else:   # found within period - 1 rounds of the first repeat
+            assert again <= cop.calls == robber.calls <= again + period - 1
+
+
 @pytest.mark.parametrize("G, robber, k", [
-    (gen_named("hypercube", 8), _UnpositionalPotentialRobber(), 2),
+    (gen_named("hypercube", 8), _count_moves(_UnpositionalPotentialRobber()), 2),
     (gen_named("cycle", 12), _CountedGreedyRobber(), 1),
     (gen_named("petersen"), _CountedGreedyRobber(), 2),
 ], ids=["q8-potential", "cycle12-greedy", "petersen-greedy"])
