@@ -67,9 +67,7 @@ def gnp_params(n: int, p: float, alpha: float, regime: str = "auto") -> GnpRobbe
         raise UsageError(f"alpha must lie in (0,1), got {alpha}")
     if not 0.0 < p < 1.0:
         raise UsageError(f"p must lie in (0,1), got {p}")
-    j = _level_count(alpha)
-    if j * alpha >= 1.0:
-        raise UsageError(f"alpha={alpha} leaves no room for j levels")
+    j = _level_count(alpha)   # j * alpha < 1 for every alpha in (0, 1)
     c = 6.0 / (1.0 - j * alpha)
     d = (n - 1) * p
     logn = math.log(n)

@@ -135,15 +135,17 @@ class HypercubeGraph(Graph):
 
 # -- breadth-first search ----------------------------------------------------
 
-def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
+def bfs(G: Graph, sources, deleted=(), radius=None, until=()) -> list:
     """Hop distance from the nearest of `sources` in G minus `deleted`.
 
     Level-synchronous search from all sources at once, stopped after
-    `radius` levels when one is given.  Entry v of the returned list (of
-    length G.n) is math.inf when v is deleted, unreached or farther than
-    `radius`; deleted sources are ignored, and a source or deleted vertex
-    outside 0..n-1 raises ValueError.  `deleted` must be a collection, not
-    an iterator: it is read twice.
+    `radius` levels when one is given, and after the first level that
+    holds a vertex of `until` (level 0 is the sources).  Entry v of the
+    returned list (of length G.n) is math.inf when v is deleted, unreached,
+    farther than `radius` or beyond that level; deleted sources are
+    ignored, and a source or deleted vertex outside 0..n-1 raises
+    ValueError.  `deleted` must be a collection, not an iterator: it is
+    read twice.
 
     Each level runs in one of two directions (Beamer, Asanovic and
     Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
@@ -174,8 +176,8 @@ def bfs(G: Graph, sources, deleted=(), radius=None) -> list:
     m = G._m
     cut = n * n // (2 * m or 1)  # implied by the second test; a cheap filter
     left = n - len(deleted)  # minus every level so far, this one included
-    depth = 0
-    while frontier and depth != radius:
+    depth, until = 0, set(until)   # isdisjoint scans the frontier: skip it when empty
+    while frontier and depth != radius and (not until or until.isdisjoint(frontier)):
         depth += 1
         size = len(frontier)
         left -= size

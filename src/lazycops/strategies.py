@@ -55,15 +55,16 @@ class GreedyCopStrategy:
         return [ranked[i % len(ranked)] for i in range(k)]
 
     def move(self, G: Graph, state: GameState):
-        dist = G.distances_from(state.robber)
-        best_i, best_d = None, math.inf
-        for i, u in enumerate(state.cops):
-            if dist[u] < best_d:
-                best_i, best_d = i, dist[u]
-        if best_i is None:   # every cop is in another component
-            return PASS
-        u = state.cops[best_i]   # at a finite distance >= 1: some neighbour is closer
-        return CopMove(best_i, min(t for t in G.neighbors(u) if dist[t] < dist[u]))
+        # with D the nearest cop's distance, the search stops at level D - 1:
+        # a cop has a reached neighbour iff it is at distance D, and those
+        # neighbours are its steps along a shortest path
+        nbrs = [G.neighbors(u) for u in state.cops]
+        dist = bfs(G, (state.robber,), until=set().union(*nbrs))
+        for i, ts in enumerate(nbrs):
+            for t in ts:   # sorted, so the first reached one is the lowest id
+                if dist[t] is not math.inf:
+                    return CopMove(i, t)
+        return PASS   # every cop is in another component
 
 
 class RandomCopStrategy:
@@ -249,9 +250,10 @@ class SeparatorCopStrategy:
         # the walker, the first unposted cop, stands on a posted root vertex or
         # on its way, and a target lies in the robber's region, off every posted
         # vertex: the walker is never on its target, so it always has a step
-        walker, dist = self._unposted[0], G.distances_from(self._targets[0])
-        u = self._cops[walker]
-        u = min(t for t in G.neighbors(u) if dist[t] < dist[u])
+        walker = self._unposted[0]
+        ts = G.neighbors(self._cops[walker])
+        dist = bfs(G, (self._targets[0],), until=ts)   # stops one level short of the walker
+        u = min(t for t in ts if dist[t] is not math.inf)
         move = self._emit(state, walker, u)
         if u == self._targets[0]:
             self._posted.add(u)

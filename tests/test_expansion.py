@@ -1,7 +1,7 @@
 import pytest
 
 from lazycops.errors import UsageError
-from lazycops.expansion import verify_expansion
+from lazycops.expansion import _summarize, verify_expansion
 from lazycops.graph import Graph, gen_gnp, gen_named
 
 
@@ -11,6 +11,13 @@ def test_hypothesis_eps_range_enforced():
         verify_expansion(G, 0.5, 0.2)   # eps >= 0.1
     with pytest.raises(UsageError):
         verify_expansion(G, 0.03, 0.05)  # alpha <= eps
+
+
+def test_a_check_without_samples_passes():
+    check = _summarize("path_count_i=5", [], 2.0)
+    assert check.passed and check.samples == 0 and check.note == "no samples"
+    assert check.mean == check.minimum == check.maximum == 0.0
+    assert _summarize("path_count_i=5", [], 2.0, note="sparse").note == "sparse"
 
 
 def test_complete_graph_flags_density_mismatch():

@@ -77,6 +77,11 @@ def test_reused_builds_give_the_fresh_rows(family, fp, cops, robber, k):
     assert rows[:-1] == _fresh_rows(cfg)
 
 
+def test_fmt_rounds_floats_only():
+    assert experiments._fmt(0.1 + 0.2) == "0.3" and experiments._fmt(2 / 3) == "0.666667"
+    assert experiments._fmt(3) == "3" and experiments._fmt("-") == "-"
+
+
 def test_random_rows_vary_across_trials():
     # the trial seed reaches random players built on a reused graph
     cfg = ExperimentConfig(family="grid2d", family_params={"n": 5}, k=1,

@@ -12,6 +12,7 @@ from lazycops.gnp import (
     BOUNDARY_SPARSE,
     MAIN,
     GnpRobberStrategy,
+    _level_count,
     gnp_params,
     gnp_robber_move,
 )
@@ -41,6 +42,17 @@ def test_params_j_from_alpha():
     assert gnp_params(500, 0.05, 0.5).j == 1   # boundary alpha = 1/(j+1)
     assert gnp_params(500, 0.05, 0.34).j == 2
     assert gnp_params(500, 0.05, 0.25).j == 3  # boundary again
+
+
+def test_level_count_leaves_room_for_its_levels():
+    # gnp_params divides by 1 - j * alpha; random alphas, and 1/k on and
+    # just off the boundary tolerance
+    rng = random.Random(0)
+    alphas = [rng.random() for _ in range(200_000)]
+    alphas += [1 / k + e for k in range(2, 2000) for e in (0, -1e-9, -1e-12, 1e-12, 1e-9)]
+    assert len(alphas) == 209_990
+    bad = [a for a in alphas if 0 < a < 1 and not _level_count(a) * a < 1]
+    assert bad == []
 
 
 def test_params_invalid_alpha():

@@ -52,6 +52,11 @@ def test_path_graph():
     assert G.distance(0, 4) == 4
 
 
+def test_graph_repr():
+    assert repr(gen_named("path", 5)) == "Graph(n=5, m=4)"
+    assert repr(HypercubeGraph(3)) == "Graph(n=8, m=12)"
+
+
 def test_cycle_graph():
     G = gen_named("cycle", 6)
     assert G.n == 6 and G.m == 6
@@ -298,16 +303,50 @@ def test_searches_reject_out_of_range_sources(source):
         components_without(G, {0, 1, 2, 3, source})
 
 
+def _check_stopped_searches(G, sources, deleted, radius):
+    """`bfs` with `until` against `reference_bfs` and against the full row
+    cut after the stop level, the least full distance over `until`.  Each
+    `until` holds the vertices at or beyond one level of the full row, plus
+    the deleted and unreached ones, which never stop the search; the last
+    holds only those."""
+    full = reference_bfs(G, sources, deleted, radius)
+    never = [v for v, d in enumerate(full) if d is math.inf]
+    for stop in sorted({d for d in full if d is not math.inf}) + [math.inf]:
+        until = [v for v, d in enumerate(full) if stop <= d < math.inf] + never
+        got = bfs(G, sources, deleted, radius, until)
+        assert got == reference_bfs(G, sources, deleted, radius, until)
+        assert got == [d if d <= stop else math.inf for d in full]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dense_searches())
 def test_bfs_matches_reference_on_dense_gnp(case):
     G, sources, deleted, radius = case
     assert bfs(G, sources, deleted, radius) == reference_bfs(G, sources, deleted, radius)
+    _check_stopped_searches(G, sources, deleted, radius)
 
 
 def test_bfs_matches_reference_on_fixed_searches():
     for G, sources, deleted, radius in _fixed_searches():
         assert bfs(G, sources, deleted, radius) == reference_bfs(G, sources, deleted, radius)
+        _check_stopped_searches(G, sources, deleted, radius)
+
+
+def test_bfs_stops_after_the_first_level_meeting_until():
+    inf = math.inf
+    P = gen_named("path", 6)
+    assert bfs(P, (0,), until=()) == bfs(P, (0,)) == [0, 1, 2, 3, 4, 5]
+    assert bfs(P, (0,), until=(3, 5)) == [0, 1, 2, 3, inf, inf]
+    # a source inside `until`: only the sources read 0
+    assert bfs(P, (2,), until={2, 4}) == [inf, inf, 0, inf, inf, inf]
+    assert bfs(P, (0, 5), until=(5,)) == [0, inf, inf, inf, inf, 0]
+    # deleted or unreachable vertices of `until` never stop the search
+    assert bfs(P, (0,), {3}, until={3}) == [0, 1, 2, inf, inf, inf]
+    two = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert bfs(two, (0,), until=(3, 4)) == [0, 1, 2, inf, inf]
+    # `radius` and `until`: whichever stops first
+    assert bfs(P, (0,), radius=2, until=(4,)) == [0, 1, 2, inf, inf, inf]
+    assert bfs(P, (0,), radius=4, until=(2,)) == [0, 1, 2, inf, inf, inf]
 
 
 def test_expansion_report_independent_of_ball_tables(monkeypatch):

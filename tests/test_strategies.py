@@ -10,7 +10,8 @@ from lazycops import game, strategies
 from lazycops.errors import StrategyError, UsageError
 from lazycops.game import PASS, GameRecord, play
 from lazycops.gnp import GnpRobberStrategy
-from lazycops.graph import Graph, component_of, farthest_vertex, gen_gnp, gen_named
+from lazycops.graph import (Graph, HypercubeGraph, component_of, farthest_vertex, gen_gnp,
+                            gen_named)
 from lazycops.potential import PotentialRobberStrategy
 from lazycops.solver import solve_lazy
 from lazycops.strategies import (
@@ -27,6 +28,7 @@ from lazycops.strategies import (
 )
 from reference_bfs import reference_bfs
 from reference_game import reference_play
+from reference_greedy import ReferenceGreedyCops
 from reference_separator import ReferenceSeparatorCops
 
 
@@ -46,6 +48,39 @@ def test_greedy_cop_passes_when_robber_in_other_component():
     cop_moves = [e for e in rec.transcript[2:] if e["side"] == "cops"]
     assert len(cop_moves) == 5
     assert all(e == {"side": "cops", "from": None, "to": None} for e in cop_moves)
+
+
+def _greedy_corpus():
+    # G(n, p) from below the connectivity threshold (many components) to dense
+    cases = [pytest.param(gen_gnp(n, p, s), id=f"gnp{n}-{p}-{s}")
+             for n, p in ((20, 0.08), (40, 0.05), (60, 0.2), (200, 0.02)) for s in range(2)]
+    cases += [pytest.param(gen_named("grid2d", s), id=f"grid{s}") for s in (4, 9)]
+    cases += [pytest.param(gen_named("path", n), id=f"path{n}") for n in (2, 17)]
+    cases += [pytest.param(gen_named("random_tree", 40, s), id=f"tree{s}") for s in range(2)]
+    cases += [pytest.param(HypercubeGraph(d), id=f"q{d}") for d in (6, 8)]
+    return cases
+
+
+@pytest.mark.parametrize("G", _greedy_corpus())
+def test_greedy_cops_match_reference(G):
+    """Live states with 1 to 5 cops, some on one vertex, some all outside
+    the robber's component: the stopped search picks the full-row move."""
+    rng = random.Random(G.n)
+    strat, ref = GreedyCopStrategy(), ReferenceGreedyCops()
+    passes = 0
+    for _ in range(300):
+        robber = rng.randrange(G.n)
+        home = set(component_of(G, robber, ()))
+        away = [v for v in range(G.n) if v not in home]
+        pool = away if away and rng.random() < 0.2 else [v for v in range(G.n) if v != robber]
+        cops = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            cops.append(cops[0])
+        state = game.GameState(cops, robber, game.COPS, 1)
+        move = strat.move(G, state)
+        assert move == ref.move(G, state), state
+        passes += move is PASS
+    assert (passes > 0) == (not G.is_connected())
 
 
 def test_greedy_robber_stays_unreachable():
