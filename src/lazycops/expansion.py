@@ -104,12 +104,13 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     """Check the expansion properties on sampled vertices/pairs/edges.
 
     d is (n-1) times the observed edge density.  Neighborhood ratios pass
-    when the sample mean of |N_i[v]| / target lies in [1-tau, 1+tau]; the
-    target is the expected closed-ball size 1 + d + ... + d^i, the sum of
-    the sphere sizes d^j (Chung and Lu, "The diameter of sparse random
-    graphs", 2001), or (1 - e^-c) n with c = d^i / n once d^i > n / log n.
-    Path and cycle checks pass when the sample mean stays below the
-    closed-form ceiling.
+    when the sample mean of |N_i[v]| / B_i lies in [1-tau, 1+tau], where
+    B_i is a mean-field approximation of the expected closed-ball size:
+    B_0 = S_0 = 1 and, with p = d/(n-1), each step takes the expected next
+    sphere S_{i+1} = (n - B_i)(1 - (1-p)^S_i) given the current one, and
+    B_{i+1} = B_i + S_{i+1}.  B_1 = 1 + d, B_i is close to 1 + d + ... + d^i
+    while d^i << n, and B_i saturates at n past that.  Path and cycle
+    checks pass when the sample mean stays below the closed-form ceiling.
     """
     check_parameters(alpha, eps, tau)
     n = G.n
@@ -131,19 +132,15 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     verts = sorted(rng.sample(range(n), min(VERTEX_SAMPLES, n)))
 
     # (i) neighborhood growth
+    p = d / (n - 1)
+    ball = sphere = 1.0
     i = 1
     while d ** i <= n:
-        target = sum(d ** j for j in range(i + 1))
-        note = ""
-        if d ** i > n / logn:
-            # the expected ball size once balls hold a share of the vertices
-            # (Luczak and Pralat, "Chasing robbers on random graphs", 2010)
-            cfrac = d ** i / n
-            target = (1.0 - math.exp(-cfrac)) * n
-            note = f"dense regime, c={cfrac:.3f}"
-        ratios = [len(kth_neighborhood(G, v, i)) / target for v in verts]
+        sphere = (n - ball) * (1.0 - (1.0 - p) ** sphere)
+        ball += sphere
+        ratios = [len(kth_neighborhood(G, v, i)) / ball for v in verts]
         report.checks.append(
-            _summarize(f"neighborhood_growth_i={i}", ratios, tau, note=note,
+            _summarize(f"neighborhood_growth_i={i}", ratios, tau,
                        passes=lambda mean: 1.0 - tau <= mean <= 1.0 + tau)
         )
         i += 1

@@ -127,11 +127,6 @@ class HypercubeGraph(Graph):
         super().__init__(n, edges)
         self.dim = dim
 
-    def distances_from(self, v: int) -> tuple:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return tuple((v ^ u).bit_count() for u in range(self.n))
-
 
 # -- breadth-first search ----------------------------------------------------
 

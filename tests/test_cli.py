@@ -329,12 +329,12 @@ def test_simulate_separator_golden_digest_and_stats(tmp_path, capsys):
 
 
 def test_verify_expansion_golden_digest(capsys):
-    # G(600, 600^-0.52): its radius-2 growth check is in the dense regime
+    # G(600, 600^-0.52): its radius-2 ball holds a share of the vertices
     argv = ["verify-expansion", "--n", "600", "--alpha", "0.48", "--eps", "0.05", "--seed", "4"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "4cda1b97f023157a19e178917c30271bb008ef337456939b49c2ba3fc8cd1ca1"
+        "9abaf4f147ad4efca73064638864e1eb48741a3bf6d8b1fb840976b77fa1b6d2"
 
 
 def test_verify_expansion_sparse_golden_digest(capsys):
@@ -346,7 +346,7 @@ def test_verify_expansion_sparse_golden_digest(capsys):
     assert [c["name"] for c in json.loads(out)["checks"] if c["name"].startswith("path")] == \
         [f"path_count_i={i}" for i in range(2, 6)]
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "e23b7c9a055bdbd485d94a530954992d06a9832b09c7d289c0847b807a342942"
+        "55b569a4f4a5c8a8034be64b4000fa498ab83fe4c48cb10a0d69ad52913fab1c"
 
 
 @pytest.mark.parametrize("extra, needle", [
