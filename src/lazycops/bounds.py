@@ -75,12 +75,23 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
 
     which = genus (n, g) | hypercube (n, eps[, constant]) |
     domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  A None
-    parameter counts as absent; others but the regime string must be numbers
-    (not booleans) that fit a float, and they and the value must be finite, as JSON has no NaN or
+    parameter counts as absent; every other must be one the bound reads,
+    and all but the regime string must be numbers (not booleans) that fit
+    a float.  They and the value must be finite, as JSON has no NaN or
     infinity.
     """
+    params = {key: x for key, x in params.items() if x is not None}
+    reads = {"genus": ("n", "g"), "hypercube": ("n", "eps", "constant"),
+             "domination": ("n", "delta") if "delta" in params else ("n", "p"),
+             "gnp": ("n", "p", "alpha", "regime")}.get(which)
+    if reads is None:
+        raise UsageError(f"unknown bound {which!r}")
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise UsageError(f"bound {which!r} does not read {unread[0]!r} "
+                         f"(it reads {', '.join(reads)})")
     for key, x in params.items():
-        if key == "regime" or x is None:  # a name, checked by gnp_params; or absent
+        if key == "regime":  # a name, checked by gnp_params
             continue
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise UsageError(f"parameter {key!r} must be a number, got {x!r}")
@@ -101,17 +112,15 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
             value = domination_budget(
                 params.get("n"), params.get("p"), params.get("delta")
             )
-        elif which == "gnp":
+        else:
             value = gnp_params(
                 params["n"], params["p"], params["alpha"],
                 params.get("regime", "auto"),
             ).K
-        else:
-            raise UsageError(f"unknown bound {which!r}")
     except KeyError as exc:
         raise UsageError(f"bound {which!r} missing parameter {exc.args[0]!r}") from exc
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise UsageError(f"bound {which!r} overflows a float")
-    return BoundReport(which, dict(params), value)
+    return BoundReport(which, params, value)

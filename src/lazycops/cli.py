@@ -146,8 +146,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bounds(args) -> int:
     names = ("n", "g", "alpha", "p", "eps", "delta", "constant")
-    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    report = theoretical_bounds(args.which, **params)
+    report = theoretical_bounds(args.which, **{k: getattr(args, k) for k in names})
     print(json.dumps(report.to_dict()))
     return 0
 

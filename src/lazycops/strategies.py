@@ -159,10 +159,13 @@ class SeparatorCopStrategy:
 
     Guards are posted on a separator of the robber's current region and
     never move again; the region containing the robber therefore shrinks
-    by a factor <= 2/3 per completed level.  One cop walks at a time (the
-    lowest-indexed unposted cop), along shortest paths with lowest-id
-    tie-breaks.  The root separator is occupied at placement time.
-    `stats()` reports the plan and the guards posted so far.
+    by a factor <= 2/3 per completed level.  One cop walks at a time,
+    along shortest paths with lowest-id tie-breaks; the cops beyond the
+    root separator wait on its first vertex, and the next one leaves when
+    the walker reaches its target.  The root separator is occupied at
+    placement time.  Every region is planned up front, so play reads the
+    plan and never searches.  `stats()` reports the plan and the guards
+    posted so far.
     """
 
     def __init__(self, G: Graph):
@@ -170,31 +173,23 @@ class SeparatorCopStrategy:
             raise UsageError("separator strategy requires a connected graph")
         t0 = perf_counter()
         self._G = G
-        self.root_separator = sorted(find_balanced_separator(G))
         # region tuple -> its separator, filled by planning in visit order; play and report read it
-        self._plan: dict = {tuple(range(G.n)): tuple(self.root_separator)}
-        self.required_cops = self._required(sorted(range(G.n)))
+        self._plan: dict = {}
+        self.required_cops = self._required(list(range(G.n)))
+        self.root_separator = list(self._plan[tuple(range(G.n))])
         self._plan_s = perf_counter() - t0
-        # per-game cursors
-        self._cops: list = []
-        self._posted: set = set()
-        self._unposted: list = []
+        # per-game cursors: the guards in posting order, the walking cop's vertex, its targets
+        self._posted: dict = {}
+        self._walker = None
         self._targets: list = []
 
-    def _separator_of(self, region: list) -> tuple:
-        key = tuple(region)
-        sep = self._plan.get(key)
-        if sep is None:
-            if len(region) == 1:
-                sep = key
-            else:
-                sub, order = self._G.induced_subgraph(region)
-                sep = tuple(sorted(order[i] for i in find_balanced_separator(sub)))
-            self._plan[key] = sep
-        return sep
-
     def _required(self, region: list) -> int:
-        sep = self._separator_of(region)
+        if len(region) == 1:
+            sep = tuple(region)
+        else:
+            sub, order = self._G.induced_subgraph(region)
+            sep = tuple(sorted(order[i] for i in find_balanced_separator(sub)))
+        self._plan[tuple(region)] = sep
         rest = set(region) - set(sep)
         subs = components_without(self._G, set(range(self._G.n)) - rest)
         return len(sep) + max((self._required(comp) for comp in subs), default=0)
@@ -224,41 +219,33 @@ class SeparatorCopStrategy:
                 f"separator strategy needs {self.required_cops} cops, got {k}"
             )
         sep = self.root_separator
-        self._cops = sep + [sep[0]] * (k - len(sep))
-        self._posted = set(sep)
-        self._unposted = list(range(len(sep), k))
+        self._posted = dict.fromkeys(sep)
+        self._walker = sep[0]
         self._targets = []
-        return list(self._cops)
-
-    def _emit(self, state: GameState, internal_idx: int, target: int):
-        u = self._cops[internal_idx]
-        move = CopMove(state.cops.index(u), target)
-        self._cops[internal_idx] = target
-        return move
+        return sep + [sep[0]] * (k - len(sep))
 
     def move(self, G: Graph, state: GameState):
         r = state.robber
-        # capture greedily whenever some cop is adjacent
-        for idx, u in enumerate(self._cops):
+        # capture greedily whenever some cop is adjacent: the guards first, then the walker
+        for u in (*self._posted, self._walker):
             if G.has_edge(u, r):
-                return self._emit(state, idx, r)
+                return CopMove(state.cops.index(u), r)
 
         if not self._targets:
-            region = component_of(G, r, self._posted)
-            self._targets = list(self._separator_of(region))
+            self._targets = list(self._plan[tuple(component_of(G, r, self._posted))])
 
-        # the walker, the first unposted cop, stands on a posted root vertex or
-        # on its way, and a target lies in the robber's region, off every posted
-        # vertex: the walker is never on its target, so it always has a step
-        walker = self._unposted[0]
-        ts = G.neighbors(self._cops[walker])
+        # the walker stands on a posted root vertex or on its way, and a target
+        # lies in the robber's region, off every posted vertex: the walker is
+        # never on its target, so it always has a step
+        ts = G.neighbors(self._walker)
         dist = bfs(G, (self._targets[0],), until=ts)   # stops one level short of the walker
         u = min(t for t in ts if dist[t] is not math.inf)
-        move = self._emit(state, walker, u)
+        move = CopMove(state.cops.index(self._walker), u)
+        self._walker = u
         if u == self._targets[0]:
-            self._posted.add(u)
-            self._unposted.pop(0)
+            self._posted[u] = None
             self._targets.pop(0)
+            self._walker = self.root_separator[0]   # where the next walker waits
         return move
 
 

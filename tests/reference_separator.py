@@ -11,19 +11,20 @@ the union-find pruning there.
 subset search, exponential in n: the oracle that the heuristic is never
 smaller than.
 
-`ReferenceSeparatorCops` keeps the separator cops' earlier bookkeeping: the
-walking cop and its distance row held in two cursors, and the report built
-from a log appended during planning.  The strategy itself derives the walk
-from its unposted cops and targets and reads the report off its plan; the
-differential tests check that both forms play and report alike.
+`ReferenceSeparatorCops` plans its regions with `reference_separator` and
+keeps the separator cops' earlier bookkeeping: a position for every cop,
+the unposted cops by index, the walking cop and its distance row held in
+two cursors, and the report built from a log appended during planning.  The
+strategy itself plans with `find_balanced_separator`, holds only the
+guards and the walker's vertex, and reads the report off its plan; the
+differential tests check that both forms plan, play and report alike.
 """
 
 from itertools import combinations
 
 from lazycops.bounds import ght_separator_bound
-from lazycops.game import PASS
-from lazycops.graph import component_of
-from lazycops.strategies import SeparatorCopStrategy
+from lazycops.game import PASS, CopMove
+from reference_bfs import reference_bfs
 
 
 def _components(G, removed):
@@ -105,17 +106,39 @@ def exact_separator(G):
     return set(range(n))
 
 
-class ReferenceSeparatorCops(SeparatorCopStrategy):
-    """Separator cops with a stored walk and a log-built report."""
+class _Induced:
+    """The subgraph of G on the sorted `region`, relabelled 0..len(region)-1."""
+
+    def __init__(self, G, region):
+        index = {v: i for i, v in enumerate(region)}
+        self.n = len(region)
+        self._nbrs = [[index[w] for w in G.neighbors(v) if w in index] for v in region]
+
+    def neighbors(self, i):
+        return self._nbrs[i]
+
+
+class ReferenceSeparatorCops:
+    """Separator cops planned with `reference_separator`, with a per-cop
+    position list, a stored walk and a log-built report."""
 
     def __init__(self, G):
+        self._G = G
+        self._plan = {}  # region tuple -> its separator tuple, in visit order
         self._log = []  # (region, separator, within the GHT bound), in visit order
-        super().__init__(G)
+        self.required_cops = self._required(list(range(G.n)))
+        self.root_separator = list(self._plan[tuple(range(G.n))])
 
     def _required(self, region):
-        sep = self._separator_of(region)
+        if len(region) == 1:
+            sep = tuple(region)
+        else:
+            sep = tuple(sorted(region[i] for i in reference_separator(_Induced(self._G, region))))
+        self._plan[tuple(region)] = sep
         self._log.append((region, sep, len(sep) <= ght_separator_bound(len(region), 0)))
-        return super()._required(region)
+        removed = set(range(self._G.n)) - (set(region) - set(sep))
+        subs = [sorted(comp) for comp in _components(self._G, removed)]
+        return len(sep) + max((self._required(comp) for comp in subs), default=0)
 
     def separator_report(self):
         return {
@@ -126,9 +149,18 @@ class ReferenceSeparatorCops(SeparatorCopStrategy):
         }
 
     def place(self, G, k):
-        placement = super().place(G, k)
+        sep = self.root_separator
+        self._cops = sep + [sep[0]] * (k - len(sep))
+        self._posted = set(sep)
+        self._unposted = list(range(len(sep), k))
+        self._targets = []
         self._walker = self._walk_dist = None
-        return placement
+        return list(self._cops)
+
+    def _emit(self, state, idx, target):
+        move = CopMove(state.cops.index(self._cops[idx]), target)
+        self._cops[idx] = target
+        return move
 
     def move(self, G, state):
         r = state.robber
@@ -137,11 +169,12 @@ class ReferenceSeparatorCops(SeparatorCopStrategy):
                 return self._emit(state, idx, r)
         if self._walker is None:
             if not self._targets:
-                self._targets = list(self._separator_of(component_of(G, r, self._posted)))
+                region = next(c for c in _components(G, self._posted) if r in c)
+                self._targets = list(self._plan[tuple(sorted(region))])
             if not self._unposted:
                 return PASS
             self._walker = self._unposted[0]
-            self._walk_dist = G.distances_from(self._targets[0])
+            self._walk_dist = reference_bfs(G, (self._targets[0],))
         u = self._cops[self._walker]
         u = min(t for t in G.neighbors(u) if self._walk_dist[t] < self._walk_dist[u])
         move = self._emit(state, self._walker, u)

@@ -96,3 +96,18 @@ def test_dispatch_errors():
         theoretical_bounds("genus", n=10 ** 300, g=10 ** 300)
     with pytest.raises(UsageError, match="unknown regime"):
         theoretical_bounds("gnp", n=100, p=0.1, alpha=0.4, regime=["main"])
+
+
+def test_dispatch_rejects_unread_parameters():
+    for which, params, key in (("genus", dict(n=100, g=1, p=0.5), "p"),
+                               ("domination", dict(n=100, p=0.5, delta=3), "p"),
+                               ("hypercube", dict(n=10, eps=1, alpha=0.4), "alpha"),
+                               ("gnp", dict(n=1000, p=0.01, alpha=0.4, delta=2), "delta")):
+        with pytest.raises(UsageError, match=f"bound '{which}' does not read '{key}'"):
+            theoretical_bounds(which, **params)
+    # None is absent for every parameter, the optional ones included
+    assert theoretical_bounds("genus", n=96, g=0, p=None).inputs == {"n": 96, "g": 0}
+    assert theoretical_bounds("hypercube", n=12, eps=0.5, constant=None).value == (
+        hypercube_budget(12, 0.5))
+    assert theoretical_bounds("gnp", n=1000, p=0.01, alpha=0.4, regime=None).value == (
+        theoretical_bounds("gnp", n=1000, p=0.01, alpha=0.4).value)

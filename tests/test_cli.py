@@ -625,6 +625,14 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
      "parameter 'n' is too large for a float"),
     ("bounds", ["--which", "hypercube", "--n", "10", "--eps", "1", "--constant=-5"],
      "constant > 0"),
+    # a parameter the bound would ignore is named, not echoed back or overridden
+    ("bounds", ["--which", "genus", "--n", "100", "--g", "1", "--p", "0.5"],
+     "bound 'genus' does not read 'p'"),
+    ("bounds", ["--which", "domination", "--n", "100", "--p", "0.5", "--delta", "3"],
+     "bound 'domination' does not read 'p'"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "genus", "n": 10, "g": 0,
+                                                         "eps": 1}},
+     "bound 'genus' does not read 'eps'"),
     # an unknown family is named before any key it is given, or not given
     ("experiment", {"family": "foo", "family_params": {"p": 0.3}, "k": 1},
      "unknown graph kind 'foo'"),

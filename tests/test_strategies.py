@@ -196,17 +196,28 @@ def test_separator_play_reads_the_plan(monkeypatch):
     import lazycops.strategies as strategies
 
     for G in (gen_named("grid2d", 6), gen_named("random_tree", 30, 4)):
-        replanned = SeparatorCopStrategy(G)
-        k = replanned.required_cops
+        ref = ReferenceSeparatorCops(G)
+        k = ref.required_cops
         for robber in (GreedyRobberStrategy, lambda: RandomRobberStrategy(2)):
-            replanned._plan.clear()  # every region is searched again during play
-            expected = play(G, replanned, robber(), k, 10 * G.n * k)
+            expected = play(G, ref, robber(), k, 10 * G.n * k)
             planned = SeparatorCopStrategy(G)
             with monkeypatch.context() as m:
                 m.setattr(strategies, "find_balanced_separator", None)
                 rec = play(G, planned, robber(), k, 10 * G.n * k)
             assert rec.outcome == "capture"
             assert rec.transcript == expected.transcript
+
+
+@pytest.mark.parametrize("G, robber, k, rounds, last", [
+    (gen_named("grid2d", 10), lambda: RandomRobberStrategy(1), 26, 23, (17, 18)),
+    (gen_gnp(25, 0.3, 9), GreedyRobberStrategy, 19, 4, (5, 2)),
+])
+def test_separator_captures_with_guards_before_walker(G, robber, k, rounds, last):
+    # the capturing cop is the first adjacent one among the guards in posting
+    # order, then the walker; the lowest adjacent vertex would capture from 8 and 1
+    rec = play(G, SeparatorCopStrategy(G), robber(), k, 10 * G.n * k)
+    assert (rec.outcome, rec.rounds_played) == ("capture", rounds)
+    assert rec.transcript[-1] == {"side": "cops", "from": last[0], "to": last[1]}
 
 
 def test_separator_report_structure():
@@ -231,7 +242,7 @@ def test_separator_stats_follow_plan_and_guards():
     assert strat.stats()["posted"] == len(strat.root_separator) == 4
     rec = play(G, strat, GreedyRobberStrategy(), 12, 200)
     # the root separator's cops and every walker that reached its target
-    assert rec.outcome == "capture" and 4 < strat.stats()["posted"] == 12 - len(strat._unposted)
+    assert rec.outcome == "capture" and 4 < strat.stats()["posted"]
     assert strat.stats()["regions"] == len(strat.separator_report()["levels"])
 
 
@@ -246,6 +257,7 @@ def _separator_corpus():
 @pytest.mark.parametrize("G", _separator_corpus())
 def test_separator_matches_reference(G):
     strat, ref = SeparatorCopStrategy(G), ReferenceSeparatorCops(G)
+    assert list(strat._plan.items()) == list(ref._plan.items())
     report = strat.separator_report()
     assert report == ref.separator_report()
     assert report["required_cops"] == ref.required_cops
