@@ -74,16 +74,15 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
     """Dispatch the named bound; exact closed-form evaluation.
 
     which = genus (n, g) | hypercube (n, eps[, constant]) |
-    domination (n, delta | n, p) | gnp (n, p, alpha[, regime]).  A None
-    parameter counts as absent; every other must be one the bound reads,
-    and all but the regime string must be numbers (not booleans) that fit
-    a float.  They and the value must be finite, as JSON has no NaN or
-    infinity.
+    domination (n, delta | n, p) | gnp (n, p, alpha).  A None
+    parameter counts as absent; every other must be one the bound reads
+    and a number (not a boolean) that fits a float.  They and the value
+    must be finite, as JSON has no NaN or infinity.
     """
     params = {key: x for key, x in params.items() if x is not None}
     reads = {"genus": ("n", "g"), "hypercube": ("n", "eps", "constant"),
              "domination": ("n", "delta") if "delta" in params else ("n", "p"),
-             "gnp": ("n", "p", "alpha", "regime")}.get(which)
+             "gnp": ("n", "p", "alpha")}.get(which)
     if reads is None:
         raise UsageError(f"unknown bound {which!r}")
     unread = sorted(set(params) - set(reads))
@@ -91,8 +90,6 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
         raise UsageError(f"bound {which!r} does not read {unread[0]!r} "
                          f"(it reads {', '.join(reads)})")
     for key, x in params.items():
-        if key == "regime":  # a name, checked by gnp_params
-            continue
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise UsageError(f"parameter {key!r} must be a number, got {x!r}")
         try:
@@ -113,10 +110,7 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
                 params.get("n"), params.get("p"), params.get("delta")
             )
         else:
-            value = gnp_params(
-                params["n"], params["p"], params["alpha"],
-                params.get("regime", "auto"),
-            ).K
+            value = gnp_params(params["n"], params["p"], params["alpha"]).K
     except KeyError as exc:
         raise UsageError(f"bound {which!r} missing parameter {exc.args[0]!r}") from exc
     except OverflowError:

@@ -29,7 +29,6 @@ BOUNDARY_DENSE = "boundary-dense"
 BOUNDARY_MID = "boundary-mid"
 BOUNDARY_SPARSE = "boundary-sparse"
 
-_REGIMES = (MAIN, BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE)
 _ALPHA_TOL = 1e-9
 
 
@@ -60,7 +59,7 @@ def _level_count(alpha: float) -> int:
     return max(j, 1)
 
 
-def gnp_params(n: int, p: float, alpha: float, regime: str = "auto") -> GnpRobberParams:
+def gnp_params(n: int, p: float, alpha: float) -> GnpRobberParams:
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
     if not 0.0 < alpha < 1.0:
@@ -72,18 +71,14 @@ def gnp_params(n: int, p: float, alpha: float, regime: str = "auto") -> GnpRobbe
     d = (n - 1) * p
     logn = math.log(n)
 
-    at_boundary = abs(alpha - 1.0 / (j + 1)) < _ALPHA_TOL
-    if regime == "auto":
-        if not at_boundary:
-            regime = MAIN
-        elif d ** (j + 1) >= 7.0 * n * logn:
-            regime = BOUNDARY_DENSE
-        elif d ** (j + 1) >= n / logn:
-            regime = BOUNDARY_MID
-        else:
-            regime = BOUNDARY_SPARSE
-    elif regime not in _REGIMES:
-        raise UsageError(f"unknown regime {regime!r}")
+    if abs(alpha - 1.0 / (j + 1)) >= _ALPHA_TOL:
+        regime = MAIN
+    elif d ** (j + 1) >= 7.0 * n * logn:
+        regime = BOUNDARY_DENSE
+    elif d ** (j + 1) >= n / logn:
+        regime = BOUNDARY_MID
+    else:
+        regime = BOUNDARY_SPARSE
 
     base = 2.0 * c * (j + 1 if regime == BOUNDARY_SPARSE else j)
     thresholds = [0.0, 0.0]

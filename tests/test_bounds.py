@@ -81,7 +81,7 @@ def test_dispatch_errors():
     with pytest.raises(UsageError):
         theoretical_bounds("genus", n=5)  # missing g
     with pytest.raises(UsageError, match="n must be >= 2"):  # not a ZeroDivisionError
-        theoretical_bounds("gnp", n=1, p=0.5, alpha=0.5, regime="boundary-mid")
+        theoretical_bounds("gnp", n=1, p=0.5, alpha=0.5)
     with pytest.raises(UsageError, match="'g' must be finite"):
         theoretical_bounds("genus", n=10, g=-math.inf)
     for bad in ("10", [1], True):
@@ -94,7 +94,7 @@ def test_dispatch_errors():
         theoretical_bounds("genus", n=10 ** 400, g=0)
     with pytest.raises(UsageError, match="'genus' overflows a float"):  # n * g overflows
         theoretical_bounds("genus", n=10 ** 300, g=10 ** 300)
-    with pytest.raises(UsageError, match="unknown regime"):
+    with pytest.raises(UsageError, match="bound 'gnp' does not read 'regime'"):
         theoretical_bounds("gnp", n=100, p=0.1, alpha=0.4, regime=["main"])
 
 

@@ -609,7 +609,7 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
     ("bounds", ["--which", "hypercube", "--n", "2000", "--eps", "1"], "overflows a float"),
     ("bounds", ["--which", "genus", "--n", "10", "--g", "1e308"], "overflows a float"),
     ("experiment", {**_GOOD, "k": None, "bounds_query": {
-        "which": "gnp", "n": 1, "p": 0.5, "alpha": 0.5, "regime": "boundary-mid"}},
+        "which": "gnp", "n": 1, "p": 0.5, "alpha": 0.5}},
      "n must be >= 2"),
     ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": "genus", "n": "10", "g": 0}},
      "parameter 'n' must be a number, got '10'"),
@@ -637,6 +637,10 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
     ("experiment", {"family": "foo", "family_params": {"p": 0.3}, "k": 1},
      "unknown graph kind 'foo'"),
     ("gen", ["--kind", "foo"], "unknown graph kind 'foo'"),
+    # the G(n,p) regime follows from (n, p, alpha): it cannot be forced
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {
+        "which": "gnp", "n": 1000, "p": 0.01, "alpha": 0.4, "regime": "main"}},
+     "bound 'gnp' does not read 'regime'"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"

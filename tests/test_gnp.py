@@ -75,16 +75,16 @@ def test_params_thresholds_increasing():
 
 
 def test_boundary_regimes():
-    # alpha = 1/2 is a boundary exponent (j = 1); the regime depends on
-    # d^2 against 7n log n and n / log n
+    # at a boundary exponent alpha = 1/(j+1) the regime depends on d^(j+1)
+    # against 7n log n and n / log n, and boundary-sparse tracks the extra
+    # level j + 1: d = 350, 100, 10 at alpha = 1/2 (j = 1) and d = 60, 20, 4
+    # at alpha = 1/3 (j = 2) give dense, mid and sparse
     n = 2000
-    dense = gnp_params(n, 350.0 / (n - 1), 0.5)   # d^2 well above 7n log n
-    assert dense.regime == BOUNDARY_DENSE
-    mid = gnp_params(n, 100.0 / (n - 1), 0.5)     # d^2 between the cutoffs
-    assert mid.regime == BOUNDARY_MID
-    sparse = gnp_params(n, 10.0 / (n - 1), 0.5)   # d^2 below n / log n
-    assert sparse.regime == BOUNDARY_SPARSE
-    assert sparse.max_level == sparse.j + 1       # extra tracked level
+    for alpha, j, ds in ((0.5, 1, (350, 100, 10)), (1 / 3, 2, (60, 20, 4))):
+        for d, regime in zip(ds, (BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE)):
+            params = gnp_params(n, d / (n - 1), alpha)
+            max_level = j + 1 if regime == BOUNDARY_SPARSE else j
+            assert (params.j, params.regime, params.max_level) == (j, regime, max_level)
 
 
 def test_boundary_scaling_units():
@@ -110,18 +110,15 @@ def test_boundary_scaling_units():
 
 # -- safety / danger classifiers (reference predicates) ------------------------
 
-def _params_for(G, alpha=0.4, regime="auto"):
+def _params_for(G, alpha=0.4):
     p = 2.0 * G.m / (G.n * (G.n - 1))
-    return gnp_params(G.n, p, alpha, regime)
+    return gnp_params(G.n, p, alpha)
 
 
-# (alpha, regime) pairs: three interior exponents, and the boundary
-# exponents 1/3 and 1/4 with each regime forced, so that boundary-sparse
-# tracks level j + 1 and the cop and prev search radii differ
-_ALPHA_REGIMES = [(0.4, "auto"), (0.3, "auto"), (0.6, "auto")] + [
-    (alpha, regime) for alpha in (1 / 3, 1 / 4)
-    for regime in (MAIN, BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE)
-]
+# three interior exponents, and the boundary exponents 1/3 and 1/4, where
+# the graph's density picks the regime: boundary-sparse tracks level j + 1
+# and the cop and prev search radii differ
+_ALPHAS = (0.4, 0.3, 0.6, 1 / 3, 1 / 4)
 
 
 def test_safe_no_cops():
@@ -267,9 +264,10 @@ def test_robber_move_matches_oracle():
     branches = {True: 0, False: 0}
     prevs = {True: 0, False: 0}
     only_neighbour = 0
+    regimes = dict.fromkeys((MAIN, BOUNDARY_DENSE, BOUNDARY_MID, BOUNDARY_SPARSE), 0)
     while sum(branches.values()) < 400:
         n = rng.randrange(8, 31)
-        G = gen_gnp(n, 0.25, rng.randrange(10_000))
+        G = gen_gnp(n, rng.choice([0.1, 0.25, 0.4]), rng.randrange(10_000))
         v = rng.randrange(n)
         nbrs = list(G.neighbors(v))
         if not nbrs:
@@ -278,16 +276,19 @@ def test_robber_move_matches_oracle():
         # 1-4 cops, often sharing a vertex
         spots = rng.sample([u for u in range(n) if u != v], rng.randrange(1, 5))
         cops = rng.choices(spots, k=len(spots))
-        params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
+        params = _loosened(rng, _params_for(G, rng.choice(_ALPHAS)))
         want, survived = _oracle_robber_move(G, cops, v, prev, params)
         assert gnp_robber_move(G, GameState(cops, v, ROBBER), params, prev) == (want, survived)
         branches[survived] += 1
         prevs[prev is None] += 1
         only_neighbour += nbrs == [prev]
+        regimes[params.regime] += 1
     # both the survivor rule and the fallback ranking were exercised, and
-    # so was the fallback onto prev when it is the only neighbour
+    # so was the fallback onto prev when it is the only neighbour, in
+    # every regime
     assert min(branches.values()) >= 30 and min(prevs.values()) >= 30
     assert only_neighbour >= 1
+    assert min(regimes.values()) >= 15, regimes
 
 
 class _CheckedRobber(GnpRobberStrategy):
@@ -346,7 +347,7 @@ def test_robber_move_matches_reference():
         prev = {"none": None, "neighbour": rng.choice(nbrs), "only": nbrs[0],
                 "stayed": rng.choice(far) if far else None}[kind]
         cops = rng.choices(range(n), k=rng.randrange(1, 5))
-        params = _loosened(rng, _params_for(G, *rng.choice(_ALPHA_REGIMES)))
+        params = _loosened(rng, _params_for(G, rng.choice(_ALPHAS)))
         state = GameState(cops, v, ROBBER)
         want, survived = reference_gnp_move(G, state, params, prev)
         assert gnp_robber_move(G, state, params, prev) == (want, survived)
