@@ -14,7 +14,7 @@ from .errors import CapExceededError, LazyCopsError, UsageError
 from .expansion import check_parameters, verify_expansion
 from .experiments import ExperimentConfig, run_experiment
 from .game import play
-from .graph import gen_gnp, gen_named, parse_graph, serialize_graph
+from .graph import check_ball_tables, gen_gnp, gen_named, parse_graph, serialize_graph
 from .bounds import theoretical_bounds
 from .solver import cop_number, solve_classic, solve_lazy
 from .strategies import make_players
@@ -129,6 +129,7 @@ def _cmd_verify_expansion(args) -> int:
     if args.n < 2:
         raise UsageError(f"n must be >= 2, got {args.n}")
     check_parameters(args.alpha, args.eps, args.tolerance)
+    check_ball_tables(args.n, 1)   # every check reads radius-1 balls
     G = gen_gnp(args.n, args.n ** (args.alpha - 1.0), args.seed)
     report = verify_expansion(G, args.alpha, args.eps, tau=args.tolerance,
                               seed=args.seed)

@@ -3,7 +3,8 @@
 Graphs are simple and undirected with vertices 0..n-1.  Loops are never
 stored: the reflexive convention (every piece may stay put) lives in the
 game layer.  All randomness flows through ``random.Random`` (MT19937) with
-explicit seeds, so every generator is bit-reproducible.
+explicit seeds, so every generator is bit-reproducible (gen_gnp wherever
+math.log rounds alike).
 """
 
 from __future__ import annotations
@@ -315,16 +316,39 @@ def _ids(n: int) -> tuple:
 
 
 def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
-    """G(n,p): each pair (u,v), u<v in lexicographic order, kept w.p. p.
+    """G(n,p): each pair (u,v), u<v, kept independently w.p. p.
 
-    The pair-enumeration order is fixed so output is bit-reproducible for a
-    given (n, p, seed).
+    Geometric skips (Batagelj and Brandes, "Efficient generation of large
+    random networks", Phys. Rev. E 71, 2005): the pairs are walked in
+    lexicographic order, and each draw U passes over the next
+    floor(log(1 - U) / log(1 - p)) pairs to the one kept after them.  That
+    is one draw per edge plus one past the last pair (none when p = 0), so
+    the work is O(n + m), not one draw per pair.  A seed fixes the graph
+    wherever math.log rounds alike.
     """
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"p must lie in [0,1], got {p}")
-    draw = random.Random(seed).random
+    return Graph(n, _gnp_edges(n, p, seed) if p else ())
+
+
+def _gnp_edges(n: int, p: float, seed: int | None):
+    """gen_gnp's kept pairs in order, 0 < p <= 1, with ends from _ids(n)."""
+    draw, log = random.Random(seed).random, math.log
+    log_q = math.log1p(-p) if p < 1.0 else -INF   # log1p(-1) raises
     ids = _ids(n)
-    return Graph(n, ((u, v) for u in ids for v in ids[u + 1:] if draw() < p))
+    left = n * (n - 1) // 2   # pairs after the current one
+    u = v = 0                 # the current pair; (0, 0) stands before (0, 1)
+    while True:
+        skip = log(1.0 - draw()) / log_q
+        if skip >= left:      # also an infinite skip, which int() rejects
+            return
+        skip = int(skip) + 1
+        left -= skip
+        v += skip
+        while v >= n:         # past row u: row u + 1 starts at column u + 2
+            u += 1
+            v += u + 1 - n
+        yield ids[u], ids[v]
 
 
 # -- neighbourhood / path / cycle counting -----------------------------------
@@ -332,6 +356,13 @@ def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
 def _flags(x: int) -> bytes:
     """One byte per bit of x, lowest first: 1 where the bit is set, else 0."""
     return bin(x)[:1:-1].encode().translate(_FLAGS)
+
+
+def check_ball_tables(n: int, count: int) -> None:
+    """Raise CapExceededError if `count` ball tables of an n-vertex graph,
+    about n*n/8 bytes each, pass BALL_TABLE_BYTES."""
+    if count * (n * n // 8) > BALL_TABLE_BYTES:
+        raise CapExceededError(f"ball table {count} passes {BALL_TABLE_BYTES} bytes")
 
 
 def _ball_table(G: Graph, r: int) -> tuple:
@@ -343,8 +374,7 @@ def _ball_table(G: Graph, r: int) -> tuple:
     """
     tables = G._balls
     while len(tables) < r and not G._whole:
-        if (len(tables) + 1) * (G.n * G.n // 8) > BALL_TABLE_BYTES:
-            raise CapExceededError(f"ball table {len(tables) + 1} passes {BALL_TABLE_BYTES} bytes")
+        check_ball_tables(G.n, len(tables) + 1)
         prev = tables[-1] if tables else tuple(1 << v for v in range(G.n))
         table = tuple(reduce(or_, map(prev.__getitem__, a), prev[v]) for v, a in enumerate(G._adj))
         G._whole = table == prev

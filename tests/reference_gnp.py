@@ -12,12 +12,58 @@ from `reference_bfs`, so it can catch mistakes in those shortcuts.
 r-dangerous classifications one vertex and one level at a time, from one
 search each; `gnp_robber_move` applies the danger rule to every candidate
 and level at once.
+
+`pairwise_gnp` is the earlier `lazycops.graph.gen_gnp`, which spends one
+draw on every pair.  Tests whose expectations were pinned on its graphs
+build their inputs with it.  `skip_gnp` is an independent statement of the
+current sampler's geometric skips: it keeps one global pair index, finds
+the row of that index by bisection over the row starts, and rounds with
+`math.floor`.
 """
 
 import math
+import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
+from lazycops.errors import UsageError
+from lazycops.graph import Graph, _ids
 from reference_bfs import reference_bfs
+
+
+def pairwise_gnp(n: int, p: float, seed: int | None = None) -> Graph:
+    """G(n,p): each pair (u,v), u<v in lexicographic order, kept w.p. p.
+
+    The pair-enumeration order is fixed so output is bit-reproducible for a
+    given (n, p, seed).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise UsageError(f"p must lie in [0,1], got {p}")
+    draw = random.Random(seed).random
+    ids = _ids(n)
+    return Graph(n, ((u, v) for u in ids for v in ids[u + 1:] if draw() < p))
+
+
+def skip_gnp(n, p, seed=None):
+    """G(n,p) with pairs numbered 0.. in lexicographic order: from index t,
+    a draw U moves to t + 1 + floor(log(1 - U) / log(1 - p)), until that
+    passes the last pair.  p = 0 draws nothing."""
+    starts = list(accumulate(range(n - 1, 0, -1), initial=0))   # row u's first index
+    total = n * (n - 1) // 2
+    edges = []
+    if p > 0:
+        rng = random.Random(seed)
+        log_q = math.log1p(-p) if p < 1 else -math.inf
+        t = -1
+        while True:
+            x = math.log(1 - rng.random()) / log_q
+            if x >= total - 1 - t:
+                break
+            t += 1 + math.floor(x)
+            u = bisect_right(starts, t) - 1
+            edges.append((u, u + 1 + t - starts[u]))
+    return Graph(n, edges)
 
 
 def _cops_within(G, cops, source, deleted, r):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from lazycops import cli
-from lazycops.graph import FAMILIES
+from lazycops.graph import FAMILIES, gen_named, serialize_graph
+from reference_gnp import pairwise_gnp
 
 
 def _run(*args, **kw):
@@ -134,7 +135,7 @@ def test_ball_table_cap_exit_code(monkeypatch, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("lazycops: limit exceeded: ball table 1 passes 11249 bytes")
-    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 300 * 300 // 8 * 2)  # radii 1 and 2
+    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 300 * 300 // 8 * 3)  # radii 1 to 3
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["checks"]
 
@@ -257,13 +258,16 @@ def test_identical_invocations_byte_identical(tmp_path):
 
 
 # sha256 of `simulate` stdout and of an experiment CSV, pinned when states and
-# moves were frozen dataclasses: the named tuples must play the same games
+# moves were frozen dataclasses: the named tuples must play the same games.
+# The G(n,p) graph comes from the pair-by-pair sampler these were pinned on.
 _GOLDEN_GAMES = [
-    (("grid2d", "6"), ["--cops", "greedy", "--robber", "optimal", "--max-rounds", "2000"],
+    (lambda: gen_named("grid2d", 6),
+     ["--cops", "greedy", "--robber", "optimal", "--max-rounds", "2000"],
      "963511d9ddbff24752bcdf102f8db47dcbe80344524af0070b9273a0ccb77089"),
-    (("hypercube", "8"), ["--cops", "greedy", "--robber", "potential", "--max-rounds", "2000"],
+    (lambda: gen_named("hypercube", 8),
+     ["--cops", "greedy", "--robber", "potential", "--max-rounds", "2000"],
      "a44afcb86aba9b645ea7e5908adc8d91fd1ccec51c25e5c345be4d5b6e3f9f44"),
-    (("gnp", "300", "--p", "0.033", "--seed", "1"),
+    (lambda: pairwise_gnp(300, 0.033, 1),
      ["--cops", "random", "--robber", "gnp:alpha=0.4", "--max-rounds", "2000"],
      "0262cbee09a259452435817601fbc8bf27c9ef44407687e612db9f67ac1b7b34"),
 ]
@@ -272,9 +276,7 @@ _GOLDEN_GAMES = [
 @pytest.mark.parametrize("graph,argv,digest", _GOLDEN_GAMES, ids=["grid6", "Q8", "gnp300"])
 def test_simulate_golden_digest(tmp_path, capsys, graph, argv, digest):
     path = tmp_path / "g.txt"
-    kind, n, *extra = graph
-    assert cli.main(["gen", "--kind", kind, "--n", n, *extra, "--out", str(path)]) == 0
-    capsys.readouterr()
+    path.write_text(serialize_graph(graph()))
     assert cli.main(["simulate", "--graph", str(path), "--k", "2", *argv]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["rounds"] == 2000
@@ -295,9 +297,7 @@ _GOLDEN_GNP_STATS = [
 @pytest.mark.parametrize("k,out_digest,err_digest", _GOLDEN_GNP_STATS, ids=["k1", "k2"])
 def test_simulate_gnp_stats_golden_digest(tmp_path, capsys, k, out_digest, err_digest):
     path = tmp_path / "g.txt"
-    assert cli.main(["gen", "--kind", "gnp", "--n", "300", "--p", "0.033", "--seed", "1",
-                     "--out", str(path)]) == 0
-    capsys.readouterr()
+    path.write_text(serialize_graph(pairwise_gnp(300, 0.033, 1)))
     assert cli.main(["simulate", "--graph", str(path), "--k", k, "--cops", "greedy",
                      "--robber", "gnp:alpha=0.4", "--max-rounds", "5000", "--stats"]) == 0
     out, err = capsys.readouterr()
@@ -334,19 +334,20 @@ def test_verify_expansion_golden_digest(capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "9abaf4f147ad4efca73064638864e1eb48741a3bf6d8b1fb840976b77fa1b6d2"
+        "65ced3a681dbdd0f095488c501b1779be677d0a53b2d74c68ebe44255466fc19"
 
 
 def test_verify_expansion_sparse_golden_digest(capsys):
-    # G(600, 600^-0.8): path counts of lengths 2-5, so the searches of
-    # lengths 4 and 5 are pruned by ball-table rows
+    # G(600, 600^-0.8) with realized d = 3.5, so d^5 < n: path counts of
+    # lengths 2-6, and the searches of lengths 4 to 6 are pruned by
+    # ball-table rows
     argv = ["verify-expansion", "--n", "600", "--alpha", "0.2", "--eps", "0.05", "--seed", "1"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert [c["name"] for c in json.loads(out)["checks"] if c["name"].startswith("path")] == \
-        [f"path_count_i={i}" for i in range(2, 6)]
+        [f"path_count_i={i}" for i in range(2, 7)]
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "55b569a4f4a5c8a8034be64b4000fa498ab83fe4c48cb10a0d69ad52913fab1c"
+        "87e401a78b0174aac3dea09b0596523a15a3952115c0e6c007f244af7b3f1dab"
 
 
 @pytest.mark.parametrize("extra, needle", [
@@ -365,6 +366,18 @@ def test_verify_expansion_checks_inputs_before_building_the_graph(monkeypatch, c
     monkeypatch.setattr(cli, "gen_gnp", no_graph)
     assert cli.main(["verify-expansion", *extra]) == 1
     assert capsys.readouterr() == ("", f"lazycops: error: {needle}\n")
+
+
+def test_verify_expansion_checks_the_ball_table_cap_before_building_the_graph(monkeypatch,
+                                                                           capsys):
+    def no_graph(*args):
+        raise AssertionError("G(n,p) built before the ball table cap was checked")
+
+    monkeypatch.setattr(cli, "gen_gnp", no_graph)
+    argv = ["verify-expansion", "--n", "50000", "--alpha", "0.5", "--eps", "0.05"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "lazycops: limit exceeded: ball table 1 passes 268435456 bytes\n")
 
 
 def test_experiment_golden_digest(tmp_path, capsys):

@@ -40,6 +40,7 @@ from reference_balls import (
 )
 from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
+from reference_gnp import pairwise_gnp, skip_gnp
 from reference_paths import reference_count_paths
 from reference_separator import _ok, _prune, exact_separator, reference_separator
 
@@ -139,8 +140,8 @@ def test_gnp_realized_average_degree():
     avg = 2 * G.m / n
     expected = (n - 1) * p
     assert abs(avg - expected) / expected < 0.15
-    # realized value recorded: 44.56 vs expected 44.70
-    assert avg == pytest.approx(44.56, abs=0.01)
+    # realized value recorded: 44.79 vs expected 44.70
+    assert avg == pytest.approx(44.793, abs=0.01)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -355,7 +356,7 @@ def test_expansion_report_independent_of_ball_tables(monkeypatch):
     edge_p = {0.2: 600 ** -0.8, 0.48: 600 ** -0.48, 0.5: 600 ** -0.5}
 
     def report(alpha):
-        return verify_expansion(gen_gnp(600, edge_p[alpha], 2), alpha, 0.05, seed=4)
+        return verify_expansion(pairwise_gnp(600, edge_p[alpha], 2), alpha, 0.05, seed=4)
 
     expected = {alpha: report(alpha) for alpha in edge_p}
     # (samples, min, max, mean) as computed before path counts ran on balls;
@@ -474,14 +475,32 @@ def test_ball_row_beyond_byte_lanes_only_prunes_less():
     assert _paths_to(C, 259, 0, 259, row) == 1
 
 
-def test_gen_gnp_draws_each_pair_once_in_order():
-    for n, p, seed in ((1, 0.5, 0), (2, 1.0, 1), (30, 0.2, 3), (300, 0.05, 9)):
-        rng = random.Random(seed)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        G = gen_gnp(n, p, seed)
-        assert G == Graph(n, edges) and G.m == len(edges)
-        # one int object per vertex, shared by every edge end
-        assert len({id(u) for nbrs in G._adj for u in nbrs}) <= n
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 300])
+def test_gen_gnp_matches_the_skip_reference(n):
+    for p in (0, 5e-324, 1e-9, 0.01, 0.3, 0.5, 0.99, 1 - 2 ** -53, 1):
+        for seed in (0, 1, 7):
+            G, expected = gen_gnp(n, p, seed), skip_gnp(n, p, seed)
+            assert G == expected and G.edges() == expected.edges(), (p, seed)
+            # one int object per vertex, shared by every edge end
+            assert len({id(u) for nbrs in G._adj for u in nbrs}) <= n
+
+
+def test_gen_gnp_pair_frequencies():
+    # over 5,000 seeds, each pair appears w.p. p and two pairs that share a
+    # vertex appear together w.p. p^2, each within 5 standard deviations
+    n, p, trials = 7, 0.3, 5000
+    pairs = list(combinations(range(n), 2))
+    seen = {pair: 0 for pair in pairs}
+    joint = {(a, b): 0 for a, b in combinations(pairs, 2) if set(a) & set(b)}
+    for seed in range(trials):
+        edges = set(gen_gnp(n, p, seed).edges())
+        for pair in edges:
+            seen[pair] += 1
+        for a, b in joint:
+            joint[a, b] += a in edges and b in edges
+    for counts, q in ((seen, p), (joint, p * p)):
+        sigma = math.sqrt(trials * q * (1 - q))
+        assert max(abs(c - trials * q) for c in counts.values()) < 5 * sigma
 
 
 # -- path and cycle counting ----------------------------------------------------
@@ -558,7 +577,7 @@ def test_kth_bit_matches_sorted_bits(x):
 def test_path_samples_match_the_ball_list_sampler(monkeypatch, alpha, longest):
     import lazycops.expansion as expansion
 
-    G = gen_gnp(600, 600 ** (alpha - 1), 1)
+    G = pairwise_gnp(600, 600 ** (alpha - 1), 1)
     drawn = []
 
     def recorded(G, w, v, i, row):

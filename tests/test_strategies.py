@@ -28,6 +28,7 @@ from lazycops.strategies import (
 )
 from reference_bfs import reference_bfs
 from reference_game import reference_play
+from reference_gnp import pairwise_gnp
 from reference_greedy import ReferenceGreedyCops
 from reference_separator import ReferenceSeparatorCops
 
@@ -210,7 +211,7 @@ def test_separator_play_reads_the_plan(monkeypatch):
 
 @pytest.mark.parametrize("G, robber, k, rounds, last", [
     (gen_named("grid2d", 10), lambda: RandomRobberStrategy(1), 26, 23, (17, 18)),
-    (gen_gnp(25, 0.3, 9), GreedyRobberStrategy, 19, 4, (5, 2)),
+    (pairwise_gnp(25, 0.3, 9), GreedyRobberStrategy, 19, 4, (5, 2)),
 ])
 def test_separator_captures_with_guards_before_walker(G, robber, k, rounds, last):
     # the capturing cop is the first adjacent one among the guards in posting
@@ -428,10 +429,12 @@ def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, ma
 
 # (graph, robber, k) of games between greedy cops and positional robbers: the
 # robbers of _PERIODIC_GAMES, the G(n,p) robber, whose memory is its previous
-# vertex, and the greedy and stationary robbers, some of which are captured
+# vertex, and the greedy and stationary robbers, some of which are captured.
+# The G(n,p) games are on graphs of the earlier pair-by-pair sampler, on which
+# the cycle periods and fallbacks below were pinned.
 _POSITIONAL_GAMES = {
     **_PERIODIC_GAMES,
-    **{f"gnp300-s{seed}-k{k}": (lambda seed=seed: gen_gnp(300, 0.033, seed),
+    **{f"gnp300-s{seed}-k{k}": (lambda seed=seed: pairwise_gnp(300, 0.033, seed),
                                 lambda G: GnpRobberStrategy(0.4), k)
        for seed in (1, 2) for k in (1, 2, 3)},
     **{f"{name}-{robber.__name__}-k{k}": (make_graph, lambda G, robber=robber: robber(), k)
@@ -506,7 +509,7 @@ def test_positional_players_skip_the_repeated_rounds():
     # the G(n,p) robber's memory is its previous vertex; its stats count the
     # skipped moves, fallbacks among them
     robber = _count_moves(GnpRobberStrategy(0.4))
-    record = play(gen_gnp(300, 0.033, 1), GreedyCopStrategy(), robber, 1, 5000)
+    record = play(pairwise_gnp(300, 0.033, 1), GreedyCopStrategy(), robber, 1, 5000)
     assert record.outcome == "survival" and 0 < robber.calls < 200
     stats = robber.stats()
     assert stats["moves"] == 5000 and stats["fallbacks"] > robber._fell_back.count(1) > 0
