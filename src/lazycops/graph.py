@@ -51,9 +51,12 @@ class Graph:
                 raise GraphFormatError(f"self-loop at {u}: loops are implicit")
             adj[u].add(v)
             adj[v].add(u)
-        self.n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._m = sum(len(a) for a in self._adj) // 2
+        self._init(n, tuple(tuple(sorted(s)) for s in adj))
+
+    def _init(self, n: int, adj: tuple) -> None:
+        """Set Graph's slots from `adj`, whose row u is u's sorted neighbours."""
+        self.n, self._adj = n, adj
+        self._m = sum(map(len, adj)) // 2
         self._balls, self._whole = [], False  # see _ball_table
 
     # -- basic accessors ---------------------------------------------------
@@ -116,16 +119,18 @@ class Graph:
 
 
 class HypercubeGraph(Graph):
-    """Q_dim with vertices as bitstrings; distance is Hamming distance."""
+    """Q_dim with vertices as bitstrings; distance is Hamming distance.
+
+    Row u is u's dim bit flips, sorted, as ints of _ids(2**dim): the rows
+    Graph makes from Q_dim's edges, built with no edge list or sets."""
 
     __slots__ = ("dim",)
 
     def __init__(self, dim: int):
         if dim < 1:
             raise GraphFormatError("hypercube dimension must be >= 1")
-        n = 1 << dim
-        edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < u ^ (1 << b)]
-        super().__init__(n, edges)
+        ids, flips = _ids(1 << dim), [1 << b for b in range(dim)]
+        self._init(len(ids), tuple(tuple(sorted([ids[u ^ f] for f in flips])) for u in ids))
         self.dim = dim
 
 
@@ -271,8 +276,6 @@ def _random_tree(n: int, seed: int | None) -> Graph:
     rng = random.Random(seed)
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in prufer:
@@ -650,42 +653,33 @@ def find_balanced_separator(G: Graph) -> set:
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v".  Q_d
-    comes back as a HypercubeGraph, as the potential robber needs."""
+    comes back as a HypercubeGraph, as the potential robber needs.  Graph
+    checks n, vertex ranges and loops; a repeated edge leaves G.m < m."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphFormatError("empty input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphFormatError(f"malformed header {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"malformed header {lines[0]!r}") from exc
+    n, m = _int_pair(lines[0], "header")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"malformed edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"malformed edge line {ln!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"explicit self-loop at {u} (loops are implicit)")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append(key)
-    G, d = Graph(n, edges), n.bit_length() - 1
+    G, d = Graph(n, map(_int_pair, lines[1:])), n.bit_length() - 1
+    if G.m < m:
+        seen = set()
+        for u, v in map(_int_pair, lines[1:]):
+            if (key := (min(u, v), max(u, v))) in seen:
+                raise GraphFormatError(f"duplicate edge ({u},{v})")
+            seen.add(key)
     if d >= 1 and n == 1 << d and m == d << (d - 1) and G == (Q := HypercubeGraph(d)):
         return Q
     return G
+
+
+def _int_pair(line: str, what="edge line") -> tuple:
+    """The two integers of `line`, else GraphFormatError naming it as `what`."""
+    try:
+        u, v = map(int, line.split())
+    except ValueError as exc:
+        raise GraphFormatError(f"malformed {what} {line!r}") from exc
+    return u, v
 
 
 def serialize_graph(G: Graph) -> str:

@@ -681,3 +681,18 @@ def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, nee
     assert captured.err.startswith("lazycops: error: ") and captured.err.count("\n") == 1
     assert needle in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("4 3\n0 1\n2 3\n1 0\n", "duplicate edge (1,0)"),
+    ("2 1\n1 1\n", "self-loop at 1: loops are implicit"),
+    ("2 1\n0 1 1\n", "malformed edge line '0 1 1'"),
+])
+def test_malformed_graph_file_exits_one_line(tmp_path, capsys, text, needle):
+    graph = tmp_path / "bad.txt"
+    graph.write_text(text)
+    assert cli.main(["solve", "--graph", str(graph), "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lazycops: error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err

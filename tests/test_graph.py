@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from lazycops.graph import (
     HypercubeGraph,
     _ball_row,
     _ball_table,
+    _ids,
     _kth_bit,
     _level_separators,
     _paths_to,
@@ -41,6 +43,7 @@ from reference_balls import (
 from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
 from reference_gnp import pairwise_gnp, skip_gnp
+from reference_hypercube import EdgeListHypercube
 from reference_paths import reference_count_paths
 from reference_separator import _ok, _prune, exact_separator, reference_separator
 
@@ -86,6 +89,30 @@ def test_hypercube_graph():
     for H, v in [(G, v) for v in range(16)] + [(Q11, v) for v in (0, 1, 1234, Q11.n - 1)]:
         assert H.distances_from(v) == tuple((u ^ v).bit_count() for u in range(H.n))
     assert G.distance(3, 12) == 4
+
+
+def test_hypercube_matches_the_edge_list_reference():
+    for d in range(1, 13):
+        Q, ref = HypercubeGraph(d), EdgeListHypercube(d)
+        assert Q._adj == ref._adj, d
+        assert (Q.n, Q.m, Q.dim) == (ref.n, ref.m, ref.dim) == (1 << d, d << (d - 1), d)
+        assert Q.edges() == ref.edges()
+        assert serialize_graph(Q).encode() == serialize_graph(ref).encode()
+        assert Q == ref and hash(Q) == hash(ref)
+
+
+def test_hypercube_builds_without_an_edge_list():
+    # Q14 has 114,688 edges: the edge-list build peaked at 25 MB, the rows
+    # and their shared ints take about 3 MB
+    _ids.cache_clear()
+    tracemalloc.start()
+    try:
+        Q = HypercubeGraph(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.m == 14 << 13
+    assert peak < 8 << 20, f"{peak / 2**20:.1f} MB"
 
 
 def test_petersen_graph():
@@ -705,7 +732,7 @@ def test_domination_matches_networkx():
 
 def test_random_tree_matches_networkx_pruefer():
     nx = pytest.importorskip("networkx")
-    for n in range(3, 20):
+    for n in range(2, 20):
         for seed in range(5):
             rng = random.Random(seed)
             T = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
@@ -984,14 +1011,27 @@ def test_parse_serialize_round_trip():
 
 
 def test_parse_rejects_malformed():
-    for text in ["", "3\n", "2 1\n0 0\n", "2 1\n0 5\n", "2 2\n0 1\n0 1\n",
-                 "2 1\n0 1\n1 0\n", "x y\n"]:
-        with pytest.raises(GraphFormatError):
+    for text, needle in [
+        ("", "empty input"),
+        ("3\n", "malformed header"),
+        ("4\n0 1\n", "malformed header"),
+        ("x y\n", "malformed header"),
+        ("0 0\n", "vertex count must be >= 1"),
+        ("2 1\n0 0\n", "self-loop at 0"),
+        ("2 1\n0 5\n", r"edge \(0,5\) out of range"),
+        ("2 1\n-1 0\n", r"edge \(-1,0\) out of range"),
+        ("2 1\n0 1 1\n", "malformed edge line"),
+        ("2 1\n0 x\n", "malformed edge line"),
+        ("2 2\n0 1\n0 1\n", r"duplicate edge \(0,1\)"),
+        ("2 1\n0 1\n1 0\n", "header declares 1 edges, found 2"),
+        ("4 3\n0 1\n2 3\n1 0\n", r"duplicate edge \(1,0\)"),
+    ]:
+        with pytest.raises(GraphFormatError, match=needle):
             parse_graph(text)
 
 
 def test_parse_keeps_hypercube_type():
-    for d in range(1, 9):
+    for d in range(1, 13):
         Q = gen_named("hypercube", d)
         G = parse_graph(serialize_graph(Q))
         assert isinstance(G, HypercubeGraph) and G.dim == d and G == Q
