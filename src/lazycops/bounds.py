@@ -40,16 +40,16 @@ def ght_separator_bound(n: int, g: float) -> float:
     return 6.0 * math.sqrt(g * n) + 2.0 * math.sqrt(2.0 * n) + 1.0
 
 
-def hypercube_budget(n: int, eps: float, constant: float = 1.0) -> float:
-    """Robber-safe cop budget constant * 2^n / n^(7/2+eps) on Q_n.
+def hypercube_budget(n: int, eps: float) -> float:
+    """Robber-safe cop budget 2^n / n^(7/2+eps) on Q_n.
 
-    The multiplicative constant is a free choice (the source bound is an
-    Omega(...)); callers supply a positive one explicitly, default 1.
+    The source bound is an Omega(...), so its constant is unspecified;
+    this is the bound with constant 1.
     """
-    if n < 1 or eps <= 0 or constant <= 0:
-        raise UsageError("need n >= 1, eps > 0 and constant > 0")
+    if n < 1 or eps <= 0:
+        raise UsageError("need n >= 1 and eps > 0")
     try:
-        return constant * 2.0 ** n / n ** (3.5 + eps)
+        return 2.0 ** n / n ** (3.5 + eps)
     except OverflowError:
         raise UsageError(f"hypercube bound at n={n} overflows a float") from None
 
@@ -70,21 +70,32 @@ def domination_budget(n: int | None = None, p: float | None = None,
     return math.log(p * n) / p
 
 
-def theoretical_bounds(which: str, **params) -> BoundReport:
-    """Dispatch the named bound; exact closed-form evaluation.
+# Each bound's name, the keys it reads (in the order that errors name them)
+# and its closed form, called with those keys.  Domination reads delta in
+# place of p when delta is given.  The G(n,p) form looks up gnp_params when
+# it is called, so that a wrapper set on this module's name is the one run.
+BOUNDS = {
+    "genus": (("n", "g"), genus_cop_budget),
+    "gnp": (("n", "p", "alpha"), lambda n, p, alpha: gnp_params(n, p, alpha).K),
+    "hypercube": (("n", "eps"), hypercube_budget),
+    "domination": (("n", "p"), domination_budget),
+}
 
-    which = genus (n, g) | hypercube (n, eps[, constant]) |
-    domination (n, delta | n, p) | gnp (n, p, alpha).  A None
-    parameter counts as absent; every other must be one the bound reads
-    and a number (not a boolean) that fits a float.  They and the value
-    must be finite, as JSON has no NaN or infinity.
+
+def theoretical_bounds(which: str, **params) -> BoundReport:
+    """Evaluate the bound `which`, a key of BOUNDS, on `params`.
+
+    A None parameter counts as absent; every other must be one the bound
+    reads and a number (not a boolean) that fits a float, and every key the
+    bound reads must be given.  They and the value must be finite, as JSON
+    has no NaN or infinity.
     """
     params = {key: x for key, x in params.items() if x is not None}
-    reads = {"genus": ("n", "g"), "hypercube": ("n", "eps", "constant"),
-             "domination": ("n", "delta") if "delta" in params else ("n", "p"),
-             "gnp": ("n", "p", "alpha")}.get(which)
-    if reads is None:
+    if which not in BOUNDS:
         raise UsageError(f"unknown bound {which!r}")
+    reads, bound = BOUNDS[which]
+    if which == "domination" and "delta" in params:
+        reads = ("n", "delta")
     unread = sorted(set(params) - set(reads))
     if unread:
         raise UsageError(f"bound {which!r} does not read {unread[0]!r} "
@@ -98,21 +109,11 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
             raise UsageError(f"parameter {key!r} is too large for a float") from None
         if not finite:
             raise UsageError(f"parameter {key!r} must be finite, got {x}")
+    missing = [key for key in reads if key not in params]
+    if missing:
+        raise UsageError(f"bound {which!r} missing parameter {missing[0]!r}")
     try:
-        if which == "genus":
-            value = genus_cop_budget(params["n"], params["g"])
-        elif which == "hypercube":
-            value = hypercube_budget(
-                params["n"], params["eps"], params.get("constant", 1.0)
-            )
-        elif which == "domination":
-            value = domination_budget(
-                params.get("n"), params.get("p"), params.get("delta")
-            )
-        else:
-            value = gnp_params(params["n"], params["p"], params["alpha"]).K
-    except KeyError as exc:
-        raise UsageError(f"bound {which!r} missing parameter {exc.args[0]!r}") from exc
+        value = bound(**params)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -15,7 +15,7 @@ from .expansion import check_parameters, verify_expansion
 from .experiments import ExperimentConfig, run_experiment
 from .game import play
 from .graph import check_ball_tables, gen_gnp, gen_named, parse_graph, serialize_graph
-from .bounds import theoretical_bounds
+from .bounds import BOUNDS, theoretical_bounds
 from .solver import cop_number, solve_classic, solve_lazy
 from .strategies import make_players
 
@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--alpha", type=float, required=True)
     v.add_argument("--eps", type=float, required=True)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tolerance", type=float, default=0.25)
 
     e = sub.add_parser("experiment", help="run a batch experiment from a JSON config")
     e.add_argument("--config", required=True)
@@ -77,14 +76,13 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("bounds", help="evaluate a closed-form bound")
     b.add_argument("--which", required=True,
-                   choices=["genus", "gnp", "hypercube", "domination"])
+                   choices=list(BOUNDS))
     b.add_argument("--n", type=int)
     b.add_argument("--g", type=float)
     b.add_argument("--alpha", type=float)
     b.add_argument("--p", type=float)
     b.add_argument("--eps", type=float)
     b.add_argument("--delta", type=float)
-    b.add_argument("--constant", type=float)
     return p
 
 
@@ -128,11 +126,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_expansion(args) -> int:
     if args.n < 2:
         raise UsageError(f"n must be >= 2, got {args.n}")
-    check_parameters(args.alpha, args.eps, args.tolerance)
+    check_parameters(args.alpha, args.eps)
     check_ball_tables(args.n, 1)   # every check reads radius-1 balls
     G = gen_gnp(args.n, args.n ** (args.alpha - 1.0), args.seed)
-    report = verify_expansion(G, args.alpha, args.eps, tau=args.tolerance,
-                              seed=args.seed)
+    report = verify_expansion(G, args.alpha, args.eps, seed=args.seed)
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -146,7 +143,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    names = ("n", "g", "alpha", "p", "eps", "delta", "constant")
+    names = ("n", "g", "alpha", "p", "eps", "delta")
     report = theoretical_bounds(args.which, **{k: getattr(args, k) for k in names})
     print(json.dumps(report.to_dict()))
     return 0

@@ -22,6 +22,8 @@ from .graph import (Graph, _ball_row, _ball_table, _kth_bit, _paths_to,
 # Longest cycle that the verifier counts through sampled edges, and the
 # sample counts of the growth, path-count and cycle checks.
 CYCLE_CHECK_LEN = 4
+# A growth check passes when its mean ratio lies within this of 1.
+GROWTH_TOLERANCE = 0.25
 VERTEX_SAMPLES = 200
 PAIR_SAMPLES = 2000
 EDGE_SAMPLES = 200
@@ -89,30 +91,27 @@ def _summarize(name, values, bound, note="", passes=None) -> PropertyCheck:
     )
 
 
-def check_parameters(alpha: float, eps: float, tau: float) -> None:
-    """Raise UsageError unless verify_expansion accepts alpha, eps and tau."""
+def check_parameters(alpha: float, eps: float) -> None:
+    """Raise UsageError unless verify_expansion accepts alpha and eps."""
     if not 0 < eps < 0.1:
         raise UsageError("eps must lie in (0, 0.1)")
     if not eps < alpha < 1 - eps:
         raise UsageError("alpha must lie in (eps, 1-eps)")
-    if not 0 <= tau < math.inf:
-        raise UsageError(f"tau must be finite and >= 0, got {tau}")
 
 
-def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
-                     seed: int = 0) -> ExpansionReport:
+def verify_expansion(G: Graph, alpha: float, eps: float, seed: int = 0) -> ExpansionReport:
     """Check the expansion properties on sampled vertices/pairs/edges.
 
     d is (n-1) times the observed edge density.  Neighborhood ratios pass
-    when the sample mean of |N_i[v]| / B_i lies in [1-tau, 1+tau], where
-    B_i is a mean-field approximation of the expected closed-ball size:
+    when the sample mean of |N_i[v]| / B_i lies within GROWTH_TOLERANCE of 1,
+    where B_i is a mean-field approximation of the expected closed-ball size:
     B_0 = S_0 = 1 and, with p = d/(n-1), each step takes the expected next
     sphere S_{i+1} = (n - B_i)(1 - (1-p)^S_i) given the current one, and
     B_{i+1} = B_i + S_{i+1}.  B_1 = 1 + d, B_i is close to 1 + d + ... + d^i
     while d^i << n, and B_i saturates at n past that.  Path and cycle
     checks pass when the sample mean stays below the closed-form ceiling.
     """
-    check_parameters(alpha, eps, tau)
+    check_parameters(alpha, eps)
     n = G.n
     d = (n - 1) * (2.0 * G.m / (n * (n - 1))) if n > 1 else 0.0
     if d <= 1:
@@ -121,7 +120,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     ell = _level_count(alpha)
     rng = random.Random(seed)
 
-    report = ExpansionReport(n=n, d=d, alpha=alpha, eps=eps, tau=tau, ell=ell)
+    report = ExpansionReport(n=n, d=d, alpha=alpha, eps=eps, tau=GROWTH_TOLERANCE, ell=ell)
 
     realized_alpha = math.log(d) / logn
     if abs(realized_alpha - alpha) > 0.1:
@@ -132,6 +131,7 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
     verts = sorted(rng.sample(range(n), min(VERTEX_SAMPLES, n)))
 
     # (i) neighborhood growth
+    low, high = 1.0 - GROWTH_TOLERANCE, 1.0 + GROWTH_TOLERANCE
     p = d / (n - 1)
     ball = sphere = 1.0
     i = 1
@@ -140,8 +140,8 @@ def verify_expansion(G: Graph, alpha: float, eps: float, tau: float = 0.25,
         ball += sphere
         ratios = [len(kth_neighborhood(G, v, i)) / ball for v in verts]
         report.checks.append(
-            _summarize(f"neighborhood_growth_i={i}", ratios, tau,
-                       passes=lambda mean: 1.0 - tau <= mean <= 1.0 + tau)
+            _summarize(f"neighborhood_growth_i={i}", ratios, GROWTH_TOLERANCE,
+                       passes=lambda mean: low <= mean <= high)
         )
         i += 1
 

@@ -113,7 +113,7 @@ def apply_move(G: Graph, s: GameState, m) -> GameState:
             if not 0 <= i < len(cops):
                 raise IllegalMoveError(f"cop index {i} out of range")
             u = cops[i]
-            if t != u and not G.has_edge(u, t):
+            if not G.has_edge(u, t):
                 raise IllegalMoveError(f"cop at {u} cannot reach {t}")
             cops = list(cops)
             cops[i] = t

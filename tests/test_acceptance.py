@@ -347,7 +347,7 @@ def test_criterion_6_separator_machinery():
 def test_criterion_7_expansion_verifier():
     t0 = time.perf_counter()
     G = gen_gnp(3000, 3000 ** -0.5, 3)
-    rep = verify_expansion(G, 0.5, 0.05, tau=0.25, seed=3)
+    rep = verify_expansion(G, 0.5, 0.05, seed=3)
     elapsed = time.perf_counter() - t0
     growth = [c for c in rep.checks if c.name == "neighborhood_growth_i=1"]
     cycles = [c for c in rep.checks if c.name.startswith("cycles")]

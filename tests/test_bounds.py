@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import pytest
 
+from lazycops import bounds
 from lazycops.bounds import (
     BoundReport,
     domination_budget,
@@ -37,7 +39,6 @@ def test_recursion_constants_absorb():
 
 def test_hypercube_budget():
     assert hypercube_budget(12, 0.5) == pytest.approx(2 ** 12 / 12 ** 4.0)
-    assert hypercube_budget(12, 0.5, constant=3.0) == pytest.approx(3 * 2 ** 12 / 12 ** 4.0)
 
 
 def test_domination_budget_delta():
@@ -57,9 +58,6 @@ def test_invalid_inputs():
         domination_budget(n=10, p=2.0)
     with pytest.raises(UsageError, match="overflows a float"):  # not an OverflowError
         hypercube_budget(2000, 1)
-    for constant in (-5, 0):  # not a budget that integer_budget() turns into k = 1
-        with pytest.raises(UsageError, match="constant > 0"):
-            hypercube_budget(10, 1, constant)
 
 
 def test_dispatch_and_report():
@@ -111,3 +109,29 @@ def test_dispatch_rejects_unread_parameters():
         hypercube_budget(12, 0.5))
     assert theoretical_bounds("gnp", n=1000, p=0.01, alpha=0.4, regime=None).value == (
         theoretical_bounds("gnp", n=1000, p=0.01, alpha=0.4).value)
+
+
+def test_a_key_error_inside_a_bound_is_not_a_usage_error(monkeypatch):
+    # an internal fault is not a missing parameter: it surfaces as itself
+    def broken(n, p, alpha):
+        raise KeyError("thresholds")
+
+    monkeypatch.setattr(bounds, "gnp_params", broken)
+    with pytest.raises(KeyError, match="thresholds"):
+        theoretical_bounds("gnp", n=1000, p=0.01, alpha=0.4)
+
+
+def test_every_bound_reads_parameters_of_its_closed_form():
+    # argparse's "choose from" lists the table in this order
+    assert list(bounds.BOUNDS) == ["genus", "gnp", "hypercube", "domination"]
+    for which, (reads, form) in bounds.BOUNDS.items():
+        keys = {*reads, "delta"} if which == "domination" else set(reads)
+        assert keys <= set(inspect.signature(form).parameters), which
+
+
+def test_missing_parameters_are_named_in_read_order():
+    for which, params, key in (("genus", dict(g=1), "n"), ("gnp", dict(n=1000, alpha=0.4), "p"),
+                               ("hypercube", dict(n=10), "eps"),
+                               ("domination", dict(delta=3), "n"), ("domination", dict(n=10), "p")):
+        with pytest.raises(UsageError, match=f"bound '{which}' missing parameter '{key}'"):
+            theoretical_bounds(which, **params)

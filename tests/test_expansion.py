@@ -38,7 +38,7 @@ def test_tree_has_no_cycles():
 def test_gnp_neighborhood_growth_passes():
     n = 2000
     G = gen_gnp(n, n ** -0.5, 3)
-    rep = verify_expansion(G, 0.5, 0.05, tau=0.25, seed=3)
+    rep = verify_expansion(G, 0.5, 0.05, seed=3)
     growth = [c for c in rep.checks if c.name == "neighborhood_growth_i=1"]
     assert growth and growth[0].passed
     # extremes recorded for audit

@@ -85,6 +85,11 @@ def test_illegal_moves_rejected():
                      (robber_turn, CopMove(0, 1)), (robber_turn, PASS)]:
         with pytest.raises(IllegalMoveError):
             apply_move(G, state, m)
+    # a cop stays only by PASS, the one encoding of a stay that legal_moves lists
+    stay = CopMove(0, 0)
+    assert stay not in legal_moves(G, cop_turn)
+    with pytest.raises(IllegalMoveError, match="cop at 0 cannot reach 0"):
+        apply_move(G, cop_turn, stay)
 
 
 def test_cops_stay_sorted_through_every_constructor():

@@ -7,6 +7,7 @@ lazy results, `optimal_move` must choose the move of
 sides, and the robber's placement reply must match too.
 """
 
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
@@ -34,49 +35,53 @@ from reference_solver import (
 )
 
 
-def _connected_gnp(n, p, count):
-    seed = 0
-    while count:
-        G = gen_gnp(n, p, seed)
-        if G.is_connected():
-            count -= 1
-            yield seed, G
-        seed += 1
+# The seeds of the first 15 connected G(10, 0.3); the tests assert that
+# each graph is still connected, rather than pick other seeds if not
+_GNP10_SEEDS = (0, 1, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 21, 22, 23)
+
+# graph name -> its builder
+_GRAPHS = {
+    "petersen": partial(gen_named, "petersen"),
+    **{f"C{n}": partial(gen_named, "cycle", n) for n in (*range(4, 13), 14)},
+    **{f"tree{seed}": partial(gen_named, "random_tree", 2 + seed % 11, seed)
+       for seed in range(20)},
+    **{f"gnp10-seed{seed}": partial(gen_gnp, 10, 0.3, seed) for seed in _GNP10_SEEDS},
+    "grid5": partial(gen_named, "grid2d", 5), "grid6": partial(gen_named, "grid2d", 6),
+    "Q4": partial(gen_named, "hypercube", 4), "Q5": partial(gen_named, "hypercube", 5),
+    "K6": partial(gen_named, "complete", 6),
+    "P20": partial(gen_named, "path", 20),
+    "two-triangles": partial(Graph, 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+}
+
+
+@cache
+def _graph(name):
+    """The corpus graph `name`, built on first use, so that a generator
+    fault fails the tests that use the graph and not this module's collection."""
+    G = _GRAPHS[name]()
+    assert not name.startswith("gnp") or G.is_connected(), name
+    return G
 
 
 def _corpus():
-    petersen = gen_named("petersen")
-    for k in (1, 2, 3):
-        yield f"petersen-lazy-k{k}", petersen, k, LAZY
-    for n in range(4, 13):
-        yield f"C{n}-lazy-k2", gen_named("cycle", n), 2, LAZY
-    for seed in range(20):
-        yield f"tree{seed}-lazy-k1", gen_named("random_tree", 2 + seed % 11, seed), 1, LAZY
-    for seed, G in _connected_gnp(10, 0.3, 15):
-        for mode in (LAZY, CLASSIC):
-            yield f"gnp10-seed{seed}-{mode}-k2", G, 2, mode
-    yield "grid5-lazy-k2", gen_named("grid2d", 5), 2, LAZY
-    for k in (2, 3):
-        yield f"Q4-lazy-k{k}", gen_named("hypercube", 4), k, LAZY
-    yield "K6-lazy-k2", gen_named("complete", 6), 2, LAZY
-    yield "C6-classic-k1", gen_named("cycle", 6), 1, CLASSIC
-    yield "petersen-classic-k3", petersen, 3, CLASSIC
-    # many levels, or large frontiers per robber vertex
-    yield "P20-lazy-k2", gen_named("path", 20), 2, LAZY
-    yield "C14-lazy-k3", gen_named("cycle", 14), 3, LAZY
-    triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for k in (1, 2):
-        yield f"two-triangles-lazy-k{k}", triangles, k, LAZY
+    """(test id, graph name, k, mode) of every case."""
+    cases = [("petersen", k, LAZY) for k in (1, 2, 3)]
+    cases += [(f"C{n}", 2, LAZY) for n in range(4, 13)]
+    cases += [(f"tree{seed}", 1, LAZY) for seed in range(20)]
+    cases += [(f"gnp10-seed{seed}", 2, mode) for seed in _GNP10_SEEDS for mode in (LAZY, CLASSIC)]
+    cases += [("grid5", 2, LAZY), ("Q4", 2, LAZY), ("Q4", 3, LAZY), ("K6", 2, LAZY),
+              ("C6", 1, CLASSIC), ("petersen", 3, CLASSIC),
+              # many levels, or large frontiers per robber vertex
+              ("P20", 2, LAZY), ("C14", 3, LAZY),
+              ("two-triangles", 1, LAZY), ("two-triangles", 2, LAZY)]
+    return [(f"{name}-{mode}-k{k}", name, k, mode) for name, k, mode in cases]
 
 
 # Large frontiers per robber vertex, checked for distances only: comparing
 # optimal play in all their 48 k and 34 k states would add about 5 s
-_LABELING_ONLY = [
-    ("grid6-lazy-k2", gen_named("grid2d", 6), 2, LAZY),
-    ("Q5-lazy-k2", gen_named("hypercube", 5), 2, LAZY),
-]
+_LABELING_ONLY = [("grid6-lazy-k2", "grid6", 2, LAZY), ("Q5-lazy-k2", "Q5", 2, LAZY)]
 
-CORPUS = list(_corpus())
+CORPUS = _corpus()
 LAZY_CORPUS = [c for c in CORPUS if c[3] == LAZY]
 CORPUS += _LABELING_ONLY
 
@@ -96,9 +101,9 @@ def _assert_matches_reference(G, k, mode):
     assert verify_self_consistency(res)["ok"]
 
 
-@pytest.mark.parametrize("G,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
-def test_matches_reference(G, k, mode):
-    _assert_matches_reference(G, k, mode)
+@pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_matches_reference(name, k, mode):
+    _assert_matches_reference(_graph(name), k, mode)
 
 
 @st.composite
@@ -125,9 +130,9 @@ def _assert_labeling_matches_counters(G, k, mode):
         == (levels, cop_labeled, robber_labeled, placement)
 
 
-@pytest.mark.parametrize("G,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
-def test_labeling_matches_counter_reference(G, k, mode):
-    _assert_labeling_matches_counters(G, k, mode)
+@pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_labeling_matches_counter_reference(name, k, mode):
+    _assert_labeling_matches_counters(_graph(name), k, mode)
 
 
 @st.composite
@@ -153,16 +158,18 @@ def test_classic_terms_match_brute_force(G, k):
         for cops in combinations_with_replacement(range(G.n), k))
 
 
-_CONNECTED = {}  # distinct connected graphs of the corpus, by name less mode and k
-for name, G, _, _ in CORPUS:
-    if G.is_connected():
-        _CONNECTED.setdefault(G, name.rsplit("-", 2)[0])
+# the distinct connected graphs of the corpus: two-triangles is disconnected,
+# and tree11 is tree0's graph, a single edge
+_CONNECTED = [name for name in dict.fromkeys(c[1] for c in CORPUS)
+              if name not in ("two-triangles", "tree11")]
 
 
-@pytest.mark.parametrize("G", list(_CONNECTED), ids=list(_CONNECTED.values()))
-def test_classic_cop_number_at_most_lazy(G):
+@pytest.mark.parametrize("name", _CONNECTED)
+def test_classic_cop_number_at_most_lazy(name):
     # a lazy cop strategy is a classic one, so c <= c_L: the lazy game with
     # c - 1 cops is a robber win, as the classic one is
+    G = _graph(name)
+    assert G.is_connected()
     c = cop_number(G, 3, CLASSIC)
     assert c == 1 or not solve_lazy(G, c - 1).cop_win
 
@@ -185,9 +192,10 @@ def _assert_optimal_play_matches_reference(G, k):
     assert not mismatches, f"{len(mismatches)} moves differ, first {mismatches[:3]}"
 
 
-@pytest.mark.parametrize("G,k", [c[1:3] for c in LAZY_CORPUS], ids=[c[0] for c in LAZY_CORPUS])
-def test_optimal_move_matches_reference(G, k):
-    _assert_optimal_play_matches_reference(G, k)
+@pytest.mark.parametrize("name,k", [c[1:3] for c in LAZY_CORPUS],
+                         ids=[c[0] for c in LAZY_CORPUS])
+def test_optimal_move_matches_reference(name, k):
+    _assert_optimal_play_matches_reference(_graph(name), k)
 
 
 @settings(max_examples=40, deadline=None)
