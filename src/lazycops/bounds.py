@@ -91,7 +91,7 @@ def theoretical_bounds(which: str, **params) -> BoundReport:
     has no NaN or infinity.
     """
     params = {key: x for key, x in params.items() if x is not None}
-    if which not in BOUNDS:
+    if not isinstance(which, str) or which not in BOUNDS:
         raise UsageError(f"unknown bound {which!r}")
     reads, bound = BOUNDS[which]
     if which == "domination" and "delta" in params:

@@ -2,15 +2,15 @@
 
 Trial i uses seed master_seed + i.  Trials run in trial order on the
 calling thread; the `workers` config field is accepted and type-checked
-but does not change how trials run.  One run builds each distinct game
-once: trials reuse the last graph unless its family reads the seed
-(graph.SEEDED_KINDS), k is resolved once, and the last player pair is
-reused on the same graph unless a spec reads the trial seed
-(strategies.players_seed), and the `optimal` sides of every pair on one
-graph share one solve.  The rows
-equal those of fresh builds per trial.  Floats are formatted at 6
-significant digits and the column order is fixed, making identical configs
-byte-identical on disk.
+but does not change how trials run.  A run resolves k and asks whether a
+spec reads the trial seed (strategies.reads_run_seed) once, then plays one
+game at a time: it builds a new graph only when the family reads the seed
+(graph.SEEDED_KINDS), after dropping the last graph and the solve and
+players built on it, and new players only on a new graph or when a spec
+reads the seed.  The `optimal` sides of every pair on one graph share one
+solve.  The rows equal those of fresh builds per trial.  Floats are
+formatted at 6 significant digits and the column order is fixed, making
+identical configs byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -18,33 +18,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .game import play
-from .graph import SEEDED_KINDS, gen_named
+from .graph import SEEDED_KINDS, Graph, gen_named
 from .bounds import theoretical_bounds
-from .strategies import make_players, players_seed, solve_once
+from .strategies import make_players, reads_run_seed, solve_once
 
 CSV_COLUMNS = (
     "trial", "seed", "n", "params", "k",
     "cop_strategy", "robber_strategy", "outcome", "rounds",
 )
-
-# config field -> (JSON type, whether null is allowed); bool is never an int
-_FIELD_TYPES = {
-    "family": (str, False),
-    "family_params": (dict, False),
-    "cop_strategy": (str, False),
-    "robber_strategy": (str, False),
-    "k": (int, True),
-    "bounds_query": (dict, True),
-    "trials": (int, False),
-    "max_rounds": (int, False),
-    "master_seed": (int, False),
-    "workers": (int, False),
-    "json_out": (str, True),
-}
 
 
 def _fmt(x) -> str:
@@ -80,13 +66,13 @@ class ExperimentConfig:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         if "family" not in data:
             raise UsageError("config needs a 'family'")
+        hints = typing.get_type_hints(cls)
         for name, value in data.items():
-            kind, nullable = _FIELD_TYPES[name]
-            ok = (value is None and nullable) or (
-                isinstance(value, kind) and not isinstance(value, bool))
-            if not ok:
-                raise UsageError(f"config field {name!r} must be {kind.__name__}"
-                                 f"{' or null' if nullable else ''}, got {value!r}")
+            # a field's type, or (type, NoneType) for a nullable one; bool is never an int
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise UsageError(f"config field {name!r} must be {kinds[0].__name__}"
+                                 f"{' or null' if len(kinds) > 1 else ''}, got {value!r}")
         cfg = cls(**data)
         if cfg.k is None and cfg.bounds_query is None:
             raise UsageError("config needs an explicit k or a bounds_query")
@@ -111,34 +97,12 @@ def _params_label(cfg: ExperimentConfig) -> str:
     return ",".join(f"{key}={_fmt(float(v))}" for key, v in keys) or "-"
 
 
-def _reuse(cache: dict, slot: str, key: tuple, build, *dependents: str):
-    """The value cache[slot] holds under `key`; on a miss, slot and the slots
-    built on it are dropped before build() fills slot under `key`."""
-    if cache.get(slot, (None,))[0] != key:
-        for name in (slot, *dependents):
-            cache.pop(name, None)
-        cache[slot] = key, build()
-    return cache[slot][1]
-
-
-def run_trial(cfg: ExperimentConfig, trial: int, cache: dict | None = None) -> dict:
-    """The row of trial `trial`.  `cache`, one per run, holds the last graph,
-    k, lazy solve and players, each under the key of what it is built from."""
-    seed = cfg.master_seed + trial
-    cache = {} if cache is None else cache
-    G = _reuse(cache, "graph", (cfg.family, cfg.family_params,
-                                seed if cfg.family in SEEDED_KINDS else None),
-               lambda: gen_named(cfg.family, None, seed, **cfg.family_params),
-               "players", "solve")
-    k = _reuse(cache, "k", (cfg.k, cfg.bounds_query), lambda: _resolve_k(cfg))
-    solve = _reuse(cache, "solve", (G, k), lambda: solve_once(G, k))
-    specs = cfg.cop_strategy, cfg.robber_strategy
-    cop, robber = _reuse(cache, "players", (G, k, *specs, players_seed(*specs, seed)),
-                         lambda: make_players(*specs, G, k, seed, solve=solve))
-    record = play(G, cop, robber, k, cfg.max_rounds, record_transcript=False)
+def run_trial(cfg: ExperimentConfig, trial: int, G: Graph, k: int, players) -> dict:
+    """The row of trial `trial`, a game of the pair `players` with k cops on G."""
+    record = play(G, *players, k, cfg.max_rounds, record_transcript=False)
     return {
         "trial": trial,
-        "seed": seed,
+        "seed": cfg.master_seed + trial,
         "n": G.n,
         "params": _params_label(cfg),
         "k": k,
@@ -151,8 +115,20 @@ def run_trial(cfg: ExperimentConfig, trial: int, cache: dict | None = None) -> d
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list:
     """All trial rows plus the aggregate row; optionally written as CSV."""
-    cache: dict = {}
-    rows = [run_trial(cfg, i, cache) for i in range(cfg.trials)]
+    k = _resolve_k(cfg)
+    specs = cfg.cop_strategy, cfg.robber_strategy
+    seeded_players = reads_run_seed(*specs)
+    G = players = None
+    rows = []
+    for trial in range(cfg.trials):
+        seed = cfg.master_seed + trial
+        if G is None or cfg.family in SEEDED_KINDS:
+            G = solve = players = None   # the last game goes before the next graph is built
+            G = gen_named(cfg.family, None, seed, **cfg.family_params)
+            solve = solve_once(G, k)
+        if players is None or seeded_players:
+            players = make_players(*specs, G, k, seed, solve=solve)
+        rows.append(run_trial(cfg, trial, G, k, players))
 
     survivals = sum(1 for r in rows if r["outcome"] == "survival")
     rate = survivals / len(rows)

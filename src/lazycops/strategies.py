@@ -308,8 +308,8 @@ _ROBBERS = {
 
 def _parse_spec(spec: str, table: dict, side: str):
     """Builder and converted options of `spec`, "name" or "name:key=value,...";
-    an unknown name, an option that the strategy does not read or a value that
-    does not convert is a usage error."""
+    an unknown name, a repeated option, an option that the strategy does not
+    read or a value that does not convert is a usage error."""
     name, _, rest = spec.partition(":")
     kwargs = {}
     if rest:
@@ -317,6 +317,8 @@ def _parse_spec(spec: str, table: dict, side: str):
             key, _, val = item.partition("=")
             if not _:
                 raise UsageError(f"malformed strategy option {item!r} in {spec!r}")
+            if key in kwargs:
+                raise UsageError(f"strategy option {key!r} given twice in {spec!r}")
             kwargs[key] = val
     if name not in table:
         raise UsageError(f"unknown {side} strategy {spec!r}")
@@ -352,9 +354,8 @@ def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | 
     return tuple(build(G=G, solve=solve, run_seed=seed, **kw) for build, kw in specs)
 
 
-def players_seed(cop_spec: str, robber_spec: str, seed: int | None):
-    """`seed` if make_players(cop_spec, robber_spec, G, k, seed) reads it, else None."""
+def reads_run_seed(cop_spec: str, robber_spec: str) -> bool:
+    """Whether make_players(cop_spec, robber_spec, G, k, seed) reads `seed`."""
     specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
-    reads = any("run_seed" in inspect.signature(build).parameters and "seed" not in kw
-                for build, kw in specs)
-    return seed if reads else None
+    return any("run_seed" in inspect.signature(build).parameters and "seed" not in kw
+               for build, kw in specs)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import pytest
 
@@ -76,6 +77,9 @@ def test_dispatch_gnp():
 def test_dispatch_errors():
     with pytest.raises(UsageError):
         theoretical_bounds("nope", n=5)
+    for which in (["gnp"], {"gnp": 1}, 3, None):   # a config's "which" is any JSON value
+        with pytest.raises(UsageError, match=f"^unknown bound {re.escape(repr(which))}$"):
+            theoretical_bounds(which, n=10)   # not a TypeError
     with pytest.raises(UsageError):
         theoretical_bounds("genus", n=5)  # missing g
     with pytest.raises(UsageError, match="n must be >= 2"):  # not a ZeroDivisionError

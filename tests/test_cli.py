@@ -607,6 +607,7 @@ def test_bad_strategy_option_exits_one_line(tmp_path, capsys, command, cops, rob
     ("random:seed=x", "nope", "bad seed 'x'"),
     ("greedy", "potential:eps=abc", "bad eps 'abc'"),
     ("greedy", "potential:eps=1/0", "bad eps '1/0'"),
+    ("random:seed=1,seed=2", "nope", "option 'seed' given twice in 'random:seed=1,seed=2'"),
 ])
 def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber, needle):
     # option values convert at parse time: the bad value is reported before
@@ -666,6 +667,9 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
     ("experiment", {"family": "foo", "family_params": {"p": 0.3}, "k": 1},
      "unknown graph kind 'foo'"),
     ("gen", ["--kind", "foo"], "unknown graph kind 'foo'"),
+    # a bound's name must be a string, not a list holding one
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"which": ["gnp"], "n": 10}},
+     "unknown bound ['gnp']"),
     # the G(n,p) regime follows from (n, p, alpha): it cannot be forced
     ("experiment", {**_GOOD, "k": None, "bounds_query": {
         "which": "gnp", "n": 1000, "p": 0.01, "alpha": 0.4, "regime": "main"}},

@@ -4,6 +4,7 @@ from lazycops import expansion
 from lazycops.errors import UsageError
 from lazycops.expansion import VERTEX_SAMPLES, _summarize, verify_expansion
 from lazycops.graph import Graph, gen_gnp, gen_named
+from cached_graphs import cached_graph
 
 
 def test_hypothesis_eps_range_enforced():
@@ -79,12 +80,12 @@ def test_sparse_growth_target_is_the_expected_ball(n, seed):
 
 
 @pytest.mark.parametrize("G, alpha", [
-    (gen_gnp(40, 40 ** -0.1, 0), 0.9), (gen_named("path", 100), 0.2),
-    (gen_named("random_tree", 200, 2), 0.2),
+    (("gnp", 40, 40 ** -0.1, 0), 0.9), (("path", 100), 0.2), (("random_tree", 200, 2), 0.2),
 ], ids=["gnp40", "path100", "tree200"])
 def test_radius_one_target_is_exact_when_every_vertex_is_sampled(G, alpha):
     # with n <= VERTEX_SAMPLES the radius-1 mean is (1 + 2m/n) / (1 + d),
     # and d = 2m/n
+    G = cached_graph(*G)
     assert G.n <= VERTEX_SAMPLES
     rep = verify_expansion(G, alpha, 0.05, seed=0)
     growth = next(c for c in rep.checks if c.name == "neighborhood_growth_i=1")

@@ -17,6 +17,7 @@ from lazycops.solver import (
     verify_self_consistency,
 )
 from lazycops.strategies import OptimalCopStrategy, OptimalRobberStrategy
+from cached_graphs import cached_graph
 
 
 def test_single_cop_wins_on_path():
@@ -127,20 +128,20 @@ def test_self_consistency_fails_on_halved_distances():
     assert verify_self_consistency(res) == {"ok": False, "half_moves": 6, "budget": 4}
 
 
-@pytest.mark.parametrize("G,k", [(Graph(1, []), 1), (gen_named("path", 2), 2)],
-                         ids=["K1-k1", "P2-k2"])
+@pytest.mark.parametrize("G,k", [(("path", 1), 1), (("path", 2), 2)], ids=["K1-k1", "P2-k2"])
 def test_self_consistency_capture_at_placement(G, k):
     # every vertex holds a cop, so the robber is placed onto one
-    assert verify_self_consistency(solve_lazy(G, k)) == {"ok": True, "half_moves": 0, "budget": 0}
+    assert verify_self_consistency(solve_lazy(cached_graph(*G), k)) == {"ok": True, "half_moves": 0, "budget": 0}
 
 
-@pytest.mark.parametrize("G", [gen_named("grid2d", 4), gen_named("cycle", 8), gen_gnp(12, 0.35, 5)],
+@pytest.mark.parametrize("G", [("grid2d", 4), ("cycle", 8), ("gnp", 12, 0.35, 5)],
                          ids=["grid4", "C8", "gnp12-seed5"])
 def test_replay_plays_the_optimal_players_game(monkeypatch, G):
     # the robber's replies in the replay (placement included) and in a game
     # between the optimal strategies see the same cop multisets and agree
     import lazycops.solver as solver
 
+    G = cached_graph(*G)
     res = solve_lazy(G, 2)
     replay, reply = [], solver._robber_reply
 
@@ -204,14 +205,15 @@ def test_classic_term_cap_read_at_call_time(monkeypatch):
     assert solve_classic(G, 3).cop_win
 
 
-_ONE_COP_GRAPHS = ([("petersen", gen_named("petersen")), ("Q4", gen_named("hypercube", 4)),
-                    ("grid4", gen_named("grid2d", 4)), ("C9", gen_named("cycle", 9))]
-                   + [(f"gnp14-seed{seed}", gen_gnp(14, 0.3, seed)) for seed in range(4)])
+_ONE_COP_GRAPHS = ([("petersen", ("petersen",)), ("Q4", ("hypercube", 4)),
+                    ("grid4", ("grid2d", 4)), ("C9", ("cycle", 9))]
+                   + [(f"gnp14-seed{seed}", ("gnp", 14, 0.3, seed)) for seed in range(4)])
 
 
 @pytest.mark.parametrize("G", [g for _, g in _ONE_COP_GRAPHS], ids=[n for n, _ in _ONE_COP_GRAPHS])
 def test_one_cop_lazy_and_classic_coincide(G):
     # with one cop, moving that cop is the whole cop turn under both rules
+    G = cached_graph(*G)
     lazy, classic = solve_lazy(G, 1), solve_classic(G, 1)
     assert lazy._moves == classic._moves
     assert lazy._dist == classic._dist
@@ -251,9 +253,9 @@ def test_state_count_reported():
     assert res.states == 32
 
 
-@pytest.mark.parametrize("G,k,cop_win", [(gen_named("grid2d", 4), 2, True),
-                                          (gen_named("cycle", 7), 1, False)])
+@pytest.mark.parametrize("G,k,cop_win", [(("grid2d", 4), 2, True), (("cycle", 7), 1, False)])
 def test_stats_count_phases_levels_and_labels(G, k, cop_win):
+    G = cached_graph(*G)
     res = solve_lazy(G, k)
     assert res.cop_win is cop_win
     assert set(res.summary()) == {"n", "k", "mode", "cop_win", "states", "seconds"}
@@ -298,9 +300,9 @@ def _table_by_rules(G, k, mode):
 
 
 _TABLE_CASES = (
-    [("petersen", gen_named("petersen"), k) for k in (1, 2, 3)]
-    + [("Q4", gen_named("hypercube", 4), k) for k in (1, 2, 3, 4)]
-    + [("grid4", gen_named("grid2d", 4), 3), ("tree12", gen_named("random_tree", 12, 5), 2)]
+    [("petersen", ("petersen",), k) for k in (1, 2, 3)]
+    + [("Q4", ("hypercube", 4), k) for k in (1, 2, 3, 4)]
+    + [("grid4", ("grid2d", 4), 3), ("tree12", ("random_tree", 12, 5), 2)]
 )
 
 
@@ -312,6 +314,7 @@ _TABLE_PARAMS = ([(*c, LAZY) for c in _TABLE_CASES]
 @pytest.mark.parametrize("name,G,k,mode", _TABLE_PARAMS,
                          ids=[f"{c[0]}-k{c[2]}-{c[3]}" for c in _TABLE_PARAMS])
 def test_move_table_matches_rules(name, G, k, mode):
+    G = cached_graph(*G)
     msets, rank, rows = _table_by_rules(G, k, mode)
     closed = [G.closed_neighbors(v) for v in range(G.n)]
     table = _move_table(msets, rank, closed, mode)

@@ -219,9 +219,10 @@ def _cuboctahedron():
                       if set(edges[a]) & set(edges[b])])
 
 
-@pytest.mark.parametrize("G, m", [(_k3_box_k3(), 18), (_cuboctahedron(), 24)],
+@pytest.mark.parametrize("build, m", [(_k3_box_k3, 18), (_cuboctahedron, 24)],
                          ids=["K3xK3", "cuboctahedron"])
-def test_laziness_costs_a_cop(G, m):
+def test_laziness_costs_a_cop(build, m):
+    G = build()
     assert G.m == m and all(G.degree(v) == 4 for v in range(G.n))
     assert cop_number(G, 4, CLASSIC) == 2
     assert cop_number(G, 4, LAZY) == 3

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import random
@@ -26,6 +25,7 @@ from lazycops.strategies import (
     StationaryRobberStrategy,
     make_players,
 )
+from cached_graphs import cached_graph
 from reference_bfs import reference_bfs
 from reference_game import reference_play
 from reference_gnp import pairwise_gnp
@@ -51,14 +51,6 @@ def test_greedy_cop_passes_when_robber_in_other_component():
     assert all(e == {"side": "cops", "from": None, "to": None} for e in cop_moves)
 
 
-@functools.cache
-def _graph(kind, *args):
-    """gen_gnp(*args) for kind "gnp", else gen_named(kind, *args), built on
-    first use, so that a generator fault fails the tests that use the graph
-    and not the collection of this module."""
-    return gen_gnp(*args) if kind == "gnp" else gen_named(kind, *args)
-
-
 _GREEDY_CORPUS = {
     # G(n, p) from below the connectivity threshold (many components) to dense
     **{f"gnp{n}-{p}-{s}": ("gnp", n, p, s)
@@ -74,7 +66,7 @@ _GREEDY_CORPUS = {
 def test_greedy_cops_match_reference(name):
     """Live states with 1 to 5 cops, some on one vertex, some all outside
     the robber's component: the stopped search picks the full-row move."""
-    G = _graph(*_GREEDY_CORPUS[name])
+    G = cached_graph(*_GREEDY_CORPUS[name])
     rng = random.Random(G.n)
     strat, ref = GreedyCopStrategy(), ReferenceGreedyCops()
     passes = 0
@@ -121,7 +113,7 @@ def test_random_strategies_reproducible():
 @pytest.mark.parametrize("graph", [("gnp", 300, 0.033, 1), ("path", 5), ("hypercube", 4)],
                          ids=["gnp300", "P5", "Q4"])
 def test_random_cop_move_is_the_choice_from_legal_moves(graph):
-    G = _graph(*graph)
+    G = cached_graph(*graph)
     # the index drawn first is the draw of rng.choice(legal_moves(...)), call after call
     states = random.Random(G.n)
     for seed in range(20):
@@ -220,12 +212,13 @@ def test_separator_play_reads_the_plan(monkeypatch):
 
 
 @pytest.mark.parametrize("G, robber, k, rounds, last", [
-    (gen_named("grid2d", 10), lambda: RandomRobberStrategy(1), 26, 23, (17, 18)),
-    (pairwise_gnp(25, 0.3, 9), GreedyRobberStrategy, 19, 4, (5, 2)),
+    (("grid2d", 10), lambda: RandomRobberStrategy(1), 26, 23, (17, 18)),
+    (("pairwise_gnp", 25, 0.3, 9), GreedyRobberStrategy, 19, 4, (5, 2)),
 ])
 def test_separator_captures_with_guards_before_walker(G, robber, k, rounds, last):
     # the capturing cop is the first adjacent one among the guards in posting
     # order, then the walker; the lowest adjacent vertex would capture from 8 and 1
+    G = cached_graph(*G)
     rec = play(G, SeparatorCopStrategy(G), robber(), k, 10 * G.n * k)
     assert (rec.outcome, rec.rounds_played) == ("capture", rounds)
     assert rec.transcript[-1] == {"side": "cops", "from": last[0], "to": last[1]}
@@ -267,7 +260,7 @@ _SEPARATOR_CORPUS = {
 
 @pytest.mark.parametrize("name", list(_SEPARATOR_CORPUS))
 def test_separator_matches_reference(name):
-    G = _graph(*_SEPARATOR_CORPUS[name])
+    G = cached_graph(*_SEPARATOR_CORPUS[name])
     assert G.is_connected()
     strat, ref = SeparatorCopStrategy(G), ReferenceSeparatorCops(G)
     assert list(strat._plan.items()) == list(ref._plan.items())
@@ -317,11 +310,12 @@ def test_separator_requires_connected():
 
 
 @pytest.mark.parametrize("G, k, rounds", [
-    (gen_named("grid2d", 4), 2, 4),
-    (gen_named("petersen"), 3, 1),
-    (gen_named("hypercube", 4), 3, 2),
+    (("grid2d", 4), 2, 4),
+    (("petersen",), 3, 1),
+    (("hypercube", 4), 3, 2),
 ])
 def test_optimal_cops_capture_the_optimal_robber_in_solved_time(G, k, rounds):
+    G = cached_graph(*G)
     result = solve_lazy(G, k)
     cops, robber = OptimalCopStrategy(result), OptimalRobberStrategy(result)
     placement = cops.place(G, k)
@@ -380,6 +374,10 @@ def test_registry_cops():
         cops("greedy:sed=5")
     with pytest.raises(UsageError, match="takes no option 'x' \\(options: none\\)"):
         cops("dominating:x=1")
+    # neither value is kept: the second no longer overwrites the first
+    for spec in ("random:seed=1,seed=2", "greedy:seed=3,seed=3"):
+        with pytest.raises(UsageError, match=f"^strategy option 'seed' given twice in '{spec}'$"):
+            cops(spec)
 
 
 def test_registry_robbers():
@@ -402,6 +400,9 @@ def test_registry_robbers():
         robber("gnp")
     with pytest.raises(UsageError, match="malformed strategy option"):
         robber("greedy:bad")
+    with pytest.raises(UsageError, match="^strategy option 'eps' given twice in "
+                                         "'potential:eps=1,eps=1'$"):
+        robber("potential:eps=1,eps=1")
 
 
 # -- reused players -----------------------------------------------------------
@@ -428,7 +429,7 @@ def _digest(record):
     (("cycle", 12), ("cycle", 9), lambda: GnpRobberStrategy(0.4), 1),
 ])
 def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, make_robber, k):
-    first, second = _graph(*first), _graph(*second)
+    first, second = cached_graph(*first), cached_graph(*second)
     cop, robber = GreedyCopStrategy(), make_robber()
     play(first, cop, robber, k, 300)
     reused = play(second, cop, robber, k, 300)
@@ -601,11 +602,12 @@ def test_seen_table_finds_the_cycles_it_can_hold(monkeypatch, cap, name):
 
 
 @pytest.mark.parametrize("G, robber, k", [
-    (gen_named("hypercube", 8), _count_moves(_UnpositionalPotentialRobber()), 2),
-    (gen_named("cycle", 12), _CountedGreedyRobber(), 1),
-    (gen_named("petersen"), _CountedGreedyRobber(), 2),
+    (("hypercube", 8), _count_moves(_UnpositionalPotentialRobber()), 2),
+    (("cycle", 12), _CountedGreedyRobber(), 1),
+    (("petersen",), _CountedGreedyRobber(), 2),
 ], ids=["q8-potential", "cycle12-greedy", "petersen-greedy"])
 def test_non_positional_players_move_every_round(G, robber, k):
+    G = cached_graph(*G)
     # each of these games survives, and positions repeat from early on
     record = play(G, GreedyCopStrategy(), robber, k, 300)
     assert record.outcome == "survival" and robber.calls == 300
