@@ -53,6 +53,21 @@ class Graph:
             adj[v].add(u)
         self._init(n, tuple(tuple(sorted(s)) for s in adj))
 
+    @classmethod
+    def _from_pairs(cls, n: int, pairs) -> Graph:
+        """Graph on n >= 1 vertices from `pairs` (u, v), u < v, in lexicographic
+        order and without repeats: each pair is appended to both of its rows,
+        which so come out sorted, with no set, range check or sort."""
+        if n < 1:
+            raise GraphFormatError(f"vertex count must be >= 1, got {n}")
+        rows = [[] for _ in range(n)]
+        for u, v in pairs:
+            rows[u].append(v)
+            rows[v].append(u)
+        G = cls.__new__(cls)
+        G._init(n, tuple(map(tuple, rows)))
+        return G
+
     def _init(self, n: int, adj: tuple) -> None:
         """Set Graph's slots from `adj`, whose row u is u's sorted neighbours."""
         self.n, self._adj = n, adj
@@ -109,13 +124,9 @@ class Graph:
         """Subgraph on `vertices`; returns (subgraph, new->old vertex map)."""
         order = sorted(set(vertices))
         index = {v: i for i, v in enumerate(order)}
-        edges = [
-            (index[u], index[v])
-            for u in order
-            for v in self._adj[u]
-            if u < v and v in index
-        ]
-        return Graph(len(order), edges), order
+        edges = ((index[u], index[v]) for u in order for v in self._adj[u]
+                 if u < v and v in index)   # in lexicographic order, as index is
+        return Graph._from_pairs(len(order), edges), order
 
 
 class HypercubeGraph(Graph):
@@ -146,7 +157,8 @@ def bfs(G: Graph, sources, deleted=(), radius=None, until=()) -> list:
     farther than `radius` or beyond that level; deleted sources are
     ignored, and a source or deleted vertex outside 0..n-1 raises
     ValueError.  `deleted` must be a collection, not an iterator: it is
-    read twice.
+    read twice.  The search also stops once every vertex not deleted is
+    reached, rather than scan one more level that can find nothing.
 
     Each level runs in one of two directions (Beamer, Asanovic and
     Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
@@ -163,9 +175,11 @@ def bfs(G: Graph, sources, deleted=(), radius=None, until=()) -> list:
     adj = G._adj
     n = G.n
     dist = [INF] * n
+    left = n   # vertices neither deleted nor reached yet; repeats count once
     for x in deleted:
         if not 0 <= x < n:
             raise ValueError(f"deleted vertex {x} out of range for n={n}")
+        left -= dist[x] is INF
         dist[x] = -1  # not INF, so the search never enters x
     frontier = []
     for s in sources:
@@ -176,12 +190,11 @@ def bfs(G: Graph, sources, deleted=(), radius=None, until=()) -> list:
             frontier.append(s)
     m = G._m
     cut = n * n // (2 * m or 1)  # implied by the second test; a cheap filter
-    left = n - len(deleted)  # minus every level so far, this one included
+    left -= len(frontier)
     depth, until = 0, set(until)   # isdisjoint scans the frontier: skip it when empty
-    while frontier and depth != radius and (not until or until.isdisjoint(frontier)):
+    while left and frontier and depth != radius and (not until or until.isdisjoint(frontier)):
         depth += 1
         size = len(frontier)
-        left -= size
         if size > cut and 2 * m * size > n * n + left * (3 * n + m):
             # only `disjoint` is free in the comprehension, so `dist` and
             # `adj` stay fast locals for the top-down loop
@@ -198,6 +211,7 @@ def bfs(G: Graph, sources, deleted=(), radius=None, until=()) -> list:
                         dist[w] = depth
                         nxt.append(w)
         frontier = nxt
+        left -= len(nxt)
     for x in deleted:
         dist[x] = INF
     return dist
@@ -326,16 +340,20 @@ def gen_gnp(n: int, p: float, seed: int | None = None) -> Graph:
     lexicographic order, and each draw U passes over the next
     floor(log(1 - U) / log(1 - p)) pairs to the one kept after them.  That
     is one draw per edge plus one past the last pair (none when p = 0), so
-    the work is O(n + m), not one draw per pair.  A seed fixes the graph
-    wherever math.log rounds alike.
+    the work is O(n + m), not one draw per pair.  The pairs come in order,
+    so Graph._from_pairs appends each to both its rows, which come out
+    sorted.  A seed fixes the graph wherever math.log rounds alike.
     """
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"p must lie in [0,1], got {p}")
-    return Graph(n, _gnp_edges(n, p, seed) if p else ())
+    return Graph._from_pairs(n, _gnp_edges(n, p, seed))
 
 
 def _gnp_edges(n: int, p: float, seed: int | None):
-    """gen_gnp's kept pairs in order, 0 < p <= 1, with ends from _ids(n)."""
+    """gen_gnp's kept pairs in lexicographic order, 0 <= p <= 1, with ends
+    from _ids(n); none, and no draw, when p = 0."""
+    if not p:
+        return
     draw, log = random.Random(seed).random, math.log
     log_q = math.log1p(-p) if p < 1.0 else -INF   # log1p(-1) raises
     ids = _ids(n)
@@ -394,7 +412,8 @@ def kth_neighborhood(G: Graph, v: int, i: int) -> set:
 
 
 def count_paths(G: Graph, v: int, w: int, i: int) -> int:
-    """Number of simple paths with exactly i edges joining v and w."""
+    """Number of simple paths with exactly i edges joining v and w, counted
+    by `_paths_to` on the rows of G's radius-1 ball table (see there)."""
     if not (0 <= v < G.n and 0 <= w < G.n):
         raise ValueError(f"endpoints ({v},{w}) out of range for n={G.n}")
     if v == w:
@@ -407,29 +426,38 @@ def count_paths(G: Graph, v: int, w: int, i: int) -> int:
 def _paths_to(G: Graph, v: int, w: int, i: int, dist_to_w) -> int:
     """Simple v-w paths with exactly i edges, v != w and i >= 1.
 
-    The last two edges are counted at once, as the common neighbours of w
-    and the current vertex off the path.  A step that leaves 3 or more edges
-    enters a vertex only if w is still in reach from it by `dist_to_w`, which
-    need only be exact up to i, like bfs(G, (w,), radius=i) or min(dist,
-    i + 1); entries below the distance only prune less, and i <= 3 needs none.
+    Sets are big ints: `rows` is the radius-1 ball table (row x is N[x]),
+    and `path` holds the path so far, the current vertex and w.  The last
+    two edges are counted at once, as the bits of N(w) & N[cur] off the
+    path.  A step that leaves 3 edges sums that count over the rows of all
+    of cur's neighbours in one C-level pass; that also counts each
+    neighbour's own bit where it lies in N(w), and the neighbours on the
+    path (w among them), so both are taken off.  A step that leaves 4 or
+    more edges enters a vertex only if w is still in reach from it by
+    `dist_to_w`, which need only be exact up to i, like bfs(G, (w,),
+    radius=i) or min(dist, i + 1); entries below the distance only prune
+    less, and i <= 3 needs none.
     """
-    adj = G._adj
-    near_w = set(adj[w])
-    path = {v}
+    adj, rows = G._adj, _ball_table(G, 1)
+    near_w = rows[w] ^ 1 << w
 
-    def dfs(cur: int, remaining: int) -> int:
+    def dfs(cur: int, path: int, remaining: int) -> int:
+        if remaining > 3:
+            return sum(dfs(nb, path | 1 << nb, remaining - 1) for nb in adj[cur]
+                       if not path >> nb & 1 and dist_to_w[nb] < remaining)
+        free = near_w & ~path
+        last_two = (free & rows[cur]).bit_count()
         if remaining == 2:
-            common = near_w.intersection(adj[cur])
-            return len(common) - len(common & path)
-        total = 0
-        for nb in adj[cur]:
-            if nb != w and nb not in path and (remaining == 3 or dist_to_w[nb] < remaining):
-                path.add(nb)
-                total += dfs(nb, remaining - 1)
-                path.remove(nb)
+            return last_two
+        total = sum(map(int.bit_count, map(free.__and__, map(rows.__getitem__, adj[cur]))))
+        total -= last_two   # the neighbours' own bits: those in free
+        on = path & rows[cur] ^ 1 << cur   # neighbours on the path
+        while on:
+            total -= (free & rows[(on & -on).bit_length() - 1]).bit_count()
+            on &= on - 1
         return total
 
-    return dfs(v, i) if i > 1 else int(v in near_w)
+    return dfs(v, 1 << v | 1 << w, i) if i > 1 else near_w >> v & 1
 
 
 def _kth_bit(x: int, k: int) -> int:

@@ -14,6 +14,7 @@ from lazycops.graph import (
     HypercubeGraph,
     _ball_row,
     _ball_table,
+    _gnp_edges,
     _ids,
     _kth_bit,
     _level_separators,
@@ -44,7 +45,7 @@ from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
 from reference_gnp import pairwise_gnp, skip_gnp
 from reference_hypercube import EdgeListHypercube
-from reference_paths import reference_count_paths
+from reference_paths import reference_count_paths, reference_paths_to
 from reference_separator import _ok, _prune, exact_separator, reference_separator
 
 
@@ -195,6 +196,16 @@ def test_induced_subgraph():
     sub, order = G.induced_subgraph([1, 2, 3])
     assert sub.n == 3 and sub.m == 2
     assert list(order) == [1, 2, 3]
+    # rows built in pair order equal Graph's rows from the edge list
+    G = gen_gnp(60, 0.2, 3)
+    for vertices in ([5], range(0, 60, 3), [59, 2, 2, 40, 7], range(60)):
+        sub, order = G.induced_subgraph(vertices)
+        index = {v: i for i, v in enumerate(order)}
+        edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
+        assert sub == Graph(len(order), edges)
+        assert serialize_graph(sub) == serialize_graph(Graph(len(order), edges))
+    with pytest.raises(GraphFormatError, match="vertex count must be >= 1, got 0"):
+        G.induced_subgraph([])
 
 
 def test_components_without():
@@ -223,12 +234,13 @@ def _searches(draw):
 @st.composite
 def _dense_searches(draw):
     """G(n, p) with n <= 60 and p in [0.15, 0.9], plus random sources,
-    deleted set and radius."""
+    deleted list and radius; the list may repeat a vertex and hold sources."""
     n = draw(st.integers(2, 60))
     G = gen_gnp(n, draw(st.floats(0.15, 0.9)), draw(st.integers(0, 10**6)))
     vertex = st.integers(0, n - 1)
     sources = draw(st.lists(vertex, min_size=1, max_size=n))
-    deleted = draw(st.sets(vertex, max_size=n // 2))
+    deleted = draw(st.lists(vertex, max_size=n // 2))
+    deleted += draw(st.lists(st.sampled_from(deleted + sources), max_size=3))
     radius = draw(st.none() | st.integers(0, 4))
     return G, sources, deleted, radius
 
@@ -237,10 +249,15 @@ def _fixed_searches():
     """Searches whose bottom-up levels carry a mistake into the result: a
     vertex hanging behind a deleted one, and levels that run bottom-up from
     the first step on (many sources); G(2000, 2000^-0.52) at radii 1-4 and
-    at full depth."""
+    at full depth.  A deleted vertex given twice, or a deleted source, must
+    not end the search before its last vertex: on the path 0-1-2-3 with 3
+    deleted twice, vertex 2 is still reached."""
     K = Graph(41, [*combinations(range(40), 2), (39, 40)])
     G = gen_gnp(2000, 2000 ** -0.52, 5)
-    cases = [(K, (0,), {39}, None), (K, (0,), {39}, 2), (K, range(0, 40, 2), {39}, None)]
+    P = gen_named("path", 4)
+    cases = [(K, (0,), {39}, None), (K, (0,), {39}, 2), (K, range(0, 40, 2), {39}, None),
+             (P, (0,), [3, 3], None), (P, (0, 3), [3, 3, 3], None), (P, (1, 2), [2, 0, 2], 2),
+             (K, (0, 1), [1, 39, 1, 39, 5], None), (K, range(0, 40, 2), [0, 0, 2, 39], None)]
     for radius in (1, 2, 3, 4, None):
         cases += [(G, (0,), set(), radius), (G, (7, 1999), {3, 500, 1234}, radius)]
     cases += [(G, range(0, 2000, 2), set(range(1, 400, 2)), None)]
@@ -250,6 +267,7 @@ def _fixed_searches():
 def _networkx_search(nx, G, sources, deleted, radius):
     """G minus `deleted` as a networkx graph, and the hop distance of each
     vertex the search from `sources` reaches in it."""
+    deleted = set(deleted)
     H = nx.Graph()
     H.add_nodes_from(v for v in range(G.n) if v not in deleted)
     H.add_edges_from(e for e in G.edges() if not deleted.intersection(e))
@@ -489,6 +507,10 @@ def test_ball_tables_respect_byte_cap(monkeypatch):
         kth_neighborhood(G, 0, 3)
     assert len(G._balls) == 2
     assert kth_neighborhood(G, 39, 1) == {38, 39}
+    # path counts read table 1, so they pass the cap with it
+    monkeypatch.setattr(graph, "BALL_TABLE_BYTES", 199)
+    with pytest.raises(CapExceededError, match="ball table 1 passes 199 bytes"):
+        count_paths(gen_named("path", 40), 0, 2, 2)
 
 
 def test_ball_row_beyond_byte_lanes_only_prunes_less():
@@ -500,6 +522,23 @@ def test_ball_row_beyond_byte_lanes_only_prunes_less():
     assert list(row) == [min(d, 255) for d in near]
     assert _paths_to(C, 260, 0, 260, row) == reference_count_paths(C, 260, 0, 260) == 2
     assert _paths_to(C, 259, 0, 259, row) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 300])
+def test_gen_gnp_rows_equal_the_edge_list_build(n):
+    # gen_gnp builds each row in pair order; Graph sorts a set per vertex
+    for p in (0, 0.02, 0.5, 1):
+        for seed in (0, 1, 7):
+            G, expected = gen_gnp(n, p, seed), Graph(n, list(_gnp_edges(n, p, seed)))
+            assert G == expected and serialize_graph(G) == serialize_graph(expected), (p, seed)
+
+
+@pytest.mark.parametrize("p", [0, 0.5, 1])
+@pytest.mark.parametrize("n", [0, -2])
+def test_gen_gnp_rejects_empty_and_negative_sizes(n, p):
+    # n < 0 must raise before a pair is drawn: the pair walk never ends there
+    with pytest.raises(GraphFormatError, match=f"vertex count must be >= 1, got {n}"):
+        gen_gnp(n, p, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 300])
@@ -571,6 +610,25 @@ def test_count_paths_matches_reference_and_networkx():
     check()
 
 
+@st.composite
+def _dense_path_counts(draw):
+    """G(n, p) with n <= 14 and p in [0.3, 0.95], two distinct endpoints
+    and a length up to 6: paths whose steps meet many path vertices."""
+    n = draw(st.integers(3, 14))
+    G = gen_gnp(n, draw(st.floats(0.3, 0.95)), draw(st.integers(0, 10**6)))
+    v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return G, v, w, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_path_counts(), _dense_path_counts()))
+def test_paths_to_matches_the_set_kernel(case):
+    G, v, w, i = case
+    for a, b in ((v, w), (w, v)):
+        for row in _rows_to(G, b, i):
+            assert _paths_to(G, a, b, i, row) == reference_paths_to(G, a, b, i, row)
+
+
 def _rows_to(G, w, i):
     """Every form of distance row to w that `_paths_to` is given for length
     i: the full row, the radius-i search, the verifier's ball-table row,
@@ -580,13 +638,16 @@ def _rows_to(G, w, i):
 
 
 def test_count_paths_skips_common_neighbours_on_the_path():
-    # in K_4 and K_5 both ends of the last two edges have the earlier path
-    # vertices as common neighbours; only the others may close a path
-    for n, i, expected in ((4, 3, 2), (4, 4, 0), (5, 3, 6), (5, 4, 6)):
+    # in K_4 to K_6 both ends of the last two edges have the earlier path
+    # vertices as common neighbours; only the others may close a path.  At
+    # a step with three edges left every neighbour's row holds its own bit,
+    # the path vertices and w, which the count must take off
+    for n, i, expected in ((4, 3, 2), (4, 4, 0), (5, 3, 6), (5, 4, 6),
+                           (6, 3, 12), (6, 4, 24), (6, 5, 24)):
         K = gen_named("complete", n)
         assert count_paths(K, 0, 1, i) == reference_count_paths(K, 0, 1, i) == expected
         for row in _rows_to(K, 1, i):
-            assert _paths_to(K, 0, 1, i, row) == expected
+            assert _paths_to(K, 0, 1, i, row) == reference_paths_to(K, 0, 1, i, row) == expected
 
 
 @example(1)
