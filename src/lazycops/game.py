@@ -5,9 +5,9 @@ counter increments after the robber moves.  Exactly one cop moves per round
 (or the cop side passes); capture is checked after every half-move.
 
 `play` stops a game between positional players (see its docstring) at the
-first repeated position and memory, and fills the rest of the transcript
-with shared copies of the cycle's entries; `GameRecord.to_json` encodes such
-a repeated tail once.
+first repeated position and memory, fills the rest of the transcript with
+shared copies of the cycle's entries and records the cycle in
+`GameRecord.cycle`; `GameRecord.to_json` encodes that repeated tail once.
 """
 
 from __future__ import annotations
@@ -129,28 +129,25 @@ def apply_move(G: Graph, s: GameState, m) -> GameState:
 
 @dataclass
 class GameRecord:
+    """Outcome, rounds and transcript: 2 placement entries, then a cop and a
+    robber entry per round.  `cycle` is the (round, period) of a game that
+    `play` fast-forwarded: the position at the start of `round` recurs every
+    `period` rounds, so from entry 2 + 2 * round the transcript repeats in
+    blocks of 2 * period entries.  Records compare without it."""
+
     outcome: str                 # "capture" | "survival"
     rounds_played: int
     transcript: list = field(default_factory=list)
+    cycle: tuple | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
-        """`json.dumps` of outcome, rounds and transcript.
-
-        A tail of the transcript that repeats the same entry objects with
-        one period (as `play` fills a fast-forwarded game) is encoded once
-        and joined by reference; identical objects encode to identical
-        text, so the result is the same for any transcript.
-        """
+        """`json.dumps` of outcome, rounds and transcript, with the tail that
+        `cycle` names encoded once and repeated as text."""
         t = self.transcript
         record = {"outcome": self.outcome, "rounds": self.rounds_played, "transcript": t}
-        ids = list(map(id, t))   # ids of live objects: equal iff identical
-        try:   # the period: how far back the last entry's previous copy lies
-            period = ids[::-1].index(ids[-1], 1)
-        except (IndexError, ValueError):   # empty, or the last entry is unique
+        if self.cycle is None or not t:
             return json.dumps(record)
-        start = len(t) - period   # t[start:] repeats with the period
-        while start and ids[start - 1] == ids[start - 1 + period]:
-            start -= 1
+        start, period = 2 + 2 * self.cycle[0], 2 * self.cycle[1]
         q, rem = divmod(len(t) - start, period)
         record["transcript"] = t[:start + period]
         block = ", " + json.dumps(t[start:start + period])[1:-1]
@@ -175,9 +172,10 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
     is a survival: `play` keeps the round of each position and memory it
     has seen (up to SEEN_ENTRIES of them), stops at the first repeat, calls
     `repeat(period, q, rem)` on each player that defines it (the skipped
-    rounds are q more periods and then the first rem rounds of one), and
-    fills the rest of the transcript with copies of the cycle's entries.
-    Those copies share their dicts, so treat a transcript as read-only.
+    rounds are q more periods and then the first rem rounds of one), fills
+    the rest of the transcript with copies of the cycle's entries and
+    returns the cycle as the record's `cycle`.  Those copies share their
+    dicts, so treat a transcript as read-only.
     """
     if k < 1:
         raise UsageError(f"cop count must be >= 1, got {k}")
@@ -216,7 +214,7 @@ def play(G: Graph, cop_strategy, robber_strategy, k: int, max_rounds: int,
                         p.repeat(period, q, rem)
                 block = transcript[-2 * period:]
                 transcript += block * q + block[:2 * rem]
-                return GameRecord("survival", max_rounds, transcript)
+                return GameRecord("survival", max_rounds, transcript, (seen[key], period))
             if len(seen) >= SEEN_ENTRIES:
                 seen.clear()
             seen[key] = r

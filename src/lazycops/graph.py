@@ -64,8 +64,10 @@ class Graph:
         for u, v in pairs:
             rows[u].append(v)
             rows[v].append(u)
+        for u, row in enumerate(rows):   # one form of each row at a time
+            rows[u] = tuple(row)
         G = cls.__new__(cls)
-        G._init(n, tuple(map(tuple, rows)))
+        G._init(n, tuple(rows))
         return G
 
     def _init(self, n: int, adj: tuple) -> None:

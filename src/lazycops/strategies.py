@@ -184,15 +184,12 @@ class SeparatorCopStrategy:
         self._targets: list = []
 
     def _required(self, region: list) -> int:
-        if len(region) == 1:
-            sep = tuple(region)
-        else:
-            sub, order = self._G.induced_subgraph(region)
-            sep = tuple(sorted(order[i] for i in find_balanced_separator(sub)))
-        self._plan[tuple(region)] = sep
-        rest = set(region) - set(sep)
-        subs = components_without(self._G, set(range(self._G.n)) - rest)
-        return len(sep) + max((self._required(comp) for comp in subs), default=0)
+        sub, order = self._G.induced_subgraph(region)
+        sep = find_balanced_separator(sub) if sub.n > 1 else {0}
+        self._plan[tuple(region)] = tuple(order[i] for i in sorted(sep))
+        subs = components_without(sub, sep)
+        return len(sep) + max((self._required([order[i] for i in comp]) for comp in subs),
+                              default=0)
 
     def separator_report(self) -> dict:
         """Budget audit: required cop count and whether every separator in

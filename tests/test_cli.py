@@ -196,6 +196,16 @@ def test_classic_term_cap_exit_code(tmp_path, monkeypatch, capsys, argv):
     assert cli.main([*argv, "--graph", str(graph), "--mode", "classic"]) == 0
 
 
+def test_copnum_without_a_win_up_to_kmax_exits_two(tmp_path, capsys):
+    # c_L of grid 4x4 is 2, so no k <= 1 wins
+    graph = tmp_path / "grid4.txt"
+    assert cli.main(["gen", "--kind", "grid2d", "--n", "4", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert cli.main(["copnum", "--graph", str(graph), "--kmax", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "lazycops: limit exceeded: no cop win found for k <= 1\n"
+
+
 def test_classic_huge_k_exits_at_state_cap(tmp_path, monkeypatch, capsys):
     import lazycops.solver as solver
 
@@ -674,6 +684,21 @@ def test_bad_strategy_value_reported_before_build(tmp_path, capsys, cops, robber
     ("experiment", {**_GOOD, "k": None, "bounds_query": {
         "which": "gnp", "n": 1000, "p": 0.01, "alpha": 0.4, "regime": "main"}},
      "bound 'gnp' does not read 'regime'"),
+    # each remaining input check of the commands, one case apiece
+    ("solve", ["--k", "0"], "cop count must be >= 1"),
+    ("solve", ["--mode", "classic", "--k", "0"], "cop count must be >= 1"),
+    ("verify-expansion", ["--n", "2", "--alpha", "0.06"], "average degree d=0.000 too small"),
+    ("bounds", ["--which", "gnp", "--n", "10", "--p", "1", "--alpha", "0.4"],
+     "p must lie in (0,1), got 1.0"),
+    ("bounds", ["--which", "genus", "--n", "0", "--g", "0"], "need n >= 1 and g >= 0"),
+    ("bounds", ["--which", "domination", "--n", "10", "--delta=-1"],
+     "need n >= 1 and delta >= 0"),
+    ("gen", ["--kind", "path", "--n", "0"], "kind 'path' needs a positive size, got 0"),
+    ("experiment", {**_GOOD, "bogus": 3}, "unknown config fields: ['bogus']"),
+    ("experiment", {**_GOOD, "k": None}, "config needs an explicit k or a bounds_query"),
+    ("experiment", {**_GOOD, "trials": 0}, "trials must be >= 1"),
+    ("experiment", {**_GOOD, "k": None, "bounds_query": {"n": 10}},
+     "bounds_query needs a 'which' key"),
 ])
 def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, needle):
     graph = tmp_path / "p6.txt"
@@ -686,14 +711,14 @@ def test_out_of_range_input_exits_one_line(tmp_path, capsys, command, extra, nee
         cfg_path.write_text(json.dumps(extra))
         argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
     elif command == "verify-expansion":
-        argv = ["verify-expansion", *extra, "--alpha", "0.5", "--eps", "0.05"]
+        argv = ["verify-expansion", "--alpha", "0.5", "--eps", "0.05", *extra]
     elif command == "simulate":
         argv = ["simulate", "--graph", str(graph), "--cops", "greedy",
                 "--robber", "greedy", *extra]
     elif command == "bounds":
         argv = ["bounds", *extra]
     else:
-        argv = ["copnum", "--graph", str(graph), *extra]
+        argv = [command, "--graph", str(graph), *extra]
     capsys.readouterr()
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

@@ -92,6 +92,30 @@ def test_illegal_moves_rejected():
         apply_move(G, cop_turn, stay)
 
 
+class _Placing:
+    """A player that only places, at `vertices`."""
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+
+    def place(self, G, _):
+        return self.vertices
+
+
+@pytest.mark.parametrize("cops, robber, needle", [
+    ([0], 5, "cop placement [0] is not 2 valid vertices"),
+    ([0, 1, 2], 5, "cop placement [0, 1, 2] is not 2 valid vertices"),
+    ([0, 9], 5, "cop placement [0, 9] is not 2 valid vertices"),
+    ([-1, 0], 5, "cop placement [-1, 0] is not 2 valid vertices"),
+    ([0, 1], 9, "robber placement 9 invalid"),
+    ([0, 1], -1, "robber placement -1 invalid"),
+])
+def test_play_rejects_invalid_placements(cops, robber, needle):
+    with pytest.raises(IllegalMoveError) as info:
+        play(gen_named("path", 9), _Placing(cops), _Placing(robber), 2, 10)
+    assert str(info.value) == needle
+
+
 def test_cops_stay_sorted_through_every_constructor():
     s = GameState((3, 1), 0, COPS, 1)
     assert s.cops == (1, 3)
@@ -158,23 +182,41 @@ def _entry_pool():
             {"side": ROBBER, "from": 2, "to": 1.0}, {"side": COPS, "from": None, "to": None}]
 
 
-# a transcript is blocks of pool entries, each repeated, then cut short; -1
-# stands for a fresh copy of entry 1 (equal to it, but another object)
-@given(segments=st.lists(st.tuples(st.lists(st.integers(-1, 3), min_size=1, max_size=4),
-                                   st.integers(1, 6)), max_size=4),
-       cut=st.integers(0, 3), mutate=st.sampled_from([None, 0, 1, 2, 3]))
-@example(segments=[([1], 9)], cut=0, mutate=None)                  # period 1
-@example(segments=[([0, 1, 2], 4)], cut=2, mutate=None)            # a repeat from index 0
-@example(segments=[([3, 0], 5), ([1], 1), ([-1, 2], 1)], cut=0, mutate=None)  # in the middle
-@example(segments=[([3], 2), ([0, 1], 4)], cut=1, mutate=1)        # a mutated shared entry
-def test_to_json_equals_json_dumps(segments, cut, mutate):
+# a transcript is 2 placement entries, then blocks of rounds of 2 pool entries,
+# each block repeated, then cut short; -1 stands for a fresh copy of entry 1
+# (equal to it, but another object).  With `cycled`, the record's cycle names
+# the last block's rounds whenever a whole block of them is left.
+_rounds = st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), min_size=1, max_size=3)
+
+
+@given(placement=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       segments=st.lists(st.tuples(_rounds, st.integers(1, 6)), max_size=4),
+       cut=st.integers(0, 3), mutate=st.sampled_from([None, 0, 1, 2, 3]), cycled=st.booleans())
+@example(placement=(0, 1), segments=[([(1, 1)], 9)], cut=0, mutate=None, cycled=True)  # period 1
+@example(placement=(0, 1), segments=[([(0, 1), (2, 3)], 4)], cut=3, mutate=None,
+         cycled=True)                                                 # a repeat from round 0
+@example(placement=(0, 1), segments=[([(3, 0)], 1), ([(0, 1), (2, 3)], 1)], cut=0,
+         mutate=None, cycled=True)               # one block: the tail starts no later
+@example(placement=(0, 1), segments=[([(3, 2)], 2), ([(0, 1), (2, 3)], 2)], cut=1,
+         mutate=None, cycled=True)               # another round before: nor earlier
+@example(placement=(0, 1), segments=[([(3, 0)], 5), ([(1, -1)], 1), ([(-1, 2)], 3)], cut=0,
+         mutate=None, cycled=False)                                   # in the middle
+@example(placement=(3, 3), segments=[([(0, 1)], 4)], cut=1, mutate=1,
+         cycled=True)                                                 # a mutated shared entry
+def test_to_json_equals_json_dumps(placement, segments, cut, mutate, cycled):
     pool = _entry_pool()
-    transcript = [pool[i] if i >= 0 else dict(pool[1])
-                  for block, copies in segments for i in block * copies]
+    transcript = [pool[i] for i in placement]
+    cycle = None
+    for block, copies in segments:
+        cycle = (len(transcript) // 2 - 1, len(block))
+        entries = [i for step in block for i in step] * copies
+        transcript += [pool[i] if i >= 0 else dict(pool[1]) for i in entries]
     del transcript[len(transcript) - min(cut, len(transcript)):]
+    if not cycled or cycle is None or len(transcript) < 2 + 2 * sum(cycle):
+        cycle = None
     if mutate is not None:
         pool[mutate]["to"] = ["mutated", mutate]
-    record = GameRecord("survival", 7, transcript)
+    record = GameRecord("survival", 7, transcript, cycle)
     assert record.to_json() == json.dumps(
         {"outcome": "survival", "rounds": 7, "transcript": transcript})
 

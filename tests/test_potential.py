@@ -65,6 +65,16 @@ def test_params_reject_small_n():
             potential_params(n, 1)
     with pytest.raises(UsageError):
         potential_params(16, 0)
+    with pytest.raises(UsageError, match="eps must be a number, got 'abc'"):
+        potential_params(8, "abc")
+
+
+def test_potential_rejects_other_cubes_and_unplaced_robbers():
+    params = potential_params(8, 1)
+    with pytest.raises(UsageError, match="not the dimension-8 hypercube"):
+        hypercube_robber_move(params, gen_named("hypercube", 9), GameState((0,), 1, ROBBER))
+    with pytest.raises(UsageError, match="robber must be placed"):
+        potential(params, gen_named("hypercube", 8), GameState((0,), None, COPS))
 
 
 def test_potential_zero_when_cops_far():

@@ -175,6 +175,8 @@ def test_distance_accepts_cops_in_any_order():
         assert res.distance([8, 0], 4, side) == res.distance((0, 8), 4, side)
     with pytest.raises(KeyError):
         res.distance((0, 9), 4, COPS)
+    with pytest.raises(KeyError, match="robber vertex 9 out of range"):
+        res.distance((0, 8), res.G.n, COPS)
 
 
 @pytest.mark.parametrize("side", [7, 0, 1, "cop", None])

@@ -309,6 +309,12 @@ def test_separator_requires_connected():
         SeparatorCopStrategy(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_separator_places_only_on_its_own_graph():
+    cops = SeparatorCopStrategy(gen_named("grid2d", 3))
+    with pytest.raises(UsageError, match="planned for a different graph"):
+        cops.place(gen_named("grid2d", 4), 9)
+
+
 @pytest.mark.parametrize("G, k, rounds", [
     (("grid2d", 4), 2, 4),
     (("petersen",), 3, 1),
@@ -529,25 +535,44 @@ def test_positional_players_skip_the_repeated_rounds():
     assert stats["moves"] == 5000 and stats["fallbacks"] > robber._fell_back.count(1) > 0
 
 
-def _first_repeat(transcript, memory: bool):
-    """(first, again): the first round `again` whose (cops, robber) at the
-    start of the cop turn, and with `memory` the robber's previous vertex,
-    were also those of round `first`; None if none recurs in `transcript`."""
+def _positions(transcript, memory: bool) -> list:
+    """The (cops, robber) at the start of each cop turn of `transcript`, and
+    with `memory` the robber's previous vertex, up to the turn after its last
+    robber move."""
     cops, robber, prev = sorted(transcript[0]["to"]), transcript[1]["to"], None
-    seen = {}
-    for r, (cop, step) in enumerate(zip([*transcript[2::2], None], [*transcript[3::2], None])):
-        key = (tuple(cops), robber, prev if memory else None)
-        if key in seen:
-            return seen[key], r
-        seen[key] = r
-        if step is None:   # the transcript ends: captured, or out of rounds
-            return None
+    positions = [(tuple(cops), robber, None)]
+    for cop, step in zip(transcript[2::2], transcript[3::2]):
         if cop["from"] is not None:
             cops[cops.index(cop["from"])] = cop["to"]
             cops.sort()
         if step["to"] != step["from"]:
             prev = step["from"]
         robber = step["to"]
+        positions.append((tuple(cops), robber, prev if memory else None))
+    return positions
+
+
+def _first_repeat(transcript, memory: bool):
+    """(first, again): the first round `again` whose position (see
+    `_positions`) was also that of round `first`; None if none recurs."""
+    seen = {}
+    for r, key in enumerate(_positions(transcript, memory)):
+        if key in seen:
+            return seen[key], r
+        seen[key] = r
+    return None
+
+
+def _check_cycle(record, expected, memory: bool) -> None:
+    """`record.cycle` is (round, period) of a position of `expected` that
+    recurs `period` rounds later, and `record`'s copied entries are those
+    from one period past entry 2 + 2 * round on."""
+    r, period = record.cycle
+    positions = _positions(expected.transcript, memory)
+    assert positions[r] == positions[r + period]
+    t, block = record.transcript, 2 * period
+    assert [i for i in range(block, len(t)) if t[i] is t[i - block]] == [
+        *range(2 + 2 * r + block, len(t))]
 
 
 @pytest.mark.parametrize("name", sorted(_POSITIONAL_GAMES))
@@ -562,8 +587,11 @@ def test_positional_games_stop_at_the_first_repeat(name):
     if repeat is None:   # a capture: every move is played
         moves = expected.transcript[2:]
         assert (cop.calls, robber.calls) == (len(moves[::2]), len(moves[1::2]))
+        assert record.cycle is None
     else:
         assert record.outcome == "survival" and cop.calls == robber.calls == repeat[1]
+        assert record.cycle == (repeat[0], repeat[1] - repeat[0])
+        _check_cycle(record, expected, hasattr(robber, "memory"))
 
 
 # (graph, robber, k, period): greedy cops against a robber that they cannot
@@ -596,9 +624,11 @@ def test_seen_table_finds_the_cycles_it_can_hold(monkeypatch, cap, name):
         first, again = _first_repeat(expected.transcript, hasattr(robber, "memory"))
         assert again - first == period
         if period > cap:   # the table never holds a whole cycle
-            assert cop.calls == robber.calls == max_rounds
+            assert cop.calls == robber.calls == max_rounds and record.cycle is None
         else:   # found within period - 1 rounds of the first repeat
             assert again <= cop.calls == robber.calls <= again + period - 1
+            assert record.cycle[1] == period
+            _check_cycle(record, expected, hasattr(robber, "memory"))
 
 
 @pytest.mark.parametrize("G, robber, k", [
