@@ -6,10 +6,17 @@ the labeling propagates backwards: a cops-to-move state is cop-win as soon
 as one successor is, a robber-to-move state once every successor is.
 Labeling level by level yields exact minimax distance-to-capture in
 half-moves.  A level releases robber-to-move states with one AND of
-big-integer rows of labeled multisets, one row per robber vertex, and
-finds cops-to-move candidates with one C-level set union per robber
-vertex.  Cop-side moves come from a table built once per multiset; optimal
-play and the self-consistency replay read the same table.
+big-integer rows of labeled multisets, one row per robber vertex.  On the
+cop side, per robber vertex, it takes the cheaper of two directions
+(after Beamer, Asanovic and Patterson's direction-optimizing BFS): push,
+one C-level set union of the moves of the newly released ranks, or pull,
+a test of each still-unlabeled rank for a released move.  It pulls when
+fewer ranks are unlabeled than were released.  Both directions label the
+same states at the same level: a cops-to-move state is cop-win at level d
+iff some successor was released at level d - 1, and the move relation is
+symmetric, so a rank's successors are its predecessors.  Cop-side moves
+come from a table built once per multiset; optimal play and the
+self-consistency replay read the same table.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, filterfalse, product
+from functools import partial
+from itertools import combinations_with_replacement, compress, filterfalse, product
 from math import comb
 
 from . import game
@@ -45,6 +53,7 @@ CLASSIC_TERM_CAP = 50_000_000
 EVASION_STEPS = 200
 
 _ONES = re.compile(b"\x01").finditer   # flagged ranks of a row, as matches
+_ZEROS = re.compile(b"\x00").finditer  # unflagged ranks of a row, as matches
 
 
 @dataclass
@@ -64,7 +73,7 @@ class SolveResult:
     placement: tuple          # best cop placement (worst-case optimal if cop_win)
     states: int
     seconds: float
-    stats: dict = field(default_factory=dict)   # phase times, levels, labeled states
+    stats: dict = field(default_factory=dict)   # phase times, levels, labeled states, pulls
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
     _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves
@@ -182,6 +191,7 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
             lab[r][mi] = 1
     rel = [int.from_bytes(row, "little") for row in lab]
     labi = rel[:]
+    unl = [M - row.bit_count() for row in rel]   # unlabeled ranks per robber vertex
     cop_per = [sum(map(int.bit_count, rel))]
     robber_per = cop_per[:]
 
@@ -193,11 +203,14 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     # vertex to its ranks released at distance d - 1, in the form of rel.
     # Robber side: at each vertex t next to the cops-to-move frontier, the
     # AND of the labeled rows of t's closed neighbours, less rel[t], gives
-    # the newly released ranks.  Cop side: per robber vertex, one set union,
-    # built in C, gives the cops-to-move candidates, filtered through lab.
+    # the newly released ranks.  Cop side, per robber vertex r: push takes
+    # one set union, built in C, of the moves of the released ranks,
+    # filtered through lab[r]; pull tests each unlabeled rank for a released
+    # move.  Each reads about one move-table row per rank it visits, so the
+    # side with fewer ranks (unl[r] against the released count) is cheaper.
     robber_front = {r: row for r, row in enumerate(rel) if row}
     cop_front = set(robber_front)
-    d = 0
+    d = pulled = 0
     while cop_front or robber_front:
         d += 1
         next_robber = {}
@@ -211,14 +224,22 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
         next_cop, labeled = set(), 0
         for r, released in robber_front.items():
             base, row = r * M, lab[r]
-            ranks = map(re.Match.start, _ONES(released.to_bytes(M, "little")))
-            new = list(filterfalse(row.__getitem__, set().union(*map(moves.__getitem__, ranks))))
+            flags = released.to_bytes(M, "little")
+            if unl[r] < released.bit_count():
+                todo = list(map(re.Match.start, _ZEROS(row)))
+                hit = map(any, map(partial(map, flags.__getitem__), map(moves.__getitem__, todo)))
+                new = list(compress(todo, hit))
+                pulled += 1
+            else:
+                ranks = map(re.Match.start, _ONES(flags))
+                new = list(filterfalse(row.__getitem__, set().union(*map(moves.__getitem__, ranks))))
             for pm in new:
                 dist[base + pm] = d
                 row[pm] = 1
             if new:
                 next_cop.add(r)
                 labi[r] = int.from_bytes(row, "little")
+                unl[r] -= len(new)
                 labeled += len(new)
         cop_front, robber_front = next_cop, next_robber
         cop_per.append(labeled)
@@ -239,7 +260,8 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
         stats={"table_s": t1 - t0, "label_s": t2 - t1, "placement_s": t3 - t2, "levels": d,
                "cop_states_labeled": n * M - dist.count(-1),
                "robber_states_labeled": sum(robber_per),
-               "cop_labeled_per_level": cop_per[:d], "robber_labeled_per_level": robber_per[:d]},
+               "cop_labeled_per_level": cop_per[:d], "robber_labeled_per_level": robber_per[:d],
+               "pulled_groups": pulled},
         _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _dist=dist,
     )
 

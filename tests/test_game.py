@@ -145,6 +145,13 @@ def test_play_capture_on_path():
     assert rec.rounds_played >= 1
 
 
+def test_play_placement_capture_takes_no_round():
+    # three cops cover P3, so the robber is placed on a cop
+    rec = play(gen_named("path", 3), GreedyCopStrategy(), GreedyRobberStrategy(), 3, 10)
+    assert rec == GameRecord("capture", 0, [{"side": COPS, "from": None, "to": [0, 1, 2]},
+                                            {"side": ROBBER, "from": None, "to": 0}])
+
+
 def test_play_survival_when_cops_pass():
     class PassingCops:
         def place(self, G, k):

@@ -113,6 +113,17 @@ def test_potential_additive_over_cops():
         assert potential_at(p, c1 + c2, r) == potential_at(p, c1, r) + potential_at(p, c2, r)
 
 
+def test_max_level_is_floor_of_half_n_minus_root_n():
+    for n in range(7, 201):
+        # the largest L with n - 2L >= 0 and (n - 2L)^2 >= 4n
+        level = max(L for L in range(n // 2 + 1) if (n - 2 * L) ** 2 >= 4 * n)
+        if level < 1:
+            with pytest.raises(UsageError, match="too small"):
+                potential_params(n, 1)
+        else:
+            assert potential_params(n, 1).max_level == level, n
+
+
 def test_move_prefers_increasing_distance():
     # single cop at distance 2: the argmin move pushes it to distance 3
     n = 12
@@ -260,6 +271,32 @@ def test_strategy_requires_hypercube():
     s = PotentialRobberStrategy()
     with pytest.raises(UsageError):
         s.place(gen_named("cycle", 8), [0])
+
+
+def test_strategy_places_on_vertex_0_when_every_vertex_holds_a_cop():
+    G = gen_named("hypercube", 8)
+    assert PotentialRobberStrategy().place(G, tuple(range(G.n))) == 0
+
+
+@pytest.mark.parametrize("far,near,other", [(3, 1, Fraction(1, 2)), (11, 4, 2)])
+def test_default_eps_plays_like_eps_1(far, near, other):
+    # The robber at 0 in Q12 (max_level 2, w[2] = (11 + eps)/35) can step
+    # only to 1 or 2: cops hold the other neighbours.  Vertex 1 has `far`
+    # more cops at distance 2 and vertex 2 has `near` cops at distance 1, so
+    # which is cheaper changes between eps = 1 and `other`.
+    n = 12
+    G = gen_named("hypercube", n)
+    guards = [1 << i for i in range(2, n)]
+    far_cops = [1 | 1 << i | 1 << j for i in range(2, n) for j in range(i + 1, n)][:far]
+    near_cops = [2 | 1 << i for i in range(2, 2 + near)]
+    s = _state(sorted(guards + far_cops + near_cops), 0)
+
+    def step(robber):
+        robber.place(G, s.cops)
+        return robber.move(G, s).target
+
+    assert step(PotentialRobberStrategy()) == step(PotentialRobberStrategy(eps=1)) \
+        != step(PotentialRobberStrategy(eps=other))
 
 
 def test_strategy_places_at_zero_potential():

@@ -264,7 +264,7 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     st = res.stats
     assert set(st) == {"table_s", "label_s", "placement_s", "levels",
                        "cop_states_labeled", "robber_states_labeled",
-                       "cop_labeled_per_level", "robber_labeled_per_level"}
+                       "cop_labeled_per_level", "robber_labeled_per_level", "pulled_groups"}
     phases = (st["table_s"], st["label_s"], st["placement_s"])
     assert min(phases) >= 0 and sum(phases) <= res.seconds + 1e-9
     labeled = {side: [d for cops in combinations_with_replacement(range(G.n), k)

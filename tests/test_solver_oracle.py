@@ -99,11 +99,29 @@ def _assert_matches_reference(G, k, mode):
     ]
     assert not mismatches, f"{len(mismatches)} distances differ, first {mismatches[:3]}"
     assert verify_self_consistency(res)["ok"]
+    return res
 
 
 @pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
 def test_matches_reference(name, k, mode):
     _assert_matches_reference(_graph(name), k, mode)
+
+
+@pytest.mark.parametrize("name,k,mode", [("grid5", 2, LAZY), ("petersen", 3, CLASSIC)])
+def test_pulled_groups_match_reference(name, k, mode):
+    # From the reference's distances: at level d, robber vertex r pulls iff
+    # fewer of its cops-to-move states are unlabeled before the level
+    # (robber-win, or distance >= d) than its robber-to-move states have
+    # distance d - 1.  Both directions run here, and the distances agree.
+    G = _graph(name)
+    res = _assert_matches_reference(G, k, mode)
+    distance = reference_solve(G, k, mode)[3]
+    msets = list(combinations_with_replacement(range(G.n), k))
+    cop = [[distance(c, r, COPS) for c in msets] for r in range(G.n)]
+    robber = [[distance(c, r, ROBBER) for c in msets] for r in range(G.n)]
+    pulls = sum(sum(x is None or x >= d for x in cop[r]) < robber[r].count(d - 1)
+                for d in range(1, res.stats["levels"] + 1) for r in range(G.n))
+    assert res.stats["pulled_groups"] == pulls > 0
 
 
 @st.composite

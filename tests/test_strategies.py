@@ -1,4 +1,4 @@
-import hashlib
+import json
 import math
 import random
 
@@ -424,9 +424,24 @@ _PERIODIC_GAMES = {
 }
 
 
-def _digest(record):
-    # a digest, not the JSON, so that a mismatch does not diff megabytes
-    return hashlib.sha256(record.to_json().encode()).hexdigest()
+def _first_difference(record, expected):
+    """None if the two records' `to_json` texts are equal, else where they
+    first differ: outcome, rounds, a transcript entry or a character.  A
+    mismatch then reports one entry instead of a diff of two long texts."""
+    got, want = record.to_json(), expected.to_json()
+    if got == want:
+        return None
+    a, b = json.loads(got), json.loads(want)
+    for key in ("outcome", "rounds"):
+        if a[key] != b[key]:
+            return f"{key}: {a[key]!r} != {b[key]!r}"
+    for i, (x, y) in enumerate(zip(a["transcript"], b["transcript"])):
+        if x != y:
+            return f"transcript entry {i}: {x!r} != {y!r}"
+    if len(a["transcript"]) != len(b["transcript"]):
+        return f"transcript length: {len(a['transcript'])} != {len(b['transcript'])}"
+    i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    return f"text at {i}: {got[i:i + 40]!r} != {want[i:i + 40]!r}"
 
 
 @pytest.mark.parametrize("first, second, make_robber, k", [
@@ -441,7 +456,7 @@ def test_reused_strategies_play_a_second_graph_like_fresh_ones(first, second, ma
     reused = play(second, cop, robber, k, 300)
     fresh_cop, fresh_robber = GreedyCopStrategy(), make_robber()
     fresh = play(second, fresh_cop, fresh_robber, k, 300)
-    assert _digest(reused) == _digest(fresh)
+    assert _first_difference(reused, fresh) is None
     assert getattr(robber, "stats", dict)() == getattr(fresh_robber, "stats", dict)()
 
 
@@ -480,7 +495,7 @@ def test_fast_forwarded_games_equal_played_out_games(name):
         expected_stats = getattr(slow[1], "stats", dict)()
         assert (record.outcome, record.rounds_played) == (expected.outcome,
                                                           expected.rounds_played)
-        assert record.to_json() == expected.to_json(), max_rounds
+        assert _first_difference(record, expected) is None, max_rounds
         assert stats() == expected_stats, max_rounds
         assert play(G, *fast, k, max_rounds, record_transcript=False) == GameRecord(
             expected.outcome, expected.rounds_played, [])
@@ -582,7 +597,7 @@ def test_positional_games_stop_at_the_first_repeat(name):
     cop, robber = _count_moves(GreedyCopStrategy()), _count_moves(make_robber(G))
     record = play(G, cop, robber, k, 1500)
     expected = reference_play(G, GreedyCopStrategy(), make_robber(G), k, 1500)
-    assert _digest(record) == _digest(expected)
+    assert _first_difference(record, expected) is None
     repeat = _first_repeat(expected.transcript, hasattr(robber, "memory"))
     if repeat is None:   # a capture: every move is played
         moves = expected.transcript[2:]
@@ -619,7 +634,7 @@ def test_seen_table_finds_the_cycles_it_can_hold(monkeypatch, cap, name):
         cop.calls = robber.calls = 0
         record = play(G, cop, robber, k, max_rounds)
         expected = reference_play(G, *slow, k, max_rounds)
-        assert _digest(record) == _digest(expected)
+        assert _first_difference(record, expected) is None
         assert getattr(robber, "stats", dict)() == getattr(slow[1], "stats", dict)()
         first, again = _first_repeat(expected.transcript, hasattr(robber, "memory"))
         assert again - first == period
