@@ -2,15 +2,15 @@
 
 Trial i uses seed master_seed + i.  Trials run in trial order on the
 calling thread; the `workers` config field is accepted and type-checked
-but does not change how trials run.  A run resolves k and asks whether a
-spec reads the trial seed (strategies.reads_run_seed) once, then plays one
-game at a time: it builds a new graph only when the family reads the seed
-(graph.SEEDED_KINDS), after dropping the last graph and the solve and
-players built on it, and new players only on a new graph or when a spec
-reads the seed.  The `optimal` sides of every pair on one graph share one
-solve.  The rows equal those of fresh builds per trial.  Floats are
-formatted at 6 significant digits and the column order is fixed, making
-identical configs byte-identical on disk.
+but does not change how trials run.  A run resolves k and parses both
+specs once, then plays one game at a time: it builds a new graph only
+when the family reads the seed (graph.SEEDED_KINDS), and a new graph
+brings a new strategies.per_graph memo, after the last graph and memo are
+dropped.  Players are made on every trial through the graph's memo, which
+builds each solve, separator plan and dominating set once per graph.  The
+rows equal those of fresh builds per trial.  Floats are formatted at 6
+significant digits and the column order is fixed, making identical
+configs byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import UsageError
 from .game import play
 from .graph import SEEDED_KINDS, Graph, gen_named
 from .bounds import theoretical_bounds
-from .strategies import make_players, reads_run_seed, solve_once
+from .strategies import make_players, parse_specs, per_graph
 
 CSV_COLUMNS = (
     "trial", "seed", "n", "params", "k",
@@ -117,18 +117,15 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list:
     """All trial rows plus the aggregate row; optionally written as CSV."""
     k = _resolve_k(cfg)
     specs = cfg.cop_strategy, cfg.robber_strategy
-    seeded_players = reads_run_seed(*specs)
-    G = players = None
-    rows = []
+    parse_specs(*specs)   # a bad spec is reported before a bad family
+    G, rows = None, []
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
         if G is None or cfg.family in SEEDED_KINDS:
-            G = solve = players = None   # the last game goes before the next graph is built
+            G = once = None   # the last graph and its builds go before the next graph is built
             G = gen_named(cfg.family, None, seed, **cfg.family_params)
-            solve = solve_once(G, k)
-        if players is None or seeded_players:
-            players = make_players(*specs, G, k, seed, solve=solve)
-        rows.append(run_trial(cfg, trial, G, k, players))
+            once = per_graph(G)
+        rows.append(run_trial(cfg, trial, G, k, make_players(*specs, G, k, seed, once)))
 
     survivals = sum(1 for r in rows if r["outcome"] == "survival")
     rate = survivals / len(rows)

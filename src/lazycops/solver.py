@@ -258,7 +258,7 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
         G=G, k=k, mode=mode, cop_win=cop_win, placement=placement,
         states=total, seconds=t3 - t0,
         stats={"table_s": t1 - t0, "label_s": t2 - t1, "placement_s": t3 - t2, "levels": d,
-               "cop_states_labeled": n * M - dist.count(-1),
+               "cop_states_labeled": sum(cop_per),
                "robber_states_labeled": sum(robber_per),
                "cop_labeled_per_level": cop_per[:d], "robber_labeled_per_level": robber_per[:d],
                "pulled_groups": pulled},

@@ -17,7 +17,6 @@ as its memory.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -128,20 +127,25 @@ class StationaryRobberStrategy(GreedyRobberStrategy):
 
 # -- dominating-set cops -------------------------------------------------------
 
+def _check_graph(G: Graph, planned: Graph):
+    if G != planned:
+        raise UsageError("strategy was planned for a different graph")
+
+
 class DominatingCopStrategy:
     """Occupy a greedy dominating set; the dominating cop captures at once."""
 
     positional = True
 
     def __init__(self, G: Graph):
+        self._G = G
         self.dominating_set = sorted(greedy_dominating_set(G))
         self.required_cops = len(self.dominating_set)
 
     def place(self, G: Graph, k: int) -> list:
+        _check_graph(G, self._G)
         if k < self.required_cops:
-            raise StrategyError(
-                f"dominating strategy needs {self.required_cops} cops, got {k}"
-            )
+            raise StrategyError(f"dominating strategy needs {self.required_cops} cops, got {k}")
         extra = [self.dominating_set[0]] * (k - self.required_cops)
         return self.dominating_set + extra
 
@@ -209,12 +213,9 @@ class SeparatorCopStrategy:
     # -- game protocol ---------------------------------------------------
 
     def place(self, G: Graph, k: int) -> list:
-        if G != self._G:
-            raise UsageError("strategy was planned for a different graph")
+        _check_graph(G, self._G)
         if k < self.required_cops:
-            raise StrategyError(
-                f"separator strategy needs {self.required_cops} cops, got {k}"
-            )
+            raise StrategyError(f"separator strategy needs {self.required_cops} cops, got {k}")
         sep = self.root_separator
         self._posted = dict.fromkeys(sep)
         self._walker = sep[0]
@@ -257,19 +258,24 @@ class _OptimalStrategy:
     def __init__(self, result: SolveResult):
         self._result = result
 
+    def _check(self, G: Graph, k: int):
+        _check_graph(G, self._result.G)
+        if k != self._result.k:
+            raise UsageError("solve result is for a different cop count")
+
     def move(self, G: Graph, state: GameState):
         return optimal_move(self._result, state)
 
 
 class OptimalCopStrategy(_OptimalStrategy):
     def place(self, G: Graph, k: int) -> list:
-        if k != self._result.k:
-            raise UsageError("solve result is for a different cop count")
+        self._check(G, k)
         return list(self._result.placement)
 
 
 class OptimalRobberStrategy(_OptimalStrategy):
     def place(self, G: Graph, cops) -> int:
+        self._check(G, len(cops))
         return self._result.robber_placement_response(cops)
 
 
@@ -282,15 +288,15 @@ def _gnp_robber(alpha=None, **_):
 
 
 # name -> (option -> converter, builder).  A builder takes the converted options
-# and G, solve (the game's one cached solve_lazy) and run_seed as keywords; one
-# that names run_seed reads it unless its spec sets `seed`.
+# and once (the graph's per_graph memo), k and run_seed as keywords; a graph-bound
+# side builds its plan or solve through once, so that runs once per graph.
 _COPS = {
     "greedy": ({"seed": int}, lambda seed=None, **_: GreedyCopStrategy(seed)),
     "random": ({"seed": int}, lambda run_seed, seed=None, **_:
                RandomCopStrategy(run_seed if seed is None else seed)),
-    "dominating": ({}, lambda G, **_: DominatingCopStrategy(G)),
-    "separator": ({}, lambda G, **_: SeparatorCopStrategy(G)),
-    "optimal": ({}, lambda solve, **_: OptimalCopStrategy(solve())),
+    "dominating": ({}, lambda once, **_: once(DominatingCopStrategy)),
+    "separator": ({}, lambda once, **_: once(SeparatorCopStrategy)),
+    "optimal": ({}, lambda once, k, **_: OptimalCopStrategy(once(solve_lazy, k))),
 }
 _ROBBERS = {
     "greedy": ({}, lambda **_: GreedyRobberStrategy()),
@@ -299,7 +305,7 @@ _ROBBERS = {
     "stationary": ({}, lambda **_: StationaryRobberStrategy()),
     "gnp": ({"alpha": float}, _gnp_robber),
     "potential": ({"eps": Fraction}, lambda eps=1, **_: PotentialRobberStrategy(eps)),
-    "optimal": ({}, lambda solve, **_: OptimalRobberStrategy(solve())),
+    "optimal": ({}, lambda once, k, **_: OptimalRobberStrategy(once(solve_lazy, k))),
 }
 
 
@@ -332,27 +338,23 @@ def _parse_spec(spec: str, table: dict, side: str):
     return build, kwargs
 
 
-def solve_once(G: Graph, k: int):
-    """A callable that runs solve_lazy(G, k) at its first call and returns
-    that result at every call."""
-    return functools.cache(lambda: solve_lazy(G, k))
+def parse_specs(cop_spec: str, robber_spec: str) -> tuple:
+    """The (builder, options) of both specs; a bad spec is a usage error."""
+    return _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
+
+
+def per_graph(G: Graph):
+    """A memo once(build, *args) that runs build(G, *args) once per arguments."""
+    return functools.cache(lambda build, *args: build(G, *args))
 
 
 def make_players(cop_spec: str, robber_spec: str, G: Graph, k: int, seed: int | None = 0,
-                 solve=None):
+                 once=None):
     """(cops, robber) for a game of k cops on G, from specs "name" or
     "name:key=value,..." of _COPS and _ROBBERS.  Both specs are parsed before
-    either side is built; the solver-optimal sides share one solve_lazy(G, k),
-    run only if one is built: `solve`, a solve_once(G, k) that the caller
-    keeps across player pairs, else a new one.  A seed option defaults to
-    `seed` (greedy: None)."""
-    specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
-    solve = solve_once(G, k) if solve is None else solve
-    return tuple(build(G=G, solve=solve, run_seed=seed, **kw) for build, kw in specs)
-
-
-def reads_run_seed(cop_spec: str, robber_spec: str) -> bool:
-    """Whether make_players(cop_spec, robber_spec, G, k, seed) reads `seed`."""
-    specs = _parse_spec(cop_spec, _COPS, "cop"), _parse_spec(robber_spec, _ROBBERS, "robber")
-    return any("run_seed" in inspect.signature(build).parameters and "seed" not in kw
-               for build, kw in specs)
+    either side is built; a side bound to G builds through `once`, the
+    per_graph(G) memo that the caller keeps across player pairs on G, else a
+    new one.  A seed option defaults to `seed` (greedy: None)."""
+    specs = parse_specs(cop_spec, robber_spec)
+    once = per_graph(G) if once is None else once
+    return tuple(build(once=once, k=k, run_seed=seed, **kw) for build, kw in specs)

@@ -130,6 +130,16 @@ def test_bound_keys_are_named_on_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "lazycops: error: bound 'domination' missing parameter 'n'\n")
 
 
+def test_bad_spec_is_reported_before_a_bad_family(tmp_path, capsys):
+    # both specs are parsed before the first graph is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "grid2d", "family_params": {"n": 0}, "k": 1,
+                               "cop_strategy": "nope"}))
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr() == ("", "lazycops: error: unknown cop strategy 'nope'\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_usage_error_exit_code():
     r = _run("solve", "--graph", "/does/not/exist", "--k", "1")
     assert r.returncode == 1

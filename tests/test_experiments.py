@@ -1,7 +1,8 @@
-"""The experiment runner's per-run reuse of graphs, k and players.
+"""The experiment runner's per-run reuse of graphs and per-graph builds.
 
-A run keeps the last graph and player pair across trials; its rows must be
-those of a loop that builds a fresh graph and fresh players for each trial.
+A run keeps the last graph and its per_graph memo across trials and makes
+players on every trial through that memo; its rows must be those of a loop
+that builds a fresh graph and fresh players for each trial.
 """
 
 import csv
@@ -112,7 +113,7 @@ def test_optimal_run_solves_once(monkeypatch):
 
 
 def test_optimal_against_unseeded_random_solves_once(monkeypatch):
-    # the random robber reads the trial seed, so each trial builds new players
+    # the random robber reads the trial seed; each trial makes new players
     solves = _count_calls(monkeypatch, strategies, "solve_lazy")
     made = _count_calls(monkeypatch, experiments, "make_players")
     cfg = ExperimentConfig(family="grid2d", family_params={"n": 6}, k=2,
@@ -135,20 +136,26 @@ def test_graphs_built_per_seed_read(monkeypatch, family, fp, graphs):
     assert len(built) == graphs
 
 
-@pytest.mark.parametrize("cops,robber,k,builds", [
-    ("random", "greedy", 2, 5),
-    ("greedy", "random", 2, 5),
-    ("random", "random:seed=3", 2, 5),
-    ("random:seed=3", "random:seed=4", 2, 1),
-    ("greedy:seed=2", "greedy", 2, 1),
-    ("separator", "optimal", 5, 1),
+@pytest.mark.parametrize("family,fp,graphs", [("grid2d", {"n": 3}, 1),
+                                               ("random_tree", {"n": 9}, 5)])
+@pytest.mark.parametrize("cops,robber,k,build", [
+    ("separator", "random", 5, "SeparatorCopStrategy"),
+    ("dominating", "random", 4, "DominatingCopStrategy"),
+    ("optimal", "random", 1, "solve_lazy"),
+    ("random", "optimal", 1, "solve_lazy"),
+    ("optimal", "optimal", 1, "solve_lazy"),
 ])
-def test_players_built_per_seed_read(monkeypatch, cops, robber, k, builds):
+def test_one_build_per_graph(monkeypatch, family, fp, graphs, cops, robber, k, build):
+    # every trial makes players, and a random partner reads the trial seed;
+    # the plan, dominating set or solve (shared by two optimal sides) is
+    # built once per graph
+    built = _count_calls(monkeypatch, strategies, build)
     made = _count_calls(monkeypatch, experiments, "make_players")
-    cfg = ExperimentConfig(family="grid2d", family_params={"n": 3}, k=k,
+    cfg = ExperimentConfig(family=family, family_params=fp, k=k,
                            cop_strategy=cops, robber_strategy=robber, trials=5)
-    run_experiment(cfg)
-    assert len(made) == builds
+    rows = run_experiment(cfg)
+    assert len(built) == graphs and len(made) == 5
+    assert rows[:-1] == _fresh_rows(cfg)
 
 
 def test_seeded_graph_players_rebuilt_on_each_graph(monkeypatch):

@@ -315,6 +315,12 @@ def test_separator_places_only_on_its_own_graph():
         cops.place(gen_named("grid2d", 4), 9)
 
 
+def test_dominating_places_only_on_its_own_graph():
+    cops = DominatingCopStrategy(gen_named("grid2d", 3))
+    with pytest.raises(UsageError, match="planned for a different graph"):
+        cops.place(gen_named("cycle", 9), 9)
+
+
 @pytest.mark.parametrize("G, k, rounds", [
     (("grid2d", 4), 2, 4),
     (("petersen",), 3, 1),
@@ -345,6 +351,23 @@ def test_optimal_cops_refuse_another_cop_count():
     G = gen_named("grid2d", 4)
     with pytest.raises(UsageError, match="different cop count"):
         OptimalCopStrategy(solve_lazy(G, 2)).place(G, 3)
+
+
+def test_optimal_robber_refuses_another_cop_count():
+    G = gen_named("grid2d", 4)
+    with pytest.raises(UsageError, match="different cop count"):
+        OptimalRobberStrategy(solve_lazy(G, 2)).place(G, [0, 0, 0])
+
+
+@pytest.mark.parametrize("side", ["cops", "robber"])
+def test_optimal_sides_refuse_another_graph_of_the_same_size(side):
+    # the table of grid 4x4 would be read on C16's positions
+    G, H = gen_named("grid2d", 4), gen_named("cycle", 16)
+    result = solve_lazy(G, 2)
+    players = {"cops": (OptimalCopStrategy(result), GreedyRobberStrategy()),
+               "robber": (GreedyCopStrategy(), OptimalRobberStrategy(result))}[side]
+    with pytest.raises(UsageError, match="planned for a different graph"):
+        play(H, *players, 2, 50)
 
 
 def test_make_players_solves_once_for_two_optimal_sides(monkeypatch):
