@@ -127,20 +127,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list:
             once = per_graph(G)
         rows.append(run_trial(cfg, trial, G, k, make_players(*specs, G, k, seed, once)))
 
-    survivals = sum(1 for r in rows if r["outcome"] == "survival")
-    rate = survivals / len(rows)
-    aggregate = {
-        "trial": "aggregate",
-        "seed": "",
-        "n": rows[0]["n"],
-        "params": rows[0]["params"],
-        "k": rows[0]["k"],
-        "cop_strategy": cfg.cop_strategy,
-        "robber_strategy": cfg.robber_strategy,
-        "outcome": "survival_rate",
-        "rounds": _fmt(rate),
-    }
-    rows.append(aggregate)
+    rate = sum(r["outcome"] == "survival" for r in rows) / len(rows)
+    rows.append({**rows[0], "trial": "aggregate", "seed": "", "outcome": "survival_rate",
+                 "rounds": _fmt(rate)})
 
     if out_path is not None:
         text = rows_to_csv(rows)

@@ -161,6 +161,8 @@ def _move_table(msets: list, mindex: dict, closed: list, mode: str) -> list:
 
 
 def _solve(G: Graph, k: int, mode: str) -> SolveResult:
+    if k < 1:
+        raise UsageError("cop count must be >= 1")
     n = G.n
     M = comb(n + k - 1, k)
     total = M * n * 2
@@ -267,8 +269,6 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
 
 
 def solve_lazy(G: Graph, k: int) -> SolveResult:
-    if k < 1:
-        raise UsageError("cop count must be >= 1")
     return _solve(G, k, LAZY)
 
 
@@ -286,8 +286,6 @@ def _classic_terms(G: Graph, k: int) -> int:
 
 def solve_classic(G: Graph, k: int) -> SolveResult:
     """Classic rules: every cop repositions within its closed neighborhood."""
-    if k < 1:
-        raise UsageError("cop count must be >= 1")
     return _solve(G, k, CLASSIC)
 
 
@@ -380,9 +378,6 @@ def verify_self_consistency(result: SolveResult) -> dict:
     """
     cops = result.placement
     robber = result.robber_placement_response(cops)
-    if robber in cops:
-        return {"ok": result.cop_win, "half_moves": 0, "budget": 0}
-
     start_d = result.distance(cops, robber, game.COPS)
     budget = start_d if start_d is not None else EVASION_STEPS
     half = 0

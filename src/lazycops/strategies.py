@@ -50,7 +50,7 @@ class GreedyCopStrategy:
         if self._seed is not None:
             rng = random.Random(self._seed)
             return [rng.randrange(G.n) for _ in range(k)]
-        ranked = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+        ranked = sorted(range(G.n), key=G.degree, reverse=True)
         return [ranked[i % len(ranked)] for i in range(k)]
 
     def move(self, G: Graph, state: GameState):
@@ -167,9 +167,9 @@ class SeparatorCopStrategy:
     along shortest paths with lowest-id tie-breaks; the cops beyond the
     root separator wait on its first vertex, and the next one leaves when
     the walker reaches its target.  The root separator is occupied at
-    placement time.  Every region is planned up front, so play reads the
-    plan and never searches.  `stats()` reports the plan and the guards
-    posted so far.
+    placement time.  Every region is planned up front, so play searches
+    for regions and walker steps but never for a separator.  `stats()`
+    reports the plan and the guards posted so far.
     """
 
     def __init__(self, G: Graph):

@@ -83,6 +83,35 @@ def test_fmt_rounds_floats_only():
     assert experiments._fmt(3) == "3" and experiments._fmt("-") == "-"
 
 
+# survival rates 1/4, 1/3 and 0
+_AGGREGATE_CONFIGS = {
+    "grid2d": ExperimentConfig(family="grid2d", family_params={"n": 4}, k=1,
+                               cop_strategy="random", robber_strategy="random",
+                               trials=4, max_rounds=6),
+    "gnp-seeded": ExperimentConfig(family="gnp", family_params={"n": 11, "p": 0.45}, k=1,
+                                   cop_strategy="random", robber_strategy="random",
+                                   trials=3, master_seed=3, max_rounds=5),
+    "path-bounds-query": ExperimentConfig(family="path", family_params={"n": 4},
+                                          bounds_query={"which": "genus", "n": 4, "g": 0},
+                                          trials=3),
+}
+
+
+@pytest.mark.parametrize("name", _AGGREGATE_CONFIGS)
+def test_aggregate_row_is_derived_from_the_trial_rows(name):
+    cfg = _AGGREGATE_CONFIGS[name]
+    *trials, aggregate = run_experiment(cfg)
+    assert len(trials) == cfg.trials
+    for row in trials:
+        assert all(aggregate[key] == row[key]
+                   for key in ("n", "params", "k", "cop_strategy", "robber_strategy"))
+    survivals = sum(row["outcome"] == "survival" for row in trials)
+    assert aggregate == {**aggregate, "trial": "aggregate", "seed": "",
+                         "outcome": "survival_rate",
+                         "rounds": experiments._fmt(survivals / cfg.trials)}
+    assert list(aggregate) == list(experiments.CSV_COLUMNS)
+
+
 def test_random_rows_vary_across_trials():
     # the trial seed reaches random players built on a reused graph
     cfg = ExperimentConfig(family="grid2d", family_params={"n": 5}, k=1,

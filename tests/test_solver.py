@@ -128,10 +128,14 @@ def test_self_consistency_fails_on_halved_distances():
     assert verify_self_consistency(res) == {"ok": False, "half_moves": 6, "budget": 4}
 
 
-@pytest.mark.parametrize("G,k", [(("path", 1), 1), (("path", 2), 2)], ids=["K1-k1", "P2-k2"])
-def test_self_consistency_capture_at_placement(G, k):
+@pytest.mark.parametrize("solve,G,k", [(solve_lazy, ("path", 1), 1),
+                                       (solve_lazy, ("path", 2), 2),
+                                       (solve_classic, ("path", 1), 1),
+                                       (solve_classic, ("path", 2), 2)],
+                         ids=["K1-k1", "P2-k2", "classic-K1-k1", "classic-P2-k2"])
+def test_self_consistency_capture_at_placement(solve, G, k):
     # every vertex holds a cop, so the robber is placed onto one
-    assert verify_self_consistency(solve_lazy(cached_graph(*G), k)) == {"ok": True, "half_moves": 0, "budget": 0}
+    assert verify_self_consistency(solve(cached_graph(*G), k)) == {"ok": True, "half_moves": 0, "budget": 0}
 
 
 @pytest.mark.parametrize("G", [("grid2d", 4), ("cycle", 8), ("gnp", 12, 0.35, 5)],
@@ -352,6 +356,16 @@ def test_many_cops_on_a_tiny_graph_solve_fast():
     res = solve_lazy(gen_named("path", 2), 400)
     assert res.cop_win and res.states == 2 * 2 * 401
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("solve,k", [(solve_lazy, 0), (solve_classic, 0), (solve_lazy, -3)])
+def test_cop_count_checked_before_the_caps(monkeypatch, solve, k):
+    # with every solve over the state cap, only the cop-count check can answer
+    import lazycops.solver as solver
+
+    monkeypatch.setattr(solver, "STATE_CAP", 0)
+    with pytest.raises(UsageError, match=r"^cop count must be >= 1$"):
+        solve(gen_named("path", 3), k)
 
 
 @pytest.mark.parametrize("solve", [solve_lazy, solve_classic])

@@ -42,6 +42,13 @@ def test_greedy_cop_captures_on_path():
             assert rec.outcome == "capture"
 
 
+def test_greedy_cop_placement_ranks_by_degree_then_id():
+    # degrees 2, 2, 1, 1, 0, 2, 4: vertex 6 first, then each tie in id order
+    G = Graph(7, [(6, 0), (6, 1), (6, 2), (6, 3), (5, 0), (5, 1)])
+    assert GreedyCopStrategy().place(G, 3) == [6, 0, 1]
+    assert GreedyCopStrategy().place(G, 9) == [6, 0, 1, 5, 2, 3, 4, 6, 0]
+
+
 def test_greedy_cop_passes_when_robber_in_other_component():
     G = Graph(4, [(0, 1), (2, 3)])
     rec = play(G, GreedyCopStrategy(), GreedyRobberStrategy(), 1, 5)
