@@ -143,9 +143,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    names = ("n", "g", "alpha", "p", "eps", "delta")
-    report = theoretical_bounds(args.which, **{k: getattr(args, k) for k in names})
-    print(json.dumps(report.to_dict()))
+    params = {key: v for key, v in vars(args).items() if key not in ("command", "which")}
+    print(json.dumps(theoretical_bounds(args.which, **params).to_dict()))
     return 0
 
 

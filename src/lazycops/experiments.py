@@ -53,6 +53,12 @@ class ExperimentConfig:
     workers: int = 1
     json_out: str | None = None
 
+    def __post_init__(self):
+        if self.k is None and self.bounds_query is None:
+            raise UsageError("config needs an explicit k or a bounds_query")
+        if self.trials < 1:
+            raise UsageError("trials must be >= 1")
+
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
@@ -73,12 +79,7 @@ class ExperimentConfig:
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise UsageError(f"config field {name!r} must be {kinds[0].__name__}"
                                  f"{' or null' if len(kinds) > 1 else ''}, got {value!r}")
-        cfg = cls(**data)
-        if cfg.k is None and cfg.bounds_query is None:
-            raise UsageError("config needs an explicit k or a bounds_query")
-        if cfg.trials < 1:
-            raise UsageError("trials must be >= 1")
-        return cfg
+        return cls(**data)
 
 
 def _resolve_k(cfg: ExperimentConfig) -> int:

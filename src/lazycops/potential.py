@@ -46,7 +46,7 @@ def potential_params(n: int, eps) -> PotentialParams:
 
     rho is minimal with rho >= sqrt(n) and n/2 - rho an integer (rho is a
     half-integer for odd n); requires n large enough that at least level 1
-    exists, i.e. n/2 - sqrt(n) >= 1.
+    exists, i.e. n/2 - sqrt(n) >= 1, which holds exactly for n >= 8.
     """
     # str() round-trip keeps a float eps such as 0.5 exact instead of
     # inheriting binary-float noise; ints, Fractions and strings pass through
@@ -56,7 +56,7 @@ def potential_params(n: int, eps) -> PotentialParams:
         raise UsageError(f"eps must be a number, got {eps!r}") from None
     if eps <= 0:
         raise UsageError("eps must be positive")
-    if n < 6:
+    if n < 8:
         raise UsageError(f"dimension {n} too small for a valid weight system")
     # max_level = floor(n/2 - sqrt(n)); exact integer arithmetic: the largest
     # integer L with (n - 2L)^2 >= 4n and n - 2L >= 0.
@@ -64,8 +64,6 @@ def potential_params(n: int, eps) -> PotentialParams:
     if r * r < 4 * n:
         r += 1  # ceil(2*sqrt(n))
     max_level = (n - r) // 2
-    if max_level < 1:
-        raise UsageError(f"dimension {n} too small for a valid weight system")
     rho = Fraction(n, 2) - max_level
 
     # Store eps_i and w_i for every level where the closed form is defined

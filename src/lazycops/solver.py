@@ -370,18 +370,17 @@ def optimal_move(result: SolveResult, s):
 def verify_self_consistency(result: SolveResult) -> dict:
     """Replay optimal-vs-optimal from the solved placement.
 
-    Returns a report asserting that play realizes the declared winner and,
-    on cop wins, that capture occurs within the stored distance-to-capture.
-    Works for both lazy and classic mode: the cops step to `_cop_reply`'s
-    rank, so a lazy replay plays `optimal_move`'s game.  The cops move on
-    even half-moves.
+    Returns {"ok", "half_moves", "budget"}: whether the "half_moves"
+    half-moves played realize the declared winner, on cop wins by a capture
+    within "budget", the stored distance-to-capture (None on robber wins).
+    Both modes work: the cops step to `_cop_reply`'s rank (so a lazy replay
+    plays `optimal_move`'s game) on even half-moves.
     """
     cops = result.placement
     robber = result.robber_placement_response(cops)
     start_d = result.distance(cops, robber, game.COPS)
-    budget = start_d if start_d is not None else EVASION_STEPS
-    half = 0
-    while half <= budget + 1:
+    end = start_d + 2 if result.cop_win else EVASION_STEPS
+    for half in range(end):
         if robber in cops:
             ok = result.cop_win and half <= (start_d or 0)
             return {"ok": ok, "half_moves": half, "budget": start_d}
@@ -389,7 +388,4 @@ def verify_self_consistency(result: SolveResult) -> dict:
             cops = result._msets[_cop_reply(result, result._mindex[cops], robber)]
         else:
             robber = _robber_reply(result, cops, result._closed[robber])
-        half += 1
-        if not result.cop_win and half >= EVASION_STEPS:
-            return {"ok": robber not in cops, "half_moves": half, "budget": None}
-    return {"ok": False, "half_moves": half, "budget": start_d}
+    return {"ok": not result.cop_win and robber not in cops, "half_moves": end, "budget": start_d}

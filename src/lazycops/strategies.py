@@ -48,8 +48,7 @@ class GreedyCopStrategy:
 
     def place(self, G: Graph, k: int) -> list:
         if self._seed is not None:
-            rng = random.Random(self._seed)
-            return [rng.randrange(G.n) for _ in range(k)]
+            return RandomCopStrategy(self._seed).place(G, k)
         ranked = sorted(range(G.n), key=G.degree, reverse=True)
         return [ranked[i % len(ranked)] for i in range(k)]
 

@@ -59,6 +59,9 @@ def test_invalid_inputs():
         domination_budget(n=10, p=2.0)
     with pytest.raises(UsageError, match="overflows a float"):  # not an OverflowError
         hypercube_budget(2000, 1)
+    for n, g in ((0, 0), (10, -1)):
+        with pytest.raises(UsageError, match="need n >= 1 and g >= 0"):
+            ght_separator_bound(n, g)
 
 
 def test_dispatch_and_report():

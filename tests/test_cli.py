@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -104,6 +105,25 @@ def test_bounds_command():
     r = _run("bounds", "--which", "genus", "--n", "96", "--g", "0")
     assert r.returncode == 0
     assert json.loads(r.stdout)["value"] > 0
+
+
+@pytest.mark.parametrize("which,args", [
+    ("genus", ["--n", "96", "--g", "0"]),
+    ("gnp", ["--n", "1000", "--p", "0.01", "--alpha", "0.4"]),
+    ("hypercube", ["--n", "10", "--eps", "1"]),
+    ("domination", ["--n", "100", "--delta", "9"]),
+])
+def test_bounds_pass_every_given_option(capsys, which, args):
+    # the CI inputs of each bound; `inputs` follows the parser's option order
+    assert cli.main(["bounds", "--which", which, *args]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["which"] == which and math.isfinite(report["value"])
+    assert list(report["inputs"]) == [key for key in ("n", "g", "alpha", "p", "eps", "delta")
+                                      if f"--{key}" in args]
+    if which == "gnp":
+        assert out == ('{"which": "gnp", "inputs": {"n": 1000, "alpha": 0.4, "p": 0.01}, '
+                       '"value": 0.006944444444444441}\n')
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from lazycops import experiments, strategies
+from lazycops.errors import UsageError
 from lazycops.experiments import ExperimentConfig, run_experiment
 from lazycops.game import play
 from lazycops.graph import FAMILIES, SEEDED_KINDS, gen_gnp, gen_named
@@ -226,3 +227,17 @@ def test_json_out_rows_equal_the_csv_rows(tmp_path):
         assert dict(pairs) == row
         assert [str(row[col]) for col in header] == csv_row
     assert body[-1][0] == "aggregate"
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"k": 1, "trials": 0}, "trials must be >= 1"),
+    ({}, "config needs an explicit k or a bounds_query"),
+], ids=["no-trials", "no-k"])
+def test_configs_built_in_code_are_checked(fields, message):
+    # the checks of a JSON config hold for one built in code, before any run
+    fields = {"family": "path", "family_params": {"n": 3}, **fields}
+    with pytest.raises(UsageError) as from_json:
+        ExperimentConfig.from_json(json.dumps(fields))
+    with pytest.raises(UsageError) as in_code:
+        run_experiment(ExperimentConfig(**fields))
+    assert str(in_code.value) == str(from_json.value) == message

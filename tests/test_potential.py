@@ -60,9 +60,11 @@ def test_weights_positive():
 
 
 def test_params_reject_small_n():
-    for n in (2, 5, 6):
-        with pytest.raises(UsageError):
+    # n/2 - sqrt(n) >= 1, so level 1 exists, exactly from n = 8 on
+    for n in range(-2, 8):
+        with pytest.raises(UsageError, match="too small"):
             potential_params(n, 1)
+    assert potential_params(8, 1).max_level == 1
     with pytest.raises(UsageError):
         potential_params(16, 0)
     with pytest.raises(UsageError, match="eps must be a number, got 'abc'"):

@@ -199,6 +199,26 @@ def test_evasion_replay_reads_its_length_at_call_time(monkeypatch):
     assert verify_self_consistency(res) == {"ok": True, "half_moves": 10, "budget": None}
 
 
+@pytest.mark.parametrize("solve", [solve_lazy, solve_classic], ids=["lazy", "classic"])
+def test_evasion_replay_fails_on_a_capture(monkeypatch, solve):
+    import lazycops.solver as solver
+
+    # a table that reads every capture state as a robber win: the robber is
+    # placed onto the cop, and the replay stops there
+    res = solve(gen_named("cycle", 5), 1)  # robber win
+    M = len(res._msets)
+    for mi, cops in enumerate(res._msets):
+        for r in set(cops):
+            res._dist[r * M + mi] = -1
+    assert verify_self_consistency(res) == {"ok": False, "half_moves": 0, "budget": None}
+
+    # a cop that jumps onto the robber on the replay's last half-move
+    res = solve(gen_named("cycle", 5), 1)
+    monkeypatch.setattr(solver, "EVASION_STEPS", 1)
+    monkeypatch.setattr(solver, "_cop_reply", lambda result, mi, robber: result._mindex[(robber,)])
+    assert verify_self_consistency(res) == {"ok": False, "half_moves": 1, "budget": None}
+
+
 def test_classic_term_cap_read_at_call_time(monkeypatch):
     import lazycops.solver as solver
 

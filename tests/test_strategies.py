@@ -49,6 +49,16 @@ def test_greedy_cop_placement_ranks_by_degree_then_id():
     assert GreedyCopStrategy().place(G, 9) == [6, 0, 1, 5, 2, 3, 4, 6, 0]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_seeded_greedy_cops_place_as_random_cops(seed):
+    for G in (gen_named("path", 1), gen_named("grid2d", 4), gen_named("petersen")):
+        for k in (1, 3, 20):
+            rng = random.Random(seed)
+            expected = [rng.randrange(G.n) for _ in range(k)]
+            placed = GreedyCopStrategy(seed=seed).place(G, k)
+            assert placed == RandomCopStrategy(seed).place(G, k) == expected
+
+
 def test_greedy_cop_passes_when_robber_in_other_component():
     G = Graph(4, [(0, 1), (2, 3)])
     rec = play(G, GreedyCopStrategy(), GreedyRobberStrategy(), 1, 5)
