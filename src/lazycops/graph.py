@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from operator import or_
 
 from .errors import CapExceededError, GraphFormatError, UsageError
@@ -691,16 +691,35 @@ def parse_graph(text: str) -> Graph:
     n, m = _int_pair(lines[0], "header")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}")
-    G, d = Graph(n, map(_int_pair, lines[1:])), n.bit_length() - 1
+    d = n.bit_length() - 1
+    if d >= 1 and n == 1 << d and m == d << (d - 1) and _cube_edges(lines, d):
+        return HypercubeGraph(d)
+    G = Graph(n, map(_int_pair, lines[1:]))
     if G.m < m:
         seen = set()
         for u, v in map(_int_pair, lines[1:]):
             if (key := (min(u, v), max(u, v))) in seen:
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
             seen.add(key)
-    if d >= 1 and n == 1 << d and m == d << (d - 1) and G == (Q := HypercubeGraph(d)):
-        return Q
     return G
+
+
+def _cube_edges(lines: list, d: int) -> bool:
+    """Whether the d * 2**(d - 1) edge lines after the header are distinct
+    edges of Q_d, i.e. Q_d's edges.  Each is marked by its (lower end,
+    flipped bit) in a bytearray, so no Graph is built.  A malformed line
+    raises as it would in Graph's pass, which would accept every line
+    before it; any other line outside Q_d's edges gives False."""
+    n, marked = 1 << d, bytearray(d << d)
+    for u, v in map(_int_pair, islice(lines, 1, None)):
+        flip = u ^ v
+        if not (0 <= u < n and 0 <= v < n and flip and not flip & (flip - 1)):
+            return False
+        i = min(u, v) * d + flip.bit_length() - 1
+        if marked[i]:
+            return False
+        marked[i] = 1
+    return True
 
 
 def _int_pair(line: str, what="edge line") -> tuple:

@@ -17,6 +17,13 @@ iff some successor was released at level d - 1, and the move relation is
 symmetric, so a rank's successors are its predecessors.  Cop-side moves
 come from a table built once per multiset; optimal play and the
 self-consistency replay read the same table.
+
+The winner is decided by the AND of the labeled rows over all robber
+vertices, taken after level 0 and after each level's cop side: its first
+nonzero value means some multiset is labeled against every robber
+placement, and its lowest set byte lane is the placement.  A solve
+returns there; the remaining levels, which only the distance table needs,
+run on the first read of `SolveResult._dist` or `SolveResult.stats`.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations_with_replacement, compress, filterfalse, product
 from math import comb
+from operator import and_
 
 from . import game
 from .errors import CapExceededError, UsageError
@@ -64,6 +72,14 @@ class SolveResult:
     `combinations_with_replacement`), so comparing ranks compares tuples.
     Only cops-to-move distances are stored, robber-major at `r * M + mi`
     with `M` multisets; a robber-to-move distance is derived from them.
+
+    A fresh result holds the winner and the placement, and the labeling
+    suspended at the level that decided them.  `_dist` and `stats` are
+    unset until the first read of either runs the remaining levels (see
+    `__getattr__`), so `distance`, optimal play and the replay complete the
+    table, and `summary()`, `cop_win` and `placement` never do.  That read
+    adds its time to `seconds` and to `stats["label_s"]`.  Until the table
+    is complete, one thread at a time may read the result.
     """
 
     G: Graph
@@ -72,14 +88,32 @@ class SolveResult:
     cop_win: bool
     placement: tuple          # best cop placement (worst-case optimal if cop_win)
     states: int
-    seconds: float
-    stats: dict = field(default_factory=dict)   # phase times, levels, labeled states, pulls
+    seconds: float            # time spent in the solver so far
     _msets: list = field(repr=False, default_factory=list)
     _mindex: dict = field(repr=False, default_factory=dict)
     _moves: list = field(repr=False, default_factory=list)    # per rank: cop-side moves
     _closed: list = field(repr=False, default_factory=list)   # per vertex: closed nbhd
-    # cops-to-move distances, -1 on robber-win states
-    _dist: array = field(repr=False, default_factory=lambda: array("i"))
+    _rest: object = field(repr=False, default=None)   # the suspended labeling (_label)
+    # set once the table is complete: phase times, levels, labeled states,
+    # pulls; and the cops-to-move distances, -1 on robber-win states
+    stats: dict = field(init=False, repr=False)
+    _dist: array = field(init=False, repr=False)
+
+    def __getattr__(self, name):
+        """Run the remaining levels on the first read of `_dist` or
+        `stats`, the two attributes that stay unset until then."""
+        rest = vars(self).get("_rest")
+        if name not in ("_dist", "stats") or rest is None:
+            raise AttributeError(name)
+        if rest.gi_frame is None:   # an exception ended the labeling early
+            raise RuntimeError("this solve's labeling was cut short; its table is incomplete")
+        t = time.perf_counter()
+        self._dist, self.stats = next(rest)
+        dt = time.perf_counter() - t
+        self.seconds += dt
+        self.stats["label_s"] += dt
+        self._rest = None
+        return vars(self)[name]
 
     def _robber_dist(self, mi: int, robber: int) -> int:
         """Robber-to-move distance: 0 on capture, -1 if some robber move
@@ -180,7 +214,25 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     closed = [G.closed_neighbors(v) for v in range(n)]
     moves = _move_table(msets, mindex, closed, mode)
     t1 = time.perf_counter()
+    stats = {"table_s": t1 - t0, "label_s": 0.0, "placement_s": 0.0}
+    labeling = _label(msets, closed, moves, stats)
+    rank = next(labeling)
+    t2 = time.perf_counter()
+    stats["label_s"] = t2 - t1 - stats["placement_s"]
+    return SolveResult(
+        G=G, k=k, mode=mode, cop_win=rank is not None, placement=msets[rank or 0],
+        states=total, seconds=t2 - t0,
+        _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _rest=labeling,
+    )
 
+
+def _label(msets: list, closed: list, moves: list, stats: dict):
+    """The level-by-level labeling, as a generator.  It yields the rank of
+    the cops' placement at the level that decides the winner, or None at
+    the fixpoint of a robber win.  Resumed, it labels the remaining levels,
+    adds the counts to `stats` and yields (distances, stats).  Only the
+    winner checks add to stats["placement_s"]."""
+    n, M = len(closed), len(msets)
     # Cops-to-move distances at r * M + mi.  Per robber vertex r, lab[r]
     # flags the labeled cops-to-move ranks (one byte each), labi[r] is its
     # int form, and rel[r] flags the released robber-to-move ranks in the
@@ -210,10 +262,26 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
     # filtered through lab[r]; pull tests each unlabeled rank for a released
     # move.  Each reads about one move-table row per rank it visits, so the
     # side with fewer ranks (unl[r] against the released count) is cheaper.
+    # Winner check, after level 0 and after each cop side until decided: in
+    # the placement game the cops pick a multiset and the robber answers
+    # seeing it, so rank mi wins within d half-moves iff its lane of the AND
+    # of all labi rows is set after level d.  The first level with a set
+    # lane is the least worst-case distance, and its lowest lane the least
+    # rank with it (captured robber placements read 0 and never decide).
     robber_front = {r: row for r, row in enumerate(rel) if row}
     cop_front = set(robber_front)
     d = pulled = 0
-    while cop_front or robber_front:
+    decided = None
+    while True:
+        if decided is None:
+            tc = time.perf_counter()
+            won = reduce(and_, labi)
+            stats["placement_s"] += time.perf_counter() - tc
+            if won:
+                decided = d
+                yield ((won & -won).bit_length() - 1) // 8
+        if not (cop_front or robber_front):
+            break
         d += 1
         next_robber = {}
         for t in set().union(*map(closed.__getitem__, cop_front)):
@@ -247,25 +315,14 @@ def _solve(G: Graph, k: int, mode: str) -> SolveResult:
         cop_per.append(labeled)
         robber_per.append(sum(map(int.bit_count, next_robber.values())))
     del lab, labi, rel
-    t2 = time.perf_counter()
-
-    # placement game: cops pick a multiset, robber answers seeing it;
-    # captured robber placements read 0 and never decide the worst case
-    wins = [(max(col), mi) for mi in range(M) if min(col := dist[mi::M]) >= 0]
-    cop_win = bool(wins)
-    placement = msets[min(wins)[1]] if wins else msets[0]
-    t3 = time.perf_counter()
-
-    return SolveResult(
-        G=G, k=k, mode=mode, cop_win=cop_win, placement=placement,
-        states=total, seconds=t3 - t0,
-        stats={"table_s": t1 - t0, "label_s": t2 - t1, "placement_s": t3 - t2, "levels": d,
-               "cop_states_labeled": sum(cop_per),
-               "robber_states_labeled": sum(robber_per),
-               "cop_labeled_per_level": cop_per[:d], "robber_labeled_per_level": robber_per[:d],
-               "pulled_groups": pulled},
-        _msets=msets, _mindex=mindex, _moves=moves, _closed=closed, _dist=dist,
-    )
+    if decided is None:
+        decided = d
+        yield None
+    stats.update(levels=d, decided_level=decided,
+                 cop_states_labeled=sum(cop_per), robber_states_labeled=sum(robber_per),
+                 cop_labeled_per_level=cop_per[:d], robber_labeled_per_level=robber_per[:d],
+                 pulled_groups=pulled)
+    yield dist, stats
 
 
 def solve_lazy(G: Graph, k: int) -> SolveResult:

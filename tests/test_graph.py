@@ -45,6 +45,7 @@ from reference_bfs import reference_bfs
 from reference_domination import reference_greedy_dominating_set
 from reference_gnp import pairwise_gnp, skip_gnp
 from reference_hypercube import EdgeListHypercube
+from reference_parse import reference_parse_graph
 from reference_paths import reference_count_paths, reference_paths_to
 from reference_separator import _ok, _prune, exact_separator, reference_separator
 
@@ -1140,6 +1141,59 @@ def test_parse_relabelled_hypercube_stays_plain():
     assert type(G) is Graph
     with pytest.raises(UsageError):
         PotentialRobberStrategy().place(G, [0])
+
+
+def _cube_file(d, fault, where):
+    """The Q_d file with `fault` at its first, middle or last edge line
+    (`where` 0, 1 or 2); a two-fault case also changes the next line."""
+    header, *edges = serialize_graph(gen_named("hypercube", d)).splitlines()
+    n, i = 1 << d, (0, len(edges) // 2, len(edges) - 1)[where]
+    j = (i + 1) % len(edges)
+    (u, v), (a, b) = map(int, edges[i].split()), edges[j].split()
+    changes = {
+        "none": {},
+        "shuffled": dict(enumerate(edges[::-1])),
+        "reversed": {i: f"{v} {u}"},        # still Q_d
+        "swapped": {i: f"{u} {u ^ 3}"},     # a non-edge: a plain Graph
+        "repeated": {i: edges[j]},
+        "repeated-reversed": {i: f"{b} {a}"},
+        "self-loop": {i: f"{u} {u}"},
+        "out-of-range": {i: f"{u} {n}"},
+        "negative": {i: f"{u - n} {v - n}"},   # read as a bytearray index, the same edge
+        "malformed": {i: f"{u} x"},
+        # two faults: the first one in the file is not the first one raised
+        "repeated-then-out-of-range": {i: edges[j], j: f"{u} {n}"},
+        "out-of-range-then-malformed": {i: f"{u} {n}", j: f"{u} x"},
+    }[fault]
+    for line, text in changes.items():
+        edges[line] = text
+    return "\n".join([header, *edges]) + "\n"
+
+
+def _parsed(parse, text):
+    """What `parse` makes of `text`: the graph's type, rows and dim, or the
+    error's type and message."""
+    try:
+        G = parse(text)
+    except GraphFormatError as exc:
+        return type(exc), str(exc)
+    return type(G), G.n, G._adj, getattr(G, "dim", None)
+
+
+_CUBE_FAULTS = ("shuffled", "reversed", "swapped", "repeated", "repeated-reversed", "self-loop",
+                "out-of-range", "negative", "malformed", "repeated-then-out-of-range",
+                "out-of-range-then-malformed")
+_CUBE_CASES = ([(d, "none", 0) for d in range(1, 13)]
+               + [(d, fault, where) for d in range(2, 7) for fault in _CUBE_FAULTS
+                  for where in range(1 if fault == "shuffled" else 3)])
+
+
+@pytest.mark.parametrize("d,fault,where", _CUBE_CASES,
+                         ids=[f"Q{d}-{fault}-{('first', 'middle', 'last')[w]}"
+                              for d, fault, w in _CUBE_CASES])
+def test_parse_matches_the_graph_pass_on_cube_headers(d, fault, where):
+    text = _cube_file(d, fault, where)
+    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
 
 def test_serialize_uses_lf():

@@ -286,7 +286,7 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     assert res.cop_win is cop_win
     assert set(res.summary()) == {"n", "k", "mode", "cop_win", "states", "seconds"}
     st = res.stats
-    assert set(st) == {"table_s", "label_s", "placement_s", "levels",
+    assert set(st) == {"table_s", "label_s", "placement_s", "levels", "decided_level",
                        "cop_states_labeled", "robber_states_labeled",
                        "cop_labeled_per_level", "robber_labeled_per_level", "pulled_groups"}
     phases = (st["table_s"], st["label_s"], st["placement_s"])
@@ -300,6 +300,7 @@ def test_stats_count_phases_levels_and_labels(G, k, cop_win):
     assert (st["cop_states_labeled"] == res.states // 2) is cop_win
     # the greatest distance is levels - 1: the last level labels nothing
     assert st["levels"] == 1 + max(max(ds) for ds in labeled.values())
+    assert (st["decided_level"] < st["levels"]) is cop_win
     # entry d counts the states at distance d, so each list sums to its total
     for side, key in ((COPS, "cop"), (ROBBER, "robber")):
         per_level = st[f"{key}_labeled_per_level"]

@@ -5,8 +5,15 @@ the state count must agree with `reference_solver.reference_solve`.  On
 lazy results, `optimal_move` must choose the move of
 `reference_solver.reference_optimal_move` in every live state, for both
 sides, and the robber's placement reply must match too.
+
+A solve returns at the level that decides the winner.  Before any read of
+its table, a result must already hold the reference's winner and
+placement, and each reader of the table must give the same value on such
+a fresh result as on a completed one.
 """
 
+import gc
+import weakref
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -122,6 +129,104 @@ def test_pulled_groups_match_reference(name, k, mode):
     pulls = sum(sum(x is None or x >= d for x in cop[r]) < robber[r].count(d - 1)
                 for d in range(1, res.stats["levels"] + 1) for r in range(G.n))
     assert res.stats["pulled_groups"] == pulls > 0
+
+
+def _solve(name, k, mode):
+    return (solve_lazy if mode == LAZY else solve_classic)(_graph(name), k)
+
+
+def _complete(res):
+    """Whether `res` holds its whole distance table, i.e. some read ran the
+    labeling's remaining levels."""
+    return "_dist" in vars(res)
+
+
+@pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_fresh_result_decides_like_reference(name, k, mode):
+    # the winner and placement come before the rest of the table, and
+    # decided_level is the placement game's value: the least worst-case
+    # cops-to-move distance over the placements (levels on robber wins)
+    G, res = _graph(name), _solve(name, k, mode)
+    cop_win, placement, _, distance = reference_solve(G, k, mode)
+    assert (res.cop_win, res.placement, res.summary()["cop_win"]) == (cop_win, placement, cop_win)
+    assert not _complete(res)
+    worst = [max(col) for cops in combinations_with_replacement(range(G.n), k)
+             if None not in (col := [distance(cops, r, COPS) for r in range(G.n)])]
+    assert res.stats["decided_level"] == (min(worst) if cop_win else res.stats["levels"])
+    assert _complete(res)
+
+
+def _untimed(stats):
+    return {key: v for key, v in stats.items() if not key.endswith("_s")}
+
+
+# each reader that needs the whole table, as a function of a result
+_READERS = {
+    "distance": lambda res: [res.distance(cops, r, side)
+                             for cops in (res.placement, res._msets[-1])
+                             for r in range(res.G.n) for side in (COPS, ROBBER)],
+    "robber_placement_response": lambda res: [res.robber_placement_response(cops)
+                                              for cops in (res.placement, res._msets[-1])],
+    "optimal_move": lambda res: [
+        optimal_move(res, GameState(res.placement, r, side))
+        for r in range(res.G.n) if r not in res.placement for side in (COPS, ROBBER)],
+    "verify_self_consistency": verify_self_consistency,
+    "_dist": lambda res: res._dist,
+    "stats": lambda res: _untimed(res.stats),
+}
+
+
+@pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_readers_complete_the_table(name, k, mode):
+    done = _solve(name, k, mode)
+    done.stats   # completes it
+    for reader, read in _READERS.items():
+        if reader == "optimal_move" and mode != LAZY:
+            continue
+        fresh = _solve(name, k, mode)
+        assert not _complete(fresh), reader
+        assert read(fresh) == read(done), reader
+        assert _complete(fresh), reader
+        phases = (fresh.stats[p] for p in ("table_s", "label_s", "placement_s"))
+        assert sum(phases) <= fresh.seconds + 1e-9, reader
+
+
+@pytest.mark.parametrize("name,k,mode", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+def test_fresh_result_is_freed_without_the_collector(name, k, mode):
+    # the suspended labeling holds no reference back to its result, so
+    # reference counting alone frees both
+    gc.disable()
+    try:
+        res = _solve(name, k, mode)
+        refs = weakref.ref(res), weakref.ref(res._rest)
+        del res
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_cut_short_completion_leaves_no_table(monkeypatch):
+    # an exception inside the remaining levels: every later read raises,
+    # and none shows the partly labeled distances
+    import lazycops.solver as solver
+
+    res = solve_lazy(_graph("grid5"), 2)
+    assert res.cop_win and res.stats["decided_level"] < res.stats["levels"] - 1
+    res = solve_lazy(_graph("grid5"), 2)
+
+    def out_of_memory(row):
+        raise MemoryError
+
+    # each level's cop side scans its rows with one of the two
+    monkeypatch.setattr(solver, "_ONES", out_of_memory)
+    monkeypatch.setattr(solver, "_ZEROS", out_of_memory)
+    with pytest.raises(MemoryError):
+        res.distance(res.placement, 0, COPS)
+    monkeypatch.undo()
+    for read in (lambda: res._dist, lambda: res.stats, lambda: res.distance(res.placement, 0, COPS)):
+        with pytest.raises(RuntimeError, match="cut short"):
+            read()
+    assert not _complete(res)
 
 
 @st.composite
